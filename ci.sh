@@ -66,4 +66,7 @@ MISCELA_OVERLOAD_SMOKE=1 cargo test --release -q -p miscela-v --test overload_ma
 step "chaos-matrix smoke (every transport fault class converges to the undisturbed twin)"
 MISCELA_CHAOS_SMOKE=1 cargo test --release -q -p miscela-v --test chaos_transport_matrix
 
+step "end-to-end benchmark smoke (both workloads at smoke size, every output check on)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 printf '\nCI gate passed.\n'

@@ -6,10 +6,10 @@
 //!
 //! [`split_into_chunks`] performs the client-side split; [`ChunkedUploader`]
 //! is the server-side assembler that accepts chunks (possibly out of order),
-//! tracks completeness, and yields the parsed rows once every chunk has
+//! tracks completeness, and yields the parsed batches once every chunk has
 //! arrived.
 
-use crate::data_csv::{self, DataRow};
+use crate::data_csv::DataBatch;
 use crate::error::CsvError;
 
 /// The paper's chunk size: 10,000 lines per chunk.
@@ -28,27 +28,43 @@ pub struct Chunk {
 
 /// Splits a `data.csv` document into chunks of at most `chunk_lines` data
 /// lines each. The header (if present) stays on the first chunk only.
+/// Blank lines are dropped, line endings (`\n` or `\r\n`) become `\n`, and
+/// every chunk ends with one.
 pub fn split_into_chunks(content: &str, chunk_lines: usize) -> Vec<Chunk> {
     let chunk_lines = chunk_lines.max(1);
-    let lines: Vec<&str> = content.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.is_empty() {
-        return Vec::new();
+    let mut contents = Vec::new();
+    // The current chunk's lines, copied out once the chunk is full.
+    let mut lines: Vec<&str> = Vec::new();
+    for line in content.lines().filter(|l| !l.trim().is_empty()) {
+        lines.push(line);
+        if lines.len() == chunk_lines {
+            contents.push(join_lines(&lines));
+            lines.clear();
+        }
     }
-    let chunks_raw: Vec<Vec<&str>> = lines.chunks(chunk_lines).map(|c| c.to_vec()).collect();
-    let total = chunks_raw.len();
-    chunks_raw
+    if !lines.is_empty() {
+        contents.push(join_lines(&lines));
+    }
+    let total = contents.len();
+    contents
         .into_iter()
         .enumerate()
-        .map(|(index, ls)| Chunk {
+        .map(|(index, content)| Chunk {
             index,
             total,
-            content: {
-                let mut s = ls.join("\n");
-                s.push('\n');
-                s
-            },
+            content,
         })
         .collect()
+}
+
+/// `lines`, each followed by `\n`, in one string of exactly that size.
+fn join_lines(lines: &[&str]) -> String {
+    let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
 }
 
 /// Server-side assembler for a chunked `data.csv` upload.
@@ -59,7 +75,7 @@ pub fn split_into_chunks(content: &str, chunk_lines: usize) -> Vec<Chunk> {
 #[derive(Debug, Default)]
 pub struct ChunkedUploader {
     expected_total: Option<usize>,
-    received: Vec<Option<Vec<DataRow>>>,
+    received: Vec<Option<DataBatch>>,
     rows_received: usize,
 }
 
@@ -90,19 +106,13 @@ impl ChunkedUploader {
             }
             Some(_) => {}
         }
-        let rows = data_csv::parse_document(&chunk.content)?;
-        let n = rows.len();
-        if self.received[chunk.index].is_none() {
-            self.rows_received += n;
-        } else {
-            // Re-sent chunk replaces the previous copy.
-            self.rows_received -= self.received[chunk.index]
-                .as_ref()
-                .map(|r| r.len())
-                .unwrap_or(0);
-            self.rows_received += n;
+        let batch = DataBatch::parse(&chunk.content)?;
+        let n = batch.len();
+        // A re-sent chunk replaces the previous copy, keys and all.
+        if let Some(previous) = self.received[chunk.index].replace(batch) {
+            self.rows_received -= previous.len();
         }
-        self.received[chunk.index] = Some(rows);
+        self.rows_received += n;
         Ok(n)
     }
 
@@ -134,20 +144,16 @@ impl ChunkedUploader {
             .collect()
     }
 
-    /// Consumes the assembler, returning all rows in chunk order. Errors when
-    /// chunks are still missing.
-    pub fn finish(self) -> Result<Vec<DataRow>, CsvError> {
+    /// Consumes the assembler, returning one batch per chunk in chunk order.
+    /// Errors when chunks are still missing.
+    pub fn finish(self) -> Result<Vec<DataBatch>, CsvError> {
         if !self.is_complete() {
             return Err(CsvError::BadHeader {
                 file: "data.csv",
                 found: format!("upload incomplete, missing chunks {:?}", self.missing()),
             });
         }
-        let mut all = Vec::with_capacity(self.rows_received);
-        for chunk in self.received.into_iter().flatten() {
-            all.extend(chunk);
-        }
-        Ok(all)
+        Ok(self.received.into_iter().flatten().collect())
     }
 }
 
@@ -185,6 +191,37 @@ mod tests {
     }
 
     #[test]
+    fn split_matches_the_line_join_definition() {
+        // Each chunk is its `chunk_lines` non-blank lines joined by `\n`,
+        // plus a final `\n`.
+        fn joined(content: &str, chunk_lines: usize) -> Vec<String> {
+            let lines: Vec<&str> = content.lines().filter(|l| !l.trim().is_empty()).collect();
+            lines
+                .chunks(chunk_lines.max(1))
+                .map(|c| c.join("\n") + "\n")
+                .collect()
+        }
+        let docs = [
+            "id,attribute,time,data\na,x,t,1\nb,x,t,2\n".to_string(),
+            "\n\na\r\n  \n\t\nb\r\r\nc\rd\n\r\n e \nlast-no-newline".to_string(),
+            "only\r".to_string(),
+            "\u{3000}\nwide space above\n大阪,x,t,1\n".to_string(),
+            sample_doc(25),
+        ];
+        for doc in &docs {
+            for chunk_lines in [0, 1, 2, 3, 7, 10, 1_000] {
+                let chunks = split_into_chunks(doc, chunk_lines);
+                let expected = joined(doc, chunk_lines);
+                assert_eq!(chunks.len(), expected.len(), "{doc:?} / {chunk_lines}");
+                for (i, (chunk, want)) in chunks.iter().zip(&expected).enumerate() {
+                    assert_eq!((chunk.index, chunk.total), (i, expected.len()));
+                    assert_eq!(&chunk.content, want, "{doc:?} / {chunk_lines}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn split_empty_document() {
         assert!(split_into_chunks("", 10).is_empty());
         assert!(split_into_chunks("\n\n", 10).is_empty());
@@ -204,8 +241,8 @@ mod tests {
             up.accept(c).unwrap();
         }
         assert!(up.is_complete());
-        let rows = up.finish().unwrap();
-        assert_eq!(rows.len(), 30);
+        let batches = up.finish().unwrap();
+        assert_eq!(batches.iter().map(DataBatch::len).sum::<usize>(), 30);
     }
 
     #[test]
@@ -220,11 +257,34 @@ mod tests {
         up.accept(&chunks[1]).unwrap();
         // Resend a chunk: row count must not double-count.
         up.accept(&chunks[1]).unwrap();
+        assert_eq!(up.rows_received(), 20);
         assert!(up.is_complete());
-        let rows = up.finish().unwrap();
-        assert_eq!(rows.len(), 20);
-        // Rows come back in chunk order => timestamps of the first chunk first.
-        assert_eq!(rows[0].id.as_str(), "00000");
+        let batches = up.finish().unwrap();
+        // Batches come back in chunk order => the first chunk's rows first.
+        assert_eq!(batches.len(), 3);
+        assert_eq!(batches[0].keys()[0].0.as_str(), "00000");
+        assert_eq!(batches[0], DataBatch::parse(&chunks[0].content).unwrap());
+    }
+
+    #[test]
+    fn resent_chunk_replaces_rows_and_keys() {
+        let mut up = ChunkedUploader::new();
+        let first = Chunk {
+            index: 0,
+            total: 1,
+            content: "s1,x,2016-03-01 00:00:00,1\nghost,x,2016-03-01 01:00:00,2\n".into(),
+        };
+        let resent = Chunk {
+            content: "s1,x,2016-03-01 00:00:00,5\n".into(),
+            ..first.clone()
+        };
+        assert_eq!(up.accept(&first).unwrap(), 2);
+        assert_eq!(up.accept(&resent).unwrap(), 1);
+        assert_eq!(up.rows_received(), 1);
+        let batches = up.finish().unwrap();
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].keys().len(), 1);
+        assert_eq!(batches[0].readings()[0].value, Some(5.0));
     }
 
     #[test]

@@ -42,10 +42,11 @@ pub struct AppendRow {
 }
 
 /// A borrowed measurement row for [`Dataset::append_rows_borrowed`]: the
-/// zero-copy view an ingestion front-end (e.g. the csv loader's parsed
-/// `DataRow`s) adapts its rows into without cloning the sensor id or
-/// attribute-name strings.
-#[derive(Debug, Clone, Copy)]
+/// zero-copy view an ingestion front-end (e.g. the csv crate's parsed
+/// `data.csv` batches, whose rows borrow each batch's interned keys)
+/// presents its rows as, without cloning the sensor id or attribute-name
+/// strings.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppendRowRef<'a> {
     /// External sensor id.
     pub sensor: &'a SensorId,
@@ -550,6 +551,19 @@ impl DatasetBuilder {
         self.sensors.len()
     }
 
+    /// The sensor declared with external id `id` for attribute
+    /// `attribute_name`. Errors when the attribute or the sensor is unknown.
+    pub fn resolve(&self, id: &SensorId, attribute_name: &str) -> Result<SensorIndex, ModelError> {
+        let attribute = self
+            .attributes
+            .id_of(attribute_name)
+            .ok_or_else(|| ModelError::UnknownAttribute(attribute_name.to_string()))?;
+        self.id_index
+            .get(&(id.clone(), attribute))
+            .copied()
+            .ok_or_else(|| ModelError::UnknownSensor(format!("{id}:{attribute_name}")))
+    }
+
     /// Adds one measurement for the sensor with external id `id` and
     /// attribute `attribute_name` at timestamp `t`.
     ///
@@ -562,15 +576,7 @@ impl DatasetBuilder {
         t: Timestamp,
         value: Option<f64>,
     ) -> Result<(), ModelError> {
-        let attribute = self
-            .attributes
-            .id_of(attribute_name)
-            .ok_or_else(|| ModelError::UnknownAttribute(attribute_name.to_string()))?;
-        let idx = self
-            .id_index
-            .get(&(id.clone(), attribute))
-            .copied()
-            .ok_or_else(|| ModelError::UnknownSensor(format!("{id}:{attribute_name}")))?;
+        let idx = self.resolve(id, attribute_name)?;
         let grid = self
             .grid
             .as_ref()

@@ -636,7 +636,7 @@ impl<T: Transport> ResilientClient<T> {
                 Json::from_pairs([
                     ("index", Json::from(chunk.index)),
                     ("total", Json::from(chunk.total)),
-                    ("content", Json::from(chunk.content.as_str())),
+                    ("content", Json::from(chunk.content)),
                 ]),
             ))?;
         }

@@ -33,7 +33,7 @@ use miscela_cache::{
 use miscela_core::{CancelToken, Miner, MiningError, MiningParams, MiningResult, SweepStats};
 use miscela_csv::chunk::{Chunk, ChunkedUploader};
 use miscela_csv::loader::DatasetLoader;
-use miscela_csv::location_csv;
+use miscela_csv::location_csv::{self, LocationRow};
 use miscela_model::{Dataset, DatasetStats, RetentionPolicy};
 use miscela_store::recovery::{DurabilityStats, RecoveryStore};
 use miscela_store::wal::SinkOpener;
@@ -82,8 +82,10 @@ pub struct UploadSession {
     /// Scoped key (`tenant/name`; bare name for the default tenant) of the
     /// dataset being uploaded.
     pub dataset: String,
-    location_csv: String,
-    attribute_csv: String,
+    /// `location.csv` and `attribute.csv`, parsed (and so validated) by the
+    /// begin.
+    locations: Vec<LocationRow>,
+    attributes: Vec<String>,
     uploader: ChunkedUploader,
     started: Instant,
 }
@@ -577,8 +579,8 @@ impl MiscelaService {
                             for chunk in &chunks {
                                 uploader.accept(chunk).map_err(|e| replay_err(&e))?;
                             }
-                            let rows = uploader.finish().map_err(|e| replay_err(&e))?;
-                            let stats = DatasetLoader::append(&mut ds, &rows)
+                            let batches = uploader.finish().map_err(|e| replay_err(&e))?;
+                            let stats = DatasetLoader::append(&mut ds, &batches)
                                 .map_err(|e| replay_err(&e))?;
                             if stats.trimmed_timestamps > 0 {
                                 replayed_trim = true;
@@ -1786,18 +1788,18 @@ impl MiscelaService {
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
             };
         }
-        // Validate the two small files immediately so a typo fails fast.
-        location_csv::parse_document(location_csv_text)
+        // Parse the two small files immediately so a typo fails fast.
+        let locations = location_csv::parse_document(location_csv_text)
             .map_err(|e| ApiError::BadRequest(format!("location.csv: {e}")))?;
-        miscela_csv::attribute_csv::parse_document(attribute_csv_text)
+        let attributes = miscela_csv::attribute_csv::parse_document(attribute_csv_text)
             .map_err(|e| ApiError::BadRequest(format!("attribute.csv: {e}")))?;
         let mut uploads = self.store.shard(&scope.key).uploads.lock();
         uploads.insert(
             scope.key.clone(),
             UploadSession {
                 dataset: scope.key.clone(),
-                location_csv: location_csv_text.to_string(),
-                attribute_csv: attribute_csv_text.to_string(),
+                locations,
+                attributes,
                 uploader: ChunkedUploader::new(),
                 started: Instant::now(),
             },
@@ -1888,16 +1890,12 @@ impl MiscelaService {
                 ApiError::NotFound(format!("no upload in progress for {:?}", scope.name))
             })?;
         let elapsed = session.started.elapsed();
-        let rows = session
+        let batches = session
             .uploader
             .finish()
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        let locations = location_csv::parse_document(&session.location_csv)
-            .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        let attributes = miscela_csv::attribute_csv::parse_document(&session.attribute_csv)
-            .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         let ds = DatasetLoader::new(&scope.name)
-            .assemble(&attributes, &locations, &rows)
+            .assemble(&session.attributes, &session.locations, &batches)
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         self.check_register_quota(scope, &ds)?;
         let (summary, durable) =
@@ -2298,7 +2296,7 @@ impl MiscelaService {
         })?;
         let elapsed = session.started.elapsed();
         let session_id = session.session;
-        let rows = session
+        let batches = session
             .uploader
             .finish()
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
@@ -2311,7 +2309,7 @@ impl MiscelaService {
         // is detected instead of silently overwritten.
         let base = self.entry(scope)?;
         let mut ds = (*base.dataset).clone();
-        let append = DatasetLoader::append(&mut ds, &rows)
+        let append = DatasetLoader::append(&mut ds, &batches)
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         // Append time is quota-check time: content over the tenant's
         // retained-timestamps budget is a typed 403. The session was

@@ -6,9 +6,18 @@
 //! model, a recursive-descent parser with escape handling, and compact /
 //! pretty serializers. Numbers are stored as `f64`, which is sufficient for
 //! sensor measurements, counts and parameters.
+//!
+//! The parser reads untrusted bytes (request bodies, WAL records, persisted
+//! store files), so its recursion is bounded by [`MAX_DEPTH`]: deeper input
+//! is a [`JsonError`], never a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// How deeply arrays and objects may nest in a parsed document. Every
+/// document the system writes stays within single digits; the bound keeps
+/// hostile input such as 200,000 `[` bytes from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,8 +198,10 @@ impl Json {
     /// Parses a JSON document.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.parse_value()?;
@@ -277,20 +288,27 @@ pub fn format_number(n: f64) -> String {
 }
 
 fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Copy unescaped runs whole: only `"`, `\` and control bytes (all ASCII,
+    // so never inside a multi-byte character) end a run.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -321,8 +339,11 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open; bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -411,67 +432,85 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
-                return Err(JsonError::new(self.pos, "unterminated string"));
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(JsonError::new(self.pos, "unterminated escape"));
-                    };
+            // Copy the run up to the next quote or backslash whole. Both are
+            // ASCII, so the run starts and ends on character boundaries.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.input[run..self.pos]);
+            match self.peek() {
+                None => return Err(JsonError::new(self.pos, "unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(JsonError::new(self.pos, "truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| JsonError::new(self.pos, "invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::new(self.pos, "invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are unlikely in our data; map lone
-                            // surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => {
-                            return Err(JsonError::new(
-                                self.pos,
-                                format!("invalid escape \\{}", other as char),
-                            ))
-                        }
-                    }
+                    return Ok(out);
                 }
                 _ => {
-                    // Collect the full UTF-8 sequence starting at pos-1.
-                    let start = self.pos - 1;
-                    let len = utf8_len(c);
-                    let end = (start + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| JsonError::new(start, "invalid utf-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
+                    self.pos += 1;
+                    self.parse_escape(&mut out)?;
                 }
             }
         }
     }
 
+    /// Decodes the escape after a backslash into `out`.
+    fn parse_escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let Some(esc) = self.peek() else {
+            return Err(JsonError::new(self.pos, "unterminated escape"));
+        };
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{0008}'),
+            b'f' => out.push('\u{000C}'),
+            b'u' => {
+                if self.pos + 4 > self.bytes.len() {
+                    return Err(JsonError::new(self.pos, "truncated \\u escape"));
+                }
+                let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                    .map_err(|_| JsonError::new(self.pos, "invalid \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| JsonError::new(self.pos, "invalid \\u escape"))?;
+                self.pos += 4;
+                // Surrogate pairs are unlikely in our data; map lone
+                // surrogates to the replacement character.
+                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+            }
+            other => {
+                return Err(JsonError::new(
+                    self.pos,
+                    format!("invalid escape \\{}", other as char),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens one array or object level, failing beyond [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), JsonError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(JsonError::new(
+                self.pos,
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        Ok(())
+    }
+
     fn parse_array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
+        self.enter()?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Array(items));
         }
         loop {
@@ -483,6 +522,7 @@ impl Parser<'_> {
                 }
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Array(items));
                 }
                 _ => return Err(JsonError::new(self.pos, "expected ',' or ']'")),
@@ -492,10 +532,12 @@ impl Parser<'_> {
 
     fn parse_object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
+        self.enter()?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Object(map));
         }
         loop {
@@ -512,23 +554,12 @@ impl Parser<'_> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Object(map));
                 }
                 _ => return Err(JsonError::new(self.pos, "expected ',' or '}'")),
             }
         }
-    }
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    if first_byte < 0x80 {
-        1
-    } else if first_byte >> 5 == 0b110 {
-        2
-    } else if first_byte >> 4 == 0b1110 {
-        3
-    } else {
-        4
     }
 }
 
@@ -582,6 +613,53 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(200_000);
+        let err = Json::parse(&arrays).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.position, MAX_DEPTH + 1);
+        let objects = "{\"a\":".repeat(200_000);
+        let err = Json::parse(&objects).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &Json::parse(&at_limit).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v, &Json::Array(Vec::new()));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).is_err());
+        // The bound is on open levels: closed siblings do not add up.
+        let siblings = format!("[{at_limit},{at_limit}]");
+        assert!(Json::parse(&siblings).is_err());
+        let inner = &at_limit[1..at_limit.len() - 1];
+        assert!(Json::parse(&format!("[{inner},{inner}]")).is_ok());
+    }
+
+    #[test]
+    fn strings_round_trip_runs_escapes_and_multibyte() {
+        for s in [
+            "",
+            "plain run",
+            "\"quoted\" and \\ back\\slash",
+            "tab\tnew\nline\rcr\u{0}nul\u{1f}unit\u{7f}del",
+            "大阪 Santander ✓ 𝄞",
+            "id,attribute,time,data\n00000,temperature,2016-03-01 00:00:00,null\n",
+        ] {
+            let encoded = Json::from(s).to_string_compact();
+            assert!(!encoded[1..encoded.len() - 1].bytes().any(|b| b < 0x20));
+            assert_eq!(Json::parse(&encoded).unwrap().as_str(), Some(s));
+        }
+        assert_eq!(Json::from("\u{1}").to_string_compact(), "\"\\u0001\"");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use miscela_v::miscela_core::evolving::extract_evolving;
 use miscela_v::miscela_core::{Bitset, MiningParams};
-use miscela_v::miscela_csv::data_csv;
-use miscela_v::miscela_model::{GeoPoint, TimeSeries, Timestamp};
+use miscela_v::miscela_csv::data_csv::{self, DataBatch};
+use miscela_v::miscela_csv::{CsvError, CsvReader};
+use miscela_v::miscela_model::{AppendRowRef, GeoPoint, SensorId, TimeSeries, Timestamp};
 use miscela_v::miscela_store::Json;
 use proptest::prelude::*;
 
@@ -101,19 +102,23 @@ proptest! {
         secs in 0i64..4_000_000_000i64,
         value in proptest::option::of(-1.0e6f64..1.0e6),
     ) {
-        let row = data_csv::DataRow {
-            id: miscela_v::miscela_model::SensorId::new(id),
-            attribute: attr.trim().to_string(),
+        let sensor = SensorId::new(id);
+        let attribute = attr.trim().to_string();
+        let row = AppendRowRef {
+            sensor: &sensor,
+            attribute: &attribute,
             time: Timestamp::from_epoch_seconds(secs),
             value,
         };
         let line = data_csv::format_row(&row);
-        let parsed = data_csv::parse_document(&line).unwrap();
+        let parsed = DataBatch::parse(&line).unwrap();
         prop_assert_eq!(parsed.len(), 1);
-        prop_assert_eq!(&parsed[0].id, &row.id);
-        prop_assert_eq!(&parsed[0].attribute, &row.attribute);
-        prop_assert_eq!(parsed[0].time, row.time);
-        match (parsed[0].value, row.value) {
+        prop_assert_eq!(parsed.keys().len(), 1);
+        let got = parsed.rows().next().unwrap();
+        prop_assert_eq!(got.sensor, row.sensor);
+        prop_assert_eq!(got.attribute, row.attribute);
+        prop_assert_eq!(got.time, row.time);
+        match (got.value, row.value) {
             (Some(a), Some(b)) => prop_assert!((a - b).abs() <= (b.abs() * 1e-6).max(1e-6)),
             (None, None) => {}
             other => prop_assert!(false, "value mismatch: {:?}", other),
@@ -218,6 +223,259 @@ fn json_strategy() -> impl Strategy<Value = Json> {
             proptest::collection::btree_map("[a-z]{1,8}", inner, 0..6).prop_map(Json::Object),
         ]
     })
+}
+
+// ---------------------------------------------------------------------------
+// parsers and codecs on generated input
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The data.csv scanner, which splits unquoted lines in place, yields
+    /// exactly the rows (or exactly the error) of parsing every line with
+    /// `parse_line`.
+    #[test]
+    fn data_csv_scanner_matches_parse_line(
+        lines in proptest::collection::vec(
+            (csv_line_strategy(), prop_oneof![Just("\n"), Just("\r\n"), Just("\r\r\n")]),
+            0..8,
+        ),
+        last_newline in any::<bool>(),
+    ) {
+        let mut doc: String = lines.iter().map(|(line, end)| format!("{line}{end}")).collect();
+        if !last_newline {
+            doc.truncate(doc.trim_end_matches(['\r', '\n']).len());
+        }
+        let scanned = DataBatch::parse(&doc).map(|batch| {
+            batch
+                .rows()
+                .map(|r| (r.sensor.as_str().to_string(), r.attribute.to_string(), r.time, r.value.map(f64::to_bits)))
+                .collect::<Vec<_>>()
+        });
+        prop_assert_eq!(scanned, parse_line_reference(&doc), "document {:?}", doc);
+    }
+
+    /// Strings survive the JSON codec whatever they contain: control
+    /// characters, quotes, backslashes and multi-byte UTF-8, as values and
+    /// as object keys.
+    #[test]
+    fn json_string_roundtrip(chars in proptest::collection::vec(json_char_strategy(), 0..48)) {
+        let s: String = chars.into_iter().collect();
+        let encoded = Json::from(s.as_str()).to_string_compact();
+        prop_assert!(!encoded.bytes().any(|b| b < 0x20), "raw control byte in {:?}", encoded);
+        prop_assert_eq!(Json::parse(&encoded).unwrap(), Json::String(s.clone()));
+        let object = Json::from_pairs([(s.clone(), Json::from(s.as_str()))]);
+        prop_assert_eq!(Json::parse(&object.to_string_compact()).unwrap(), object.clone());
+        prop_assert_eq!(Json::parse(&object.to_string_pretty()).unwrap(), object);
+    }
+
+    /// `Json::parse` on arbitrary input returns a value or a typed error;
+    /// it never panics or overflows the stack, however deep the nesting.
+    #[test]
+    fn json_parse_never_panics(
+        open in 0usize..300,
+        bytes in proptest::collection::vec(json_byte_strategy(), 0..64),
+    ) {
+        let mut input = "[".repeat(open);
+        input.push_str(&String::from_utf8_lossy(&bytes));
+        match Json::parse(&input) {
+            Ok(value) => prop_assert!(Json::parse(&value.to_string_compact()).is_ok()),
+            Err(e) => prop_assert!(e.position <= input.len(), "{} in {:?}", e, input),
+        }
+    }
+}
+
+/// One `data.csv` line: mostly rows whose fields are drawn per column
+/// (well-formed, quoted, padded, occasionally malformed), plus lines of 3
+/// to 5 arbitrary fields, headers in any letter case, and blanks.
+fn csv_line_strategy() -> impl Strategy<Value = String> {
+    fn pool(fields: &[&str], random: &'static str) -> BoxedStrategy<String> {
+        let mut arms: Vec<BoxedStrategy<String>> =
+            fields.iter().map(|f| Just(f.to_string()).boxed()).collect();
+        arms.push(random.boxed());
+        proptest::strategy::Union::new(arms).boxed()
+    }
+    let id = pool(
+        &[
+            "s1",
+            " 00042 ",
+            "\"s,1\"",
+            "\"say \"\"hi\"\"\"",
+            "  \"q\" ",
+            "ID",
+            "s1",
+            "s2",
+        ],
+        "[a-z0-9 .\t]{1,6}",
+    );
+    let attribute = pool(
+        &[
+            "temperature",
+            "\tPM2.5 ",
+            "\"traffic, volume\"",
+            "Attribute",
+            "temperature",
+        ],
+        "[a-z .\t]{1,6}",
+    );
+    let time = pool(
+        &[
+            "2016-03-01 00:00:00",
+            " 2016-03-01 05:00:00\t",
+            "\" 2016-03-01 01:00:00\"",
+            "2016-03-01T02:00",
+            "2016-03-01",
+            "2016-03-01 00:00:00",
+            "not-a-time",
+            " 2016-13-01 00:00:00\t",
+        ],
+        "2016-0[1-3]-0[1-9] [0-2][0-9]:00:00",
+    );
+    let value = pool(
+        &[
+            "9.87", "null", "NaN", "", " -3.5e2 ", "\"1.5\"", "abc", "DATA", "120",
+        ],
+        "[0-9]{1,4}",
+    );
+    let row = (id, attribute, time, value).prop_map(|(i, a, t, v)| format!("{i},{a},{t},{v}"));
+    let chaos = pool(
+        &[
+            "\"unterminated",
+            "\"closed\"junk",
+            "\"quoted, comma\"",
+            "9.87",
+            "s1",
+        ],
+        "[a-z0-9 .,\t\r\"]{0,6}",
+    );
+    // Any letter case; bits past the letters pad a field with a space.
+    let header = any::<u32>().prop_map(|bits| {
+        let cased: String = "id,attribute,time,data"
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if bits >> i & 1 == 1 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        cased
+            .split(',')
+            .enumerate()
+            .map(|(i, f)| {
+                if bits >> (24 + i) & 1 == 1 {
+                    format!(" {f} ")
+                } else {
+                    f.to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    });
+    prop_oneof![
+        row.clone(),
+        row.clone(),
+        row.clone(),
+        row.clone(),
+        row.clone(),
+        row,
+        proptest::collection::vec(chaos, 3..6).prop_map(|f| f.join(",")),
+        header,
+        prop_oneof![
+            Just(String::new()),
+            Just("  \t ".to_string()),
+            Just("\r".to_string())
+        ],
+    ]
+}
+
+/// `data.csv` parsed the way the row-per-`Vec<String>` parser did: every
+/// non-blank line through `parse_line`, header skipped, then the four
+/// fields checked in order (count, time, value).
+#[allow(clippy::type_complexity)]
+fn parse_line_reference(
+    doc: &str,
+) -> Result<Vec<(String, String, Timestamp, Option<u64>)>, CsvError> {
+    let mut rows = Vec::new();
+    for (line, fields) in CsvReader::new(doc) {
+        let fields = fields?;
+        if data_csv::is_header(&fields) {
+            continue;
+        }
+        if fields.len() != 4 {
+            return Err(CsvError::WrongFieldCount {
+                file: "data.csv",
+                line,
+                expected: 4,
+                actual: fields.len(),
+            });
+        }
+        let time = Timestamp::parse(&fields[2]).map_err(|_| CsvError::BadField {
+            file: "data.csv",
+            line,
+            field: "time",
+            value: fields[2].clone(),
+        })?;
+        let value = data_csv::parse_value(&fields[3], line)?;
+        rows.push((
+            fields[0].trim().to_string(),
+            fields[1].trim().to_string(),
+            time,
+            value.map(f64::to_bits),
+        ));
+    }
+    Ok(rows)
+}
+
+/// Characters the JSON string codec must treat specially, plus ordinary
+/// ASCII and 2-, 3- and 4-byte UTF-8.
+fn json_char_strategy() -> impl Strategy<Value = char> {
+    prop_oneof![
+        (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+        Just('"'),
+        Just('\\'),
+        Just('/'),
+        Just('\u{7f}'),
+        (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+        prop_oneof![
+            Just('é'),
+            Just('大'),
+            Just('阪'),
+            Just('✓'),
+            Just('𝄞'),
+            Just('\u{FFFD}')
+        ],
+        (0x80u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{10FFFF}')),
+    ]
+}
+
+/// Bytes weighted toward JSON's structural characters, so arbitrary input
+/// reaches deep into the parser.
+fn json_byte_strategy() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        any::<u8>(),
+        prop_oneof![
+            Just(b'['),
+            Just(b']'),
+            Just(b'{'),
+            Just(b'}'),
+            Just(b'"'),
+            Just(b'\\'),
+            Just(b':'),
+            Just(b','),
+        ],
+        prop_oneof![
+            Just(b'u'),
+            Just(b'0'),
+            Just(b'-'),
+            Just(b'e'),
+            Just(b'n'),
+            Just(b't')
+        ],
+    ]
 }
 
 // ---------------------------------------------------------------------------
