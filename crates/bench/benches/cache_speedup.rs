@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use miscela_bench::{santander_bench, santander_params};
-use miscela_server::MiscelaService;
+use miscela_core::CancelToken;
+use miscela_server::{MiscelaService, DEFAULT_TENANT};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -19,11 +20,20 @@ fn bench(c: &mut Criterion) {
         b.iter_with_setup(
             || {
                 let svc = MiscelaService::new();
-                svc.register_dataset(ds.clone());
+                svc.register_dataset_keyed_in(DEFAULT_TENANT, ds.clone(), None)
+                    .unwrap();
                 svc
             },
             |svc| {
-                let out = svc.mine("santander", &params).unwrap();
+                let out = svc
+                    .mine_cancellable_in(
+                        DEFAULT_TENANT,
+                        "santander",
+                        &params,
+                        None,
+                        &CancelToken::never(),
+                    )
+                    .unwrap();
                 assert!(!out.cache_hit);
                 out.result.caps.len()
             },
@@ -32,11 +42,28 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("warm_cache_hit", |b| {
         let svc = MiscelaService::new();
-        svc.register_dataset(santander_bench());
+        svc.register_dataset_keyed_in(DEFAULT_TENANT, santander_bench(), None)
+            .unwrap();
         let params = santander_params();
-        let _ = svc.mine("santander", &params).unwrap();
+        let _ = svc
+            .mine_cancellable_in(
+                DEFAULT_TENANT,
+                "santander",
+                &params,
+                None,
+                &CancelToken::never(),
+            )
+            .unwrap();
         b.iter(|| {
-            let out = svc.mine("santander", &params).unwrap();
+            let out = svc
+                .mine_cancellable_in(
+                    DEFAULT_TENANT,
+                    "santander",
+                    &params,
+                    None,
+                    &CancelToken::never(),
+                )
+                .unwrap();
             assert!(out.cache_hit);
             out.result.caps.len()
         });

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use miscela_bench::santander_bench;
 use miscela_csv::{split_into_chunks, DatasetWriter};
-use miscela_server::MiscelaService;
+use miscela_server::{MiscelaService, DEFAULT_TENANT};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -34,11 +34,21 @@ fn bench(c: &mut Criterion) {
             |b, &chunk_lines| {
                 b.iter(|| {
                     let svc = MiscelaService::new();
-                    svc.begin_upload("bench", &locations, &attributes).unwrap();
+                    svc.begin_upload_keyed_in(
+                        DEFAULT_TENANT,
+                        "bench",
+                        &locations,
+                        &attributes,
+                        None,
+                    )
+                    .unwrap();
                     for chunk in split_into_chunks(&data, chunk_lines.min(lines + 1)) {
-                        svc.upload_chunk("bench", &chunk).unwrap();
+                        svc.upload_chunk_in(DEFAULT_TENANT, "bench", &chunk)
+                            .unwrap();
                     }
-                    let (summary, _) = svc.finish_upload("bench").unwrap();
+                    let (summary, _, _) = svc
+                        .finish_upload_keyed_in(DEFAULT_TENANT, "bench", None)
+                        .unwrap();
                     summary.records
                 });
             },

@@ -5,8 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use miscela_bench::{santander_bench, santander_params};
+use miscela_core::CancelToken;
 use miscela_csv::{split_into_chunks, DatasetWriter, DEFAULT_CHUNK_LINES};
-use miscela_server::MiscelaService;
+use miscela_server::{MiscelaService, DEFAULT_TENANT};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -25,14 +26,32 @@ fn bench(c: &mut Criterion) {
     group.bench_function("upload_mine_requery", |b| {
         b.iter(|| {
             let svc = MiscelaService::new();
-            svc.begin_upload("santander", &locations, &attributes)
+            svc.begin_upload_keyed_in(DEFAULT_TENANT, "santander", &locations, &attributes, None)
                 .unwrap();
             for chunk in split_into_chunks(&data, DEFAULT_CHUNK_LINES) {
-                svc.upload_chunk("santander", &chunk).unwrap();
+                svc.upload_chunk_in(DEFAULT_TENANT, "santander", &chunk)
+                    .unwrap();
             }
-            svc.finish_upload("santander").unwrap();
-            let first = svc.mine("santander", &params).unwrap();
-            let second = svc.mine("santander", &params).unwrap();
+            svc.finish_upload_keyed_in(DEFAULT_TENANT, "santander", None)
+                .unwrap();
+            let first = svc
+                .mine_cancellable_in(
+                    DEFAULT_TENANT,
+                    "santander",
+                    &params,
+                    None,
+                    &CancelToken::never(),
+                )
+                .unwrap();
+            let second = svc
+                .mine_cancellable_in(
+                    DEFAULT_TENANT,
+                    "santander",
+                    &params,
+                    None,
+                    &CancelToken::never(),
+                )
+                .unwrap();
             assert!(second.cache_hit);
             first.result.caps.len()
         });

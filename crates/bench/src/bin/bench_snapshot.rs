@@ -81,7 +81,7 @@ use miscela_core::{Miner, MiningParams, MiningReport};
 use miscela_csv::DatasetWriter;
 use miscela_model::{AppendRow, Dataset, RetentionPolicy, SERIES_BLOCK_LEN};
 use miscela_server::client::{ChaosConfig, ChaosTransport, ResilientClient, RouterTransport};
-use miscela_server::{AdmissionConfig, MiscelaService, Router};
+use miscela_server::{AdmissionConfig, MiscelaService, Router, DEFAULT_TENANT};
 use miscela_store::{Database, Json};
 use std::sync::Arc;
 use std::time::Duration;
@@ -248,7 +248,8 @@ fn measure_recovery(name: &str, dataset: &Dataset, repeats: usize) -> (u128, u12
     let snapshot_dir = base.join("snapshot");
     for dir in [&replay_dir, &snapshot_dir] {
         let svc = MiscelaService::with_durability(dir).expect("durable service");
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "bench",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -257,7 +258,7 @@ fn measure_recovery(name: &str, dataset: &Dataset, repeats: usize) -> (u128, u12
         )
         .expect("bench upload");
         if dir == &replay_dir {
-            svc.append_documents("bench", &writer.data_csv(&tail), 10_000)
+            svc.append_documents_in(DEFAULT_TENANT, "bench", &writer.data_csv(&tail), 10_000)
                 .expect("bench append");
         }
     }
@@ -269,7 +270,9 @@ fn measure_recovery(name: &str, dataset: &Dataset, repeats: usize) -> (u128, u12
             MiscelaService::with_database_and_durability(Arc::new(Database::new()), &replay_dir)
                 .expect("recovery with a WAL tail");
         replay_ns.push(t.elapsed().as_nanos());
-        let stats = svc.durability_stats("bench").expect("durability stats");
+        let stats = svc
+            .durability_stats_in(DEFAULT_TENANT, "bench")
+            .expect("durability stats");
         assert!(
             stats.replayed_records >= 3,
             "recovery had no WAL tail to replay: {stats:?}"
@@ -279,7 +282,9 @@ fn measure_recovery(name: &str, dataset: &Dataset, repeats: usize) -> (u128, u12
             MiscelaService::with_database_and_durability(Arc::new(Database::new()), &snapshot_dir)
                 .expect("recovery from a snapshot alone");
         snapshot_ns.push(t.elapsed().as_nanos());
-        let stats = svc.durability_stats("bench").expect("durability stats");
+        let stats = svc
+            .durability_stats_in(DEFAULT_TENANT, "bench")
+            .expect("durability stats");
         assert_eq!(
             stats.replayed_records, 0,
             "the snapshot-only directory had WAL records: {stats:?}"
@@ -301,7 +306,8 @@ fn snapshot_overload(dataset: &Dataset, smoke: bool) -> Json {
         max_queue_wait: Duration::from_millis(250),
         retry_after_ms: 50,
     });
-    svc.upload_documents(
+    svc.upload_documents_in(
+        DEFAULT_TENANT,
         "overload",
         &writer.data_csv(dataset),
         &writer.location_csv(dataset),

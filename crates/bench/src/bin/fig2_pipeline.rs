@@ -3,8 +3,9 @@
 //! timings.
 
 use miscela_bench::{paper_scale_requested, santander, santander_params};
+use miscela_core::CancelToken;
 use miscela_csv::{split_into_chunks, DatasetWriter, DEFAULT_CHUNK_LINES};
-use miscela_server::MiscelaService;
+use miscela_server::{MiscelaService, DEFAULT_TENANT};
 use std::time::Instant;
 
 fn main() {
@@ -24,14 +25,17 @@ fn main() {
 
     let svc = MiscelaService::new();
     let t1 = Instant::now();
-    svc.begin_upload("santander", &locations, &attributes)
+    svc.begin_upload_keyed_in(DEFAULT_TENANT, "santander", &locations, &attributes, None)
         .unwrap();
     let chunks = split_into_chunks(&data, DEFAULT_CHUNK_LINES);
     let n_chunks = chunks.len();
     for chunk in chunks {
-        svc.upload_chunk("santander", &chunk).unwrap();
+        svc.upload_chunk_in(DEFAULT_TENANT, "santander", &chunk)
+            .unwrap();
     }
-    let (summary, _) = svc.finish_upload("santander").unwrap();
+    let (summary, _, _) = svc
+        .finish_upload_keyed_in(DEFAULT_TENANT, "santander", None)
+        .unwrap();
     println!(
         "chunked upload:       {:8.1} ms ({n_chunks} chunks, {} sensors, {} records)",
         t1.elapsed().as_secs_f64() * 1e3,
@@ -41,7 +45,15 @@ fn main() {
 
     let params = santander_params();
     let t2 = Instant::now();
-    let first = svc.mine("santander", &params).unwrap();
+    let first = svc
+        .mine_cancellable_in(
+            DEFAULT_TENANT,
+            "santander",
+            &params,
+            None,
+            &CancelToken::never(),
+        )
+        .unwrap();
     println!(
         "mining (cold):        {:8.1} ms ({}; extraction {:.1} ms, spatial {:.1} ms, search {:.1} ms)",
         t2.elapsed().as_secs_f64() * 1e3,
@@ -52,7 +64,15 @@ fn main() {
     );
 
     let t3 = Instant::now();
-    let second = svc.mine("santander", &params).unwrap();
+    let second = svc
+        .mine_cancellable_in(
+            DEFAULT_TENANT,
+            "santander",
+            &params,
+            None,
+            &CancelToken::never(),
+        )
+        .unwrap();
     println!(
         "re-query (cached):    {:8.3} ms (cache hit: {})",
         t3.elapsed().as_secs_f64() * 1e3,

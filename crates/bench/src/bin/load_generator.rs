@@ -33,7 +33,7 @@
 use miscela_bench::overload::{run_load, run_sharded_comparison, LoadConfig, SubscriberConfig};
 use miscela_bench::{santander_bench, santander_params};
 use miscela_csv::DatasetWriter;
-use miscela_server::{AdmissionConfig, MiscelaService, DEFAULT_SHARDS};
+use miscela_server::{AdmissionConfig, MiscelaService, DEFAULT_SHARDS, DEFAULT_TENANT};
 use miscela_store::Json;
 use std::time::Duration;
 
@@ -89,7 +89,8 @@ fn main() {
         max_queue_wait: Duration::from_millis(250),
         retry_after_ms: 50,
     });
-    svc.upload_documents(
+    svc.upload_documents_in(
+        DEFAULT_TENANT,
         "santander",
         &writer.data_csv(&dataset),
         &writer.location_csv(&dataset),

@@ -17,7 +17,7 @@
 
 use miscela_core::{CancelToken, MiningParams};
 use miscela_model::{Dataset, DatasetBuilder, GeoPoint, SensorId, TimeGrid, Timestamp};
-use miscela_server::{ApiError, MiscelaService, SweepServed};
+use miscela_server::{ApiError, MiscelaService, SweepServed, DEFAULT_TENANT};
 use miscela_store::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -177,18 +177,31 @@ pub fn run_load(
                             .map(|v| params.clone().with_psi(params.psi + v))
                             .collect();
                         let t = Instant::now();
-                        svc.mine_sweep(dataset, &points, deadline, &CancelToken::never(), None)
-                            .map(|served| match served {
-                                SweepServed::Replayed(_) => {
-                                    unreachable!("keyless sweep cannot replay")
-                                }
-                                SweepServed::Fresh(out) => {
-                                    (out.cache_hits.iter().all(|&h| h), t.elapsed())
-                                }
-                            })
+                        svc.mine_sweep_in(
+                            DEFAULT_TENANT,
+                            dataset,
+                            &points,
+                            deadline,
+                            &CancelToken::never(),
+                            None,
+                        )
+                        .map(|served| match served {
+                            SweepServed::Replayed(_) => {
+                                unreachable!("keyless sweep cannot replay")
+                            }
+                            SweepServed::Fresh(out) => {
+                                (out.cache_hits.iter().all(|&h| h), t.elapsed())
+                            }
+                        })
                     } else {
-                        svc.mine_with_deadline(dataset, &params, deadline)
-                            .map(|out| (out.cache_hit, out.elapsed))
+                        svc.mine_cancellable_in(
+                            DEFAULT_TENANT,
+                            dataset,
+                            &params,
+                            deadline,
+                            &CancelToken::never(),
+                        )
+                        .map(|out| (out.cache_hit, out.elapsed))
                     };
                     match outcome {
                         Ok((cache_hit, elapsed)) => {
@@ -345,7 +358,8 @@ pub fn run_subscriber_storm(svc: &MiscelaService, cfg: &SubscriberConfig) -> Sub
         .map(|d| tiny_watch_dataset(&format!("ws-{d}")))
         .collect();
     for ds in &datasets {
-        svc.register_dataset(ds.clone());
+        svc.register_dataset_keyed_in(DEFAULT_TENANT, ds.clone(), None)
+            .expect("register watched dataset");
     }
     // bump_times[d][r] is the instant just before the bump that published
     // revision r of dataset d; written before the bump, so any watcher
@@ -374,7 +388,7 @@ pub fn run_subscriber_storm(svc: &MiscelaService, cfg: &SubscriberConfig) -> Sub
                             ready.fetch_add(1, Ordering::SeqCst);
                         }
                         let deadline = Instant::now() + cfg.watch_deadline;
-                        match svc.watch(ds.name(), last, deadline) {
+                        match svc.watch_in(DEFAULT_TENANT, ds.name(), last, deadline) {
                             Ok(out) => {
                                 if out.changed {
                                     let woke = Instant::now();
@@ -402,7 +416,8 @@ pub fn run_subscriber_storm(svc: &MiscelaService, cfg: &SubscriberConfig) -> Sub
         for r in 2..=final_rev {
             for (d, ds) in datasets.iter().enumerate() {
                 bump_times[d].lock().unwrap()[r as usize] = Some(Instant::now());
-                svc.register_dataset(ds.clone());
+                svc.register_dataset_keyed_in(DEFAULT_TENANT, ds.clone(), None)
+                    .expect("re-register watched dataset");
             }
         }
     });
@@ -534,7 +549,8 @@ mod tests {
             max_queue_wait: Duration::from_millis(500),
             ..AdmissionConfig::default()
         });
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&ds),
             &writer.location_csv(&ds),

@@ -11,8 +11,8 @@ use crate::data_csv::DataBatch;
 use crate::error::CsvError;
 use crate::location_csv::{self, LocationRow};
 use miscela_model::{
-    AppendRowRef, AppendStats, Dataset, DatasetBuilder, Duration, SensorIndex, TimeGrid,
-    TimeSeries, Timestamp,
+    AppendRowRef, AppendStats, Dataset, DatasetBuilder, Duration, ModelError, SensorIndex,
+    TimeGrid, TimeSeries, Timestamp, MAX_APPEND_TIMESTAMPS,
 };
 
 /// Builds [`Dataset`]s from upload files or pre-parsed rows.
@@ -128,7 +128,11 @@ impl DatasetLoader {
         dataset.append_rows_borrowed(&rows).map_err(CsvError::Model)
     }
 
-    /// Infers the regular grid covering all timestamps in `data`.
+    /// Infers the regular grid covering all timestamps in `data`. A grid
+    /// longer than [`MAX_APPEND_TIMESTAMPS`] points — the cap an append
+    /// may grow a dataset by — is rejected before anything is allocated:
+    /// three readings spread over a century at one-second spacing would
+    /// otherwise ask for billions of points per sensor.
     fn infer_grid(&self, data: &[DataBatch]) -> Result<TimeGrid, CsvError> {
         let times = || {
             data.iter()
@@ -161,7 +165,15 @@ impl DatasetLoader {
                 Timestamp::from_epoch_seconds(first),
             )));
         }
-        let len = ((last - first) / interval) as usize + 1;
+        let span = (last - first) / interval;
+        if span >= MAX_APPEND_TIMESTAMPS as i64 {
+            return Err(CsvError::Model(ModelError::TimestampOffGrid(format!(
+                "{} would make the grid {} points long (max {MAX_APPEND_TIMESTAMPS})",
+                Timestamp::from_epoch_seconds(last),
+                span + 1
+            ))));
+        }
+        let len = span as usize + 1;
         TimeGrid::new(
             Timestamp::from_epoch_seconds(first),
             Duration::seconds(interval),
@@ -262,6 +274,43 @@ s1,temperature,2016-03-01 00:37:00,2\n";
             .load_documents(data, "s1,temperature,43.0,-3.0\n", "temperature\n")
             .unwrap_err();
         assert!(matches!(err, CsvError::IrregularTimestamps(_)));
+    }
+
+    #[test]
+    fn oversized_inferred_grid_is_rejected_before_allocating() {
+        // One-second spacing across a century: ~3.2e9 grid points, which
+        // `assemble` would have allocated for every sensor.
+        let data = "s1,temperature,2000-01-01 00:00:00,1\n\
+s1,temperature,2000-01-01 00:00:01,2\n\
+s1,temperature,2100-01-01 00:00:00,3\n";
+        let err = DatasetLoader::new("huge")
+            .load_documents(data, "s1,temperature,43.0,-3.0\n", "temperature\n")
+            .unwrap_err();
+        match err {
+            CsvError::Model(ModelError::TimestampOffGrid(msg)) => {
+                assert!(msg.contains("2100-01-01 00:00:00"), "{msg}");
+                assert!(msg.contains(&MAX_APPEND_TIMESTAMPS.to_string()), "{msg}");
+            }
+            other => panic!("expected a typed grid-length error, got {other:?}"),
+        }
+        // The longest allowed grid still loads.
+        let start = Timestamp::parse("2000-01-01 00:00:00").unwrap();
+        let end = start + Duration::seconds(MAX_APPEND_TIMESTAMPS as i64 - 1);
+        let data = format!("s1,temperature,{start},1\ns1,temperature,{end},2\n");
+        let ds = DatasetLoader::new("edge")
+            .with_interval(Duration::seconds(1))
+            .load_documents(&data, "s1,temperature,43.0,-3.0\n", "temperature\n")
+            .unwrap();
+        assert_eq!(ds.timestamp_count(), MAX_APPEND_TIMESTAMPS);
+        // One point more is refused.
+        let data = format!(
+            "s1,temperature,{start},1\ns1,temperature,{},2\n",
+            end + Duration::seconds(1)
+        );
+        assert!(DatasetLoader::new("over")
+            .with_interval(Duration::seconds(1))
+            .load_documents(&data, "s1,temperature,43.0,-3.0\n", "temperature\n")
+            .is_err());
     }
 
     #[test]

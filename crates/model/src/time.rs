@@ -124,7 +124,9 @@ impl Timestamp {
     /// Builds a timestamp from a civil date and time of day.
     ///
     /// Returns an error when any component is out of range (e.g. month 13,
-    /// Feb 30, hour 24).
+    /// Feb 30, hour 24), including a year outside the paper's four-digit
+    /// `YYYY` (`0000`–`9999`) — which also keeps the epoch-second
+    /// arithmetic far from overflow.
     pub fn from_ymd_hms(
         year: i64,
         month: u32,
@@ -133,7 +135,8 @@ impl Timestamp {
         minute: u32,
         second: u32,
     ) -> Result<Self, ModelError> {
-        let valid = (1..=12).contains(&month)
+        let valid = (0..=9999).contains(&year)
+            && (1..=12).contains(&month)
             && day >= 1
             && day <= days_in_month(year, month)
             && hour < 24
@@ -509,6 +512,31 @@ mod tests {
         ] {
             assert!(Timestamp::parse(s).is_err(), "{s:?} should fail");
         }
+    }
+
+    #[test]
+    fn years_outside_four_digits_are_typed_errors() {
+        // A huge year would overflow the day-count multiplication (a
+        // panic in debug builds, a wrapped instant in release).
+        let huge = "99999999999999-01-01 00:00:00";
+        assert_eq!(
+            Timestamp::parse(huge),
+            Err(ModelError::InvalidTimestamp(huge.to_string()))
+        );
+        for year in [-1, 10_000, i64::MIN, i64::MAX] {
+            assert!(
+                matches!(
+                    Timestamp::from_ymd_hms(year, 1, 1, 0, 0, 0),
+                    Err(ModelError::InvalidTimestamp(_))
+                ),
+                "year {year} should be rejected"
+            );
+        }
+        assert!(Timestamp::parse("0000-01-01 00:00:00").is_ok());
+        assert_eq!(
+            Timestamp::parse("9999-12-31 23:59:59").unwrap().format(),
+            "9999-12-31 23:59:59"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!
 //! ```
 //! use miscela_csv::split_into_chunks;
-//! use miscela_server::MiscelaService;
+//! use miscela_server::{MiscelaService, DEFAULT_TENANT};
 //!
 //! let service = MiscelaService::new();
 //! let locations = "id,attribute,lat,lon\n\
@@ -53,17 +53,24 @@
 //!             s1,light,2016-03-01 00:00:00,310\n\
 //!             s1,light,2016-03-01 01:00:00,343\n";
 //!
-//! service.begin_upload("demo", locations, attributes).unwrap();
+//! let tenant = DEFAULT_TENANT;
+//! service.begin_upload_keyed_in(tenant, "demo", locations, attributes, None).unwrap();
 //! for chunk in split_into_chunks(data, 2) {
-//!     service.upload_chunk("demo", &chunk).unwrap();
+//!     service.upload_chunk_in(tenant, "demo", &chunk).unwrap();
 //! }
-//! let (summary, _elapsed) = service.finish_upload("demo").unwrap();
+//! let (summary, _elapsed, _replayed) = service.finish_upload_keyed_in(tenant, "demo", None).unwrap();
 //! assert_eq!(summary.sensors, 2);
 //! assert_eq!(summary.records, 4);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Nothing a request carries may panic the server: every failure on the
+// request path is a typed `ApiError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod admission;
 pub mod client;

@@ -226,7 +226,7 @@ impl Router {
     }
 
     fn dataset_stats(&self, tenant: &str, name: &str) -> Result<ApiResponse, ApiError> {
-        let stats = self.service.dataset_stats_in(tenant, name)?;
+        let stats = self.service.dataset_in(tenant, name)?.stats();
         Ok(ApiResponse::ok(Json::from_pairs([
             ("name", Json::from(stats.name)),
             ("sensors", Json::from(stats.sensors)),
@@ -356,8 +356,8 @@ impl Router {
     }
 
     fn get_retention(&self, tenant: &str, name: &str) -> Result<ApiResponse, ApiError> {
-        let policy = self.service.retention_in(tenant, name)?;
         let ds = self.service.dataset_in(tenant, name)?;
+        let policy = ds.retention();
         Ok(ApiResponse::ok(Json::from_pairs([
             ("name", Json::from(name)),
             (
@@ -839,7 +839,13 @@ mod tests {
 
     fn router_with_dataset() -> Router {
         let service = Arc::new(MiscelaService::new());
-        service.register_dataset(SantanderGenerator::small().with_scale(0.02).generate());
+        service
+            .register_dataset_keyed_in(
+                DEFAULT_TENANT,
+                SantanderGenerator::small().with_scale(0.02).generate(),
+                None,
+            )
+            .unwrap();
         Router::new(Arc::new(MiscelaService::new()));
         Router::new(service)
     }
@@ -1116,7 +1122,8 @@ mod tests {
 
         router
             .service()
-            .upload_documents(
+            .upload_documents_in(
+                DEFAULT_TENANT,
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -1243,7 +1250,13 @@ mod tests {
             std::env::temp_dir().join(format!("miscela-router-durability-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let service = Arc::new(MiscelaService::with_durability(&dir).unwrap());
-        service.register_dataset(SantanderGenerator::small().with_scale(0.02).generate());
+        service
+            .register_dataset_keyed_in(
+                DEFAULT_TENANT,
+                SantanderGenerator::small().with_scale(0.02).generate(),
+                None,
+            )
+            .unwrap();
         let router = Router::new(service);
 
         let resp = router.handle(&ApiRequest::get("/datasets/santander/durability"));

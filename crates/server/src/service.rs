@@ -1,9 +1,8 @@
 //! The Miscela-V service: uploads, dataset registry, cached mining.
 //!
-//! This is the component behind the API routes. Since the sharded-store
-//! refactor, [`MiscelaService`] is a **stateless facade**: every piece of
-//! state lives in one [`ShardedStore`] (see [`crate::shard`]) and the
-//! service holds only an `Arc` to it. It still owns the request semantics:
+//! This is the component behind the API routes. [`MiscelaService`] is a
+//! **stateless facade**: every piece of state lives in one [`ShardedStore`]
+//! (see [`crate::shard`]). It still owns the request semantics:
 //!
 //! * the shared document store ([`Database`]), holding the dataset registry
 //!   and the persistent CAP-result cache (Section 3.3: "data and CAPs are
@@ -17,15 +16,24 @@
 //!   be mined repeatedly "without re-uploading by specifying the dataset
 //!   name", and every append bumps the revision so cached results for
 //!   superseded content become unreachable by key;
-//! * **tenancy**: every operation has a `_in` variant taking a tenant
-//!   name. Tenants get disjoint dataset namespaces (keyed `tenant/name` in
-//!   the store), their own replay caches, durability directories, quota
-//!   ([`TenantQuota`], enforced with typed 403s), and stats slices. The
-//!   default tenant ([`DEFAULT_TENANT`]) keeps bare keys, bare URLs and
-//!   the root durability directory, so pre-tenancy callers see no change;
-//! * the **watch** feed: [`MiscelaService::watch`] long-polls a dataset's
-//!   revision on the owning shard's condvar, waking on append, retention
-//!   and delete bumps instead of forcing clients to hammer `/mine`.
+//! * **tenancy**: every operation is exactly one public method, and it
+//!   takes the tenant name first. Tenants get disjoint dataset namespaces
+//!   (keyed `tenant/name` in the store), their own replay caches,
+//!   durability directories, quota ([`TenantQuota`], enforced with typed
+//!   403s), and stats slices. Dataset names may not contain `/`, so no
+//!   name in one tenant can reach another's. The default tenant
+//!   ([`DEFAULT_TENANT`]) keeps bare keys, bare URLs and the root
+//!   durability directory; the convenience of omitting it lives in the
+//!   router, the client and the root `MiscelaV` facade, not here;
+//! * the **watch** feed: [`MiscelaService::watch_in`] long-polls a
+//!   dataset's revision on the owning shard's condvar, waking on append,
+//!   retention and delete bumps instead of forcing clients to hammer
+//!   `/mine`.
+//!
+//! The shard registry is the one owner of dataset metadata. Its entries'
+//! store records (the `datasets` collection, which lets a reloaded store
+//! serve persisted results for datasets that are not resident) are derived
+//! and written by one function wherever a revision is installed.
 
 use miscela_cache::{
     CacheKey, CacheStats, EvolvingSetsCache, ExtractionCacheStats, DEFAULT_KEEP_GENERATIONS,
@@ -34,7 +42,7 @@ use miscela_core::{CancelToken, Miner, MiningError, MiningParams, MiningResult, 
 use miscela_csv::chunk::{Chunk, ChunkedUploader};
 use miscela_csv::loader::DatasetLoader;
 use miscela_csv::location_csv::{self, LocationRow};
-use miscela_model::{Dataset, DatasetStats, RetentionPolicy};
+use miscela_model::{Dataset, RetentionPolicy};
 use miscela_store::recovery::{DurabilityStats, RecoveryStore};
 use miscela_store::wal::SinkOpener;
 use miscela_store::{Database, Filter, Json, StoreError};
@@ -281,7 +289,7 @@ pub struct MineOutcome {
 }
 
 /// The outcome of one freshly served batch sweep
-/// ([`MiscelaService::mine_sweep`]).
+/// ([`MiscelaService::mine_sweep_in`]).
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// Per-point results, in request order (duplicates share one result).
@@ -336,10 +344,9 @@ pub struct TenantCacheStats {
 }
 
 /// A validated request scope: the tenant, the tenant-local dataset name,
-/// and the scoped store key the pair maps to. Every internal method takes
-/// one of these; the public API builds them either unchecked for the
-/// default tenant (preserving pre-tenancy behavior bit for bit) or
-/// validated for the `_in` variants.
+/// and the scoped store key the pair maps to. Every public operation
+/// builds one from its tenant and name arguments; every internal method
+/// takes one.
 #[derive(Debug, Clone)]
 struct Scope {
     tenant: String,
@@ -365,25 +372,12 @@ impl Scope {
             key: scoped_key(tenant, name),
         })
     }
-
-    /// The default tenant's scope for `name`, unchecked: pre-tenancy
-    /// callers (and the legacy infallible registration path) accept any
-    /// name they always did.
-    fn default_tenant(name: &str) -> Scope {
-        Scope {
-            tenant: DEFAULT_TENANT.to_string(),
-            name: name.to_string(),
-            key: name.to_string(),
-        }
-    }
 }
 
 /// The Miscela-V application service: a stateless facade over the
-/// [`ShardedStore`] holding every piece of state. Cloning the `Arc` (via
-/// [`MiscelaService::shared_store`] + [`MiscelaService::with_store`])
-/// yields another facade over the same store.
+/// [`ShardedStore`] holding every piece of state.
 pub struct MiscelaService {
-    store: Arc<ShardedStore>,
+    store: ShardedStore,
 }
 
 /// Maps a store-layer durability failure into a typed API error. A failed
@@ -394,6 +388,45 @@ fn wal_err(e: StoreError) -> ApiError {
     ApiError::Unavailable {
         message: format!("durability: {e}"),
         retry_after_ms: DEGRADED_RETRY_AFTER_MS,
+    }
+}
+
+/// The typed 404 for a dataset missing from the registry.
+fn not_registered(name: &str) -> ApiError {
+    ApiError::NotFound(format!("dataset {name:?} is not registered"))
+}
+
+/// The typed 404 for a chunk or finish with no append session open.
+fn no_append(name: &str) -> ApiError {
+    ApiError::NotFound(format!("no append in progress for {name:?}"))
+}
+
+/// The typed 404 for a dataset known only from its store record: cached
+/// results stay servable, but a miss has no series to mine.
+fn not_resident(name: &str) -> ApiError {
+    ApiError::NotFound(format!("dataset {name:?} is not resident; re-upload it"))
+}
+
+/// Maps a cancelled or failed mine (`what` is "mine" or "sweep") into its
+/// typed API error.
+fn mining_err(what: &str, name: &str, e: MiningError) -> ApiError {
+    match e {
+        MiningError::Cancelled => {
+            ApiError::DeadlineExceeded(format!("{what} of {name:?} was cancelled"))
+        }
+        MiningError::DeadlineExceeded => ApiError::DeadlineExceeded(format!(
+            "{what} of {name:?} passed its deadline before completing"
+        )),
+        other => ApiError::Internal(other.to_string()),
+    }
+}
+
+/// A mining result served from the result cache (which stores CAPs only).
+fn cached_result(caps: miscela_core::CapSet) -> MiningResult {
+    MiningResult {
+        caps,
+        delayed: Vec::new(),
+        report: Default::default(),
     }
 }
 
@@ -410,42 +443,25 @@ impl MiscelaService {
         db.create_index(DATASETS_COLLECTION, "key");
         db.create_index(DATASETS_COLLECTION, "tenant");
         MiscelaService {
-            store: Arc::new(ShardedStore::new(
+            store: ShardedStore::new(
                 db,
                 AdmissionController::new(AdmissionConfig::default()),
                 DEFAULT_SHARDS,
-            )),
+            ),
         }
-    }
-
-    /// A facade over an existing store — how request handlers, background
-    /// workers and tests share one sharded spine.
-    pub fn with_store(store: Arc<ShardedStore>) -> Self {
-        MiscelaService { store }
-    }
-
-    /// The shared store behind this facade.
-    pub fn shared_store(&self) -> Arc<ShardedStore> {
-        Arc::clone(&self.store)
     }
 
     /// Replaces the admission-control configuration (builder style). Call
-    /// before the service starts taking requests — and before the store is
-    /// shared; once another facade holds the store this is a no-op.
+    /// before the service starts taking requests.
     pub fn with_admission(mut self, config: AdmissionConfig) -> Self {
-        if let Some(store) = Arc::get_mut(&mut self.store) {
-            store.admission = AdmissionController::new(config);
-        }
+        self.store.admission = AdmissionController::new(config);
         self
     }
 
     /// Replaces the shard count (builder style). Call before any dataset is
-    /// registered — resharding rebuilds empty shards — and before the store
-    /// is shared; once another facade holds the store this is a no-op.
+    /// registered — resharding rebuilds empty shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        if let Some(store) = Arc::get_mut(&mut self.store) {
-            store.reshard(shards);
-        }
+        self.store.reshard(shards);
         self
     }
 
@@ -606,31 +622,7 @@ impl MiscelaService {
                     }
                 }
                 let ds = Arc::new(ds);
-                {
-                    let shard = self.store.shard(&scope.key);
-                    let mut registry = shard.datasets.write();
-                    if registry
-                        .insert(
-                            scope.key.clone(),
-                            DatasetEntry {
-                                dataset: Arc::clone(&ds),
-                                revision,
-                            },
-                        )
-                        .is_none()
-                    {
-                        self.store
-                            .tenant_state(&scope.tenant)
-                            .dataset_count
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                self.store
-                    .db
-                    .delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
-                self.store
-                    .db
-                    .insert(DATASETS_COLLECTION, dataset_record(&scope, &ds, revision));
+                self.put_entry(&scope, &ds, Some(revision));
                 if replayed_commits > 0 {
                     // Revision GC on the replayed revisions: results keyed
                     // to the revisions the replay superseded are
@@ -638,34 +630,6 @@ impl MiscelaService {
                     self.store.cache.evict_superseded(&scope.key, revision);
                     for _ in 0..replayed_commits {
                         self.age_extraction(&scope);
-                    }
-                }
-                let mut sealed_at_snapshot = sealed_at_load;
-                if replayed_commits > 0
-                    && (replayed_trim || ds.sealed_timestamps() > sealed_at_load)
-                {
-                    // The replay sealed blocks (or trimmed): fold it into a
-                    // fresh snapshot and re-log the in-flight session into
-                    // the reset WAL so its acked chunks stay durable.
-                    log.install_snapshot(&durability::snapshot_data(
-                        &ds,
-                        revision,
-                        watermark,
-                        &self.replay_entries_for(&scope),
-                    ))
-                    .map_err(wal_err)?;
-                    sealed_at_snapshot = ds.sealed_timestamps();
-                    if let Some((session, chunks)) = &outstanding {
-                        log.log(&durability::begin_record(
-                            *session,
-                            outstanding_key.as_deref(),
-                        ))
-                        .map_err(wal_err)?;
-                        for (i, chunk) in chunks.iter().enumerate() {
-                            log.log(&durability::chunk_record(*session, i as u64 + 1, chunk))
-                                .map_err(wal_err)?;
-                        }
-                        log.commit().map_err(wal_err)?;
                     }
                 }
                 if let Some((session, chunks)) = outstanding {
@@ -693,26 +657,29 @@ impl MiscelaService {
                         },
                     );
                 }
-                self.store.shard(&scope.key).durable.lock().insert(
-                    scope.key.clone(),
-                    DurableState {
-                        log,
-                        next_session: max_session + 1,
-                        watermark,
-                        sealed_at_snapshot,
-                        degraded: None,
-                    },
-                );
+                let mut state = DurableState {
+                    log,
+                    next_session: max_session + 1,
+                    watermark,
+                    sealed_at_snapshot: sealed_at_load,
+                    degraded: None,
+                };
+                if replayed_commits > 0
+                    && (replayed_trim || ds.sealed_timestamps() > sealed_at_load)
+                {
+                    // The replay sealed blocks (or trimmed): fold it into a
+                    // fresh snapshot, re-logging the in-flight session into
+                    // the reset WAL so its acked chunks stay durable.
+                    self.snapshot(&scope, &mut state, &ds, revision)?;
+                }
+                self.store
+                    .shard(&scope.key)
+                    .durable
+                    .lock()
+                    .insert(scope.key.clone(), state);
             }
         }
-        match Arc::get_mut(&mut self.store) {
-            Some(inner) => inner.durability = Some(Durability { store }),
-            None => {
-                return Err(ApiError::Internal(
-                    "durability must be attached before the store is shared".to_string(),
-                ))
-            }
-        }
+        self.store.durability = Some(Durability { store });
         Ok(self)
     }
 
@@ -795,20 +762,39 @@ impl MiscelaService {
         state.log.commit().map_err(wal_err)
     }
 
-    /// Why `name` is in read-only degraded mode, if it is: a WAL/snapshot
-    /// write failed and the dataset stopped accepting durable writes until
-    /// the recovery probe re-arms it. Reads and mines keep serving.
-    pub fn degraded_reason(&self, name: &str) -> Option<String> {
-        self.degraded_reason_scoped(&Scope::default_tenant(name))
+    /// Installs a snapshot of `ds` at `revision` under the current
+    /// watermark — compacting the WAL — and re-logs the in-flight append
+    /// session (if any) into the reset log so its acknowledged chunks stay
+    /// durable.
+    fn snapshot(
+        &self,
+        scope: &Scope,
+        state: &mut DurableState,
+        ds: &Dataset,
+        revision: u64,
+    ) -> Result<(), ApiError> {
+        state
+            .log
+            .install_snapshot(&durability::snapshot_data(
+                ds,
+                revision,
+                state.watermark,
+                &self.replay_entries_for(scope),
+            ))
+            .map_err(wal_err)?;
+        state.sealed_at_snapshot = ds.sealed_timestamps();
+        self.relog_inflight(scope, state)
     }
 
-    /// [`MiscelaService::degraded_reason`] for a tenant's dataset. An
-    /// invalid tenant name reads as "not degraded".
+    /// Why a tenant's dataset is in read-only degraded mode, if it is: a
+    /// WAL/snapshot write failed and the dataset stopped accepting durable
+    /// writes until the recovery probe re-arms it. Reads and mines keep
+    /// serving. An invalid tenant or dataset name reads as "not degraded".
     pub fn degraded_reason_in(&self, tenant: &str, name: &str) -> Option<String> {
-        self.degraded_reason_scoped(&Scope::new(tenant, name).ok()?)
+        self.degraded(&Scope::new(tenant, name).ok()?)
     }
 
-    fn degraded_reason_scoped(&self, scope: &Scope) -> Option<String> {
+    fn degraded(&self, scope: &Scope) -> Option<String> {
         self.store.durability.as_ref()?;
         self.store
             .shard(&scope.key)
@@ -827,30 +813,18 @@ impl MiscelaService {
     /// [`MiscelaService::durable`]); on failure it stays degraded and the
     /// caller gets the typed retryable error.
     fn ensure_durable_writable(&self, scope: &Scope) -> Result<(), ApiError> {
-        if self.degraded_reason_scoped(scope).is_none() {
+        if self.degraded(scope).is_none() {
             return Ok(());
         }
         let entry = self.entry(scope)?;
-        match self.durable(scope, |state| {
+        self.durable(scope, |state| {
             if state.degraded.is_none() {
                 // Another request's probe won the race; nothing to re-arm.
                 return Ok(());
             }
-            state
-                .log
-                .install_snapshot(&durability::snapshot_data(
-                    &entry.dataset,
-                    entry.revision,
-                    state.watermark,
-                    &self.replay_entries_for(scope),
-                ))
-                .map_err(wal_err)?;
-            state.sealed_at_snapshot = entry.dataset.sealed_timestamps();
-            self.relog_inflight(scope, state)
-        }) {
-            Some(result) => result,
-            None => Ok(()),
-        }
+            self.snapshot(scope, state, &entry.dataset, entry.revision)
+        })
+        .unwrap_or(Ok(()))
     }
 
     /// Admission-control counters, served by `GET /admission/stats`.
@@ -868,7 +842,7 @@ impl MiscelaService {
 
     /// Admits one unit of work for `scope`, charging the tenant's counters
     /// on the way through (or the way out).
-    fn admit_scoped(
+    fn admit(
         &self,
         scope: &Scope,
         cost: u64,
@@ -893,28 +867,20 @@ impl MiscelaService {
         }
     }
 
-    /// WAL/snapshot statistics for one dataset's durability log, served by
-    /// `GET /datasets/{name}/durability`.
-    pub fn durability_stats(&self, name: &str) -> Result<DurabilityStats, ApiError> {
-        self.durability_stats_scoped(&Scope::default_tenant(name))
-    }
-
-    /// [`MiscelaService::durability_stats`] for a tenant's dataset.
+    /// WAL/snapshot statistics for a tenant's dataset's durability log,
+    /// served by `GET /datasets/{name}/durability`.
     pub fn durability_stats_in(
         &self,
         tenant: &str,
         name: &str,
     ) -> Result<DurabilityStats, ApiError> {
-        self.durability_stats_scoped(&Scope::new(tenant, name)?)
-    }
-
-    fn durability_stats_scoped(&self, scope: &Scope) -> Result<DurabilityStats, ApiError> {
+        let scope = Scope::new(tenant, name)?;
         if self.store.durability.is_none() {
             return Err(ApiError::NotFound(
                 "durability is not enabled for this service".to_string(),
             ));
         }
-        self.dataset_revision_scoped(scope)?;
+        self.revision(&scope)?;
         let states = self.store.shard(&scope.key).durable.lock();
         let state = states.get(&scope.key).ok_or_else(|| {
             ApiError::NotFound(format!("dataset {:?} has no durability log", scope.name))
@@ -1048,29 +1014,21 @@ impl MiscelaService {
         }
     }
 
-    /// The observable state of the in-progress append session for `name`
-    /// (`Ok(None)` when no session is open), so a reconnecting client can
-    /// resume from the acked-sequence watermark.
-    pub fn append_status(&self, name: &str) -> Result<Option<AppendStatus>, ApiError> {
-        self.append_status_scoped(&Scope::default_tenant(name))
-    }
-
-    /// [`MiscelaService::append_status`] for a tenant's dataset.
+    /// The observable state of the in-progress append session for a
+    /// tenant's dataset (`Ok(None)` when no session is open), so a
+    /// reconnecting client can resume from the acked-sequence watermark.
     pub fn append_status_in(
         &self,
         tenant: &str,
         name: &str,
     ) -> Result<Option<AppendStatus>, ApiError> {
-        self.append_status_scoped(&Scope::new(tenant, name)?)
-    }
-
-    fn append_status_scoped(&self, scope: &Scope) -> Result<Option<AppendStatus>, ApiError> {
-        self.dataset_revision_scoped(scope)?;
+        let scope = Scope::new(tenant, name)?;
+        self.revision(&scope)?;
         let appends = self.store.shard(&scope.key).appends.lock();
         Ok(appends.get(&scope.key).map(|s| AppendStatus {
             session: s.session,
             acked_seq: s.acked_seq,
-            received: s.acks.len(),
+            received: s.uploader.chunks_received(),
             missing: s.uploader.missing().len(),
         }))
     }
@@ -1123,9 +1081,18 @@ impl MiscelaService {
     /// Extraction-cache statistics, aggregated over the per-dataset
     /// evolving-sets caches of every shard (and so every tenant).
     pub fn extraction_cache_stats(&self) -> ExtractionCacheStats {
+        self.extraction_stats_where(|_| true)
+    }
+
+    /// The extraction-cache statistics of every dataset whose scoped key
+    /// passes `keep`, summed.
+    fn extraction_stats_where(&self, keep: impl Fn(&str) -> bool) -> ExtractionCacheStats {
         let mut total = ExtractionCacheStats::default();
         for shard in &self.store.shards {
-            for cache in shard.extraction.read().values() {
+            for (key, cache) in shard.extraction.read().iter() {
+                if !keep(key) {
+                    continue;
+                }
                 let s = cache.stats();
                 total.hits += s.hits;
                 total.misses += s.misses;
@@ -1143,28 +1110,23 @@ impl MiscelaService {
     /// `GET /tenants/{tenant}/cache/stats`.
     pub fn tenant_cache_stats(&self, tenant: &str) -> Result<TenantCacheStats, ApiError> {
         validate_tenant(tenant)?;
-        let mut stats = TenantCacheStats::default();
-        for shard in &self.store.shards {
-            stats.datasets += shard
-                .datasets
-                .read()
-                .keys()
-                .filter(|key| key_tenant(key) == tenant)
-                .count();
-            for (key, cache) in shard.extraction.read().iter() {
-                if key_tenant(key) != tenant {
-                    continue;
-                }
-                let s = cache.stats();
-                stats.extraction.hits += s.hits;
-                stats.extraction.misses += s.misses;
-                stats.extraction.prefix_hits += s.prefix_hits;
-                stats.extraction.prefix_misses += s.prefix_misses;
-                stats.extraction.entries += s.entries;
-                stats.extraction.evicted += s.evicted;
-            }
-        }
-        Ok(stats)
+        let datasets = self
+            .store
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .datasets
+                    .read()
+                    .keys()
+                    .filter(|key| key_tenant(key) == tenant)
+                    .count()
+            })
+            .sum();
+        Ok(TenantCacheStats {
+            datasets,
+            extraction: self.extraction_stats_where(|key| key_tenant(key) == tenant),
+        })
     }
 
     // ----- tenancy -------------------------------------------------------
@@ -1189,8 +1151,8 @@ impl MiscelaService {
     /// under `max_retained_timestamps`.
     fn check_register_quota(&self, scope: &Scope, dataset: &Dataset) -> Result<(), ApiError> {
         let tenant = self.store.tenant_state(&scope.tenant);
-        let quota = *tenant.quota.read();
-        if let Some(max) = quota.max_datasets {
+        let max_datasets = tenant.quota.read().max_datasets;
+        if let Some(max) = max_datasets {
             let exists = self
                 .store
                 .shard(&scope.key)
@@ -1204,20 +1166,11 @@ impl MiscelaService {
                 )));
             }
         }
-        if let Some(max) = quota.max_retained_timestamps {
-            if dataset.timestamp_count() > max {
-                return Err(ApiError::QuotaExceeded(format!(
-                    "dataset {:?} would retain {} timestamps, over the tenant quota of {max}",
-                    scope.name,
-                    dataset.timestamp_count()
-                )));
-            }
-        }
-        Ok(())
+        self.check_retained_quota(scope, dataset.timestamp_count())
     }
 
-    /// Enforces `max_retained_timestamps` against an already-built dataset
-    /// state (the append and retention paths).
+    /// Enforces `max_retained_timestamps` against a dataset state about to
+    /// be installed (registration, append and retention paths).
     fn check_retained_quota(&self, scope: &Scope, timestamps: usize) -> Result<(), ApiError> {
         let quota = *self.store.tenant_state(&scope.tenant).quota.read();
         if let Some(max) = quota.max_retained_timestamps {
@@ -1234,48 +1187,16 @@ impl MiscelaService {
 
     // ----- dataset registry --------------------------------------------
 
-    /// Registers an already-built dataset (the path used by the synthetic
-    /// generators and by completed uploads). Re-registering a name replaces
-    /// the dataset, bumps its revision and invalidates its cached results.
+    /// Registers an already-built dataset into a tenant's namespace (the
+    /// path used by the synthetic generators). Re-registering a name
+    /// replaces the dataset, bumps its revision and invalidates its cached
+    /// results. Tenant quotas apply, and on a durable service the
+    /// registration is snapshotted before `Ok` — it survives a crash.
     ///
-    /// On a durable service the registration is snapshotted; a snapshot
-    /// failure is swallowed here (the in-memory registration stands) — use
-    /// [`MiscelaService::register_dataset_checked`] when the caller needs
-    /// the durable acknowledgment. This legacy path is infallible by
-    /// signature, so it is also the one registration path that bypasses
-    /// tenant quotas (it serves trusted in-process generators; every
-    /// router-reachable path goes through the checked variants).
-    pub fn register_dataset(&self, dataset: Dataset) -> DatasetSummary {
-        let scope = Scope::default_tenant(dataset.name());
-        let (summary, _durable) = self.register_dataset_impl(&scope, dataset, None, 0);
-        summary
-    }
-
-    /// Like [`MiscelaService::register_dataset`], but surfaces a durable
-    /// snapshot failure as an error: on `Ok` the registration is on disk
-    /// and survives a crash.
-    pub fn register_dataset_checked(&self, dataset: Dataset) -> Result<DatasetSummary, ApiError> {
-        let scope = Scope::default_tenant(dataset.name());
-        self.check_register_quota(&scope, &dataset)?;
-        let (summary, durable) = self.register_dataset_impl(&scope, dataset, None, 0);
-        durable.map(|()| summary)
-    }
-
-    /// Like [`MiscelaService::register_dataset_checked`], with an optional
-    /// idempotency key: a retry that carries the same key replays the
-    /// original summary (`replayed = true`) instead of re-registering —
-    /// re-registering would bump the revision and invalidate caches twice.
-    pub fn register_dataset_keyed(
-        &self,
-        dataset: Dataset,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, bool), ApiError> {
-        let scope = Scope::default_tenant(dataset.name());
-        self.register_dataset_scoped(&scope, dataset, key)
-    }
-
-    /// [`MiscelaService::register_dataset_keyed`] into a tenant's
-    /// namespace.
+    /// An optional idempotency key makes the call retry-safe: a retry that
+    /// carries the same key replays the original summary (`replayed =
+    /// true`) instead of re-registering — re-registering would bump the
+    /// revision and invalidate caches twice.
     pub fn register_dataset_keyed_in(
         &self,
         tenant: &str,
@@ -1283,70 +1204,34 @@ impl MiscelaService {
         key: Option<&str>,
     ) -> Result<(DatasetSummary, bool), ApiError> {
         let scope = Scope::new(tenant, dataset.name())?;
-        self.register_dataset_scoped(&scope, dataset, key)
-    }
-
-    fn register_dataset_scoped(
-        &self,
-        scope: &Scope,
-        dataset: Dataset,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, bool), ApiError> {
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Register { summary, .. } => Ok((summary, true)),
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
             };
         }
-        self.check_register_quota(scope, &dataset)?;
-        let (summary, durable) = self.register_dataset_impl(scope, dataset, key, 0);
-        durable.map(|()| (summary, false))
+        self.register(&scope, dataset, key, 0)
+            .map(|summary| (summary, false))
     }
 
-    fn register_dataset_impl(
+    /// Installs `dataset` as a new revision of `scope` (registration and
+    /// finished uploads): quota check, cache invalidation, registry entry
+    /// and store record, keyed response, durable snapshot.
+    fn register(
         &self,
         scope: &Scope,
         dataset: Dataset,
         key: Option<&str>,
         elapsed_ns: u64,
-    ) -> (DatasetSummary, Result<(), ApiError>) {
+    ) -> Result<DatasetSummary, ApiError> {
+        self.check_register_quota(scope, &dataset)?;
         self.store.cache.invalidate_dataset(&scope.key);
         // A re-registration is a revision bump like any other: age this
         // dataset's extraction tier so states of the replaced content can
         // be collected once nothing touches them anymore.
         self.age_extraction(scope);
         let dataset = Arc::new(dataset);
-        let shard = self.store.shard(&scope.key);
-        let revision = {
-            let mut registry = shard.datasets.write();
-            let revision = registry.get(&scope.key).map(|e| e.revision).unwrap_or(0) + 1;
-            if registry
-                .insert(
-                    scope.key.clone(),
-                    DatasetEntry {
-                        dataset: Arc::clone(&dataset),
-                        revision,
-                    },
-                )
-                .is_none()
-            {
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .dataset_count
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            revision
-        };
-        self.store
-            .db
-            .delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
-        self.store.db.insert(
-            DATASETS_COLLECTION,
-            dataset_record(scope, &dataset, revision),
-        );
-        // The registry and store record moved: wake this shard's watchers
-        // (the datasets lock is released; see the shard lock order).
-        shard.notify_watchers();
+        let revision = self.put_entry(scope, &dataset, None);
         let summary = DatasetSummary {
             name: scope.name.clone(),
             sensors: dataset.sensor_count(),
@@ -1368,7 +1253,8 @@ impl MiscelaService {
                 elapsed_ns,
             },
         );
-        let durable = match self.durable(scope, |state| {
+        let shard = self.store.shard(&scope.key);
+        self.durable(scope, |state| {
             // The replaced content makes any in-flight append session
             // meaningless (its begin/chunk records would not survive the
             // snapshot's WAL reset), so drop it: its `finish_append` will
@@ -1376,61 +1262,131 @@ impl MiscelaService {
             // to the new dataset while losing durability.
             drop(shard.appends.lock().remove(&scope.key));
             state.watermark = state.next_session - 1;
-            state
-                .log
-                .install_snapshot(&durability::snapshot_data(
-                    &dataset,
-                    revision,
-                    state.watermark,
-                    &self.replay_entries_for(scope),
-                ))
-                .map_err(wal_err)?;
-            state.sealed_at_snapshot = dataset.sealed_timestamps();
-            Ok(())
-        }) {
-            Some(result) => result,
-            None => Ok(()),
+            self.snapshot(scope, state, &dataset, revision)
+        })
+        .unwrap_or(Ok(()))?;
+        Ok(summary)
+    }
+
+    /// Puts `dataset` into the registry as `scope`'s entry — at `revision`,
+    /// or one past the current entry's when `None` — counting a new
+    /// dataset against its tenant, writes the store record and wakes the
+    /// shard's watchers. Returns the installed revision.
+    fn put_entry(&self, scope: &Scope, dataset: &Arc<Dataset>, revision: Option<u64>) -> u64 {
+        let shard = self.store.shard(&scope.key);
+        let revision = {
+            let mut registry = shard.datasets.write();
+            let revision =
+                revision.unwrap_or_else(|| registry.get(&scope.key).map_or(0, |e| e.revision) + 1);
+            let entry = DatasetEntry {
+                dataset: Arc::clone(dataset),
+                revision,
+            };
+            if registry.insert(scope.key.clone(), entry).is_none() {
+                self.store
+                    .tenant_state(&scope.tenant)
+                    .dataset_count
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            revision
         };
-        (summary, durable)
+        self.write_record(scope, dataset, revision);
+        // The datasets lock is released (see the shard lock order).
+        shard.notify_watchers();
+        revision
     }
 
-    /// Fetches a registered dataset by name.
-    pub fn dataset(&self, name: &str) -> Result<Arc<Dataset>, ApiError> {
-        self.entry(&Scope::default_tenant(name)).map(|e| e.dataset)
+    /// Swaps `ds` in as the content of `scope`'s dataset — the shared
+    /// install step of finished appends and retention changes. The
+    /// registry must still hold revision `base` (a concurrent
+    /// re-registration or racing mutation is a typed error telling the
+    /// caller to retry `what`, never silently overwritten). With `bump`,
+    /// the revision advances: results of superseded revisions are evicted
+    /// (already unreachable by key; collecting them keeps the store from
+    /// growing one dead generation per append), the extraction tier ages,
+    /// the store record is rewritten and the shard's watchers wake. Every
+    /// step reads only O(1) dataset accessors, so an append stays O(tail).
+    /// Returns the dataset's revision after the swap.
+    fn install_revision(
+        &self,
+        scope: &Scope,
+        base: u64,
+        ds: &Arc<Dataset>,
+        bump: bool,
+        what: &str,
+    ) -> Result<u64, ApiError> {
+        let shard = self.store.shard(&scope.key);
+        let revision = {
+            let mut registry = shard.datasets.write();
+            let entry = registry
+                .get_mut(&scope.key)
+                .ok_or_else(|| not_registered(&scope.name))?;
+            if entry.revision != base {
+                return Err(ApiError::BadRequest(format!(
+                    "dataset {:?} changed while {what} was being applied \
+                     (revision {base} -> {}); retry {what}",
+                    scope.name, entry.revision
+                )));
+            }
+            if bump {
+                entry.revision += 1;
+            }
+            entry.dataset = Arc::clone(ds);
+            entry.revision
+        };
+        if bump {
+            self.store.cache.evict_superseded(&scope.key, revision);
+            self.age_extraction(scope);
+            self.write_record(scope, ds, revision);
+            shard.notify_watchers();
+        }
+        Ok(revision)
     }
 
-    /// [`MiscelaService::dataset`] in a tenant's namespace.
+    /// Derives the `datasets` store record of one installed revision and
+    /// writes it, replacing the previous one — the only writer of that
+    /// collection's records. Reads only O(1) dataset accessors. `name`
+    /// stays the tenant-local dataset name; `tenant` and the scoped `key`
+    /// make the record addressable per namespace.
+    fn write_record(&self, scope: &Scope, ds: &Dataset, revision: u64) {
+        let mut doc = Json::object();
+        doc.set("name", Json::from(ds.name()));
+        doc.set("tenant", Json::from(scope.tenant.as_str()));
+        doc.set("key", Json::from(scope.key.as_str()));
+        doc.set("revision", Json::from(revision as i64));
+        doc.set("trimmed", Json::from(ds.trimmed()));
+        doc.set("sensors", Json::from(ds.sensor_count()));
+        doc.set("records", Json::from(ds.record_count()));
+        doc.set("timestamps", Json::from(ds.timestamp_count()));
+        doc.set(
+            "attributes",
+            Json::Array(ds.attributes().names().map(Json::from).collect()),
+        );
+        let db = &self.store.db;
+        db.delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
+        db.insert(DATASETS_COLLECTION, doc);
+    }
+
+    /// Fetches a registered dataset from a tenant's namespace.
     pub fn dataset_in(&self, tenant: &str, name: &str) -> Result<Arc<Dataset>, ApiError> {
         self.entry(&Scope::new(tenant, name)?).map(|e| e.dataset)
     }
 
-    /// The current revision counter of a registered dataset. Revisions
-    /// start at 1 and bump on every re-registration and every completed
-    /// append; the mining cache keys results by them. Datasets whose
-    /// series are not resident (a reloaded store from a previous session)
-    /// resolve through their store record, so cached results stay
+    /// The current revision counter of a tenant's registered dataset.
+    /// Revisions start at 1 and bump on every re-registration and every
+    /// completed append; the mining cache keys results by them. Datasets
+    /// whose series are not resident (a reloaded store from a previous
+    /// session) resolve through their store record, so cached results stay
     /// servable without a re-upload.
-    pub fn dataset_revision(&self, name: &str) -> Result<u64, ApiError> {
-        self.dataset_revision_scoped(&Scope::default_tenant(name))
-    }
-
-    /// [`MiscelaService::dataset_revision`] in a tenant's namespace.
     pub fn dataset_revision_in(&self, tenant: &str, name: &str) -> Result<u64, ApiError> {
-        self.dataset_revision_scoped(&Scope::new(tenant, name)?)
+        self.revision(&Scope::new(tenant, name)?)
     }
 
-    fn dataset_revision_scoped(&self, scope: &Scope) -> Result<u64, ApiError> {
-        if let Some(e) = self.store.shard(&scope.key).datasets.read().get(&scope.key) {
-            return Ok(e.revision);
+    fn revision(&self, scope: &Scope) -> Result<u64, ApiError> {
+        match self.entry(scope) {
+            Ok(e) => Ok(e.revision),
+            Err(_) => Ok(self.stored_version(scope)?.0),
         }
-        self.store
-            .db
-            .find_one(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()))
-            .and_then(|doc| doc.get("revision").and_then(|r| r.as_i64()))
-            .map(|r| r as u64)
-            .ok_or_else(|| {
-                ApiError::NotFound(format!("dataset {:?} is not registered", scope.name))
-            })
     }
 
     /// Resolves `(revision, trimmed)` for a dataset whose series are not
@@ -1441,17 +1397,22 @@ impl MiscelaService {
             .store
             .db
             .find_one(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()))
-            .ok_or_else(|| {
-                ApiError::NotFound(format!("dataset {:?} is not registered", scope.name))
-            })?;
+            .ok_or_else(|| not_registered(&scope.name))?;
         let revision = doc
             .get("revision")
             .and_then(|r| r.as_i64())
-            .ok_or_else(|| {
-                ApiError::NotFound(format!("dataset {:?} is not registered", scope.name))
-            })?;
+            .ok_or_else(|| not_registered(&scope.name))?;
         let trimmed = doc.get("trimmed").and_then(|t| t.as_i64()).unwrap_or(0);
         Ok((revision as u64, trimmed as u64))
+    }
+
+    /// `(revision, trimmed)` of a dataset's current state, from its
+    /// registry entry when resident and its store record otherwise.
+    fn version(&self, scope: &Scope, entry: Option<&DatasetEntry>) -> Result<(u64, u64), ApiError> {
+        match entry {
+            Some(e) => Ok((e.revision, e.dataset.trimmed() as u64)),
+            None => self.stored_version(scope),
+        }
     }
 
     fn entry(&self, scope: &Scope) -> Result<DatasetEntry, ApiError> {
@@ -1461,29 +1422,15 @@ impl MiscelaService {
             .read()
             .get(&scope.key)
             .cloned()
-            .ok_or_else(|| {
-                ApiError::NotFound(format!("dataset {:?} is not registered", scope.name))
-            })
+            .ok_or_else(|| not_registered(&scope.name))
     }
 
     // ----- sliding-window retention --------------------------------------
 
-    /// The retention policy of a resident dataset.
-    pub fn retention(&self, name: &str) -> Result<RetentionPolicy, ApiError> {
-        Ok(*self
-            .entry(&Scope::default_tenant(name))?
-            .dataset
-            .retention())
-    }
-
-    /// [`MiscelaService::retention`] in a tenant's namespace.
-    pub fn retention_in(&self, tenant: &str, name: &str) -> Result<RetentionPolicy, ApiError> {
-        Ok(*self.entry(&Scope::new(tenant, name)?)?.dataset.retention())
-    }
-
-    /// Installs a sliding-window retention policy on a registered dataset
-    /// and applies it immediately. The policy then re-applies on every
-    /// subsequent append.
+    /// Installs a sliding-window retention policy on a tenant's registered
+    /// dataset and applies it immediately. The policy then re-applies on
+    /// every subsequent append; read it back with
+    /// `dataset_in(..)?.retention()`.
     ///
     /// Like `finish_append`, the mutation happens on a copy-on-extend clone
     /// outside any lock (cheap: `Arc`-shared blocks) and is swapped in
@@ -1491,28 +1438,11 @@ impl MiscelaService {
     /// immediate trim dropped anything the revision is bumped — trimmed
     /// content must never be served from cache — and superseded cache
     /// generations are collected.
-    pub fn set_retention(
-        &self,
-        name: &str,
-        policy: RetentionPolicy,
-    ) -> Result<RetentionSummary, ApiError> {
-        self.set_retention_keyed(name, policy, None).map(|(s, _)| s)
-    }
-
-    /// Like [`MiscelaService::set_retention`], with an optional idempotency
-    /// key: a retry carrying the same key replays the original summary
-    /// (`replayed = true`) instead of re-applying — a blind retry would
-    /// observe `trimmed_timestamps = 0` and a different revision.
-    pub fn set_retention_keyed(
-        &self,
-        name: &str,
-        policy: RetentionPolicy,
-        key: Option<&str>,
-    ) -> Result<(RetentionSummary, bool), ApiError> {
-        self.set_retention_scoped(&Scope::default_tenant(name), policy, key)
-    }
-
-    /// [`MiscelaService::set_retention_keyed`] in a tenant's namespace.
+    ///
+    /// An optional idempotency key makes the call retry-safe: a retry
+    /// carrying the same key replays the original summary (`replayed =
+    /// true`) instead of re-applying — a blind retry would observe
+    /// `trimmed_timestamps = 0` and a different revision.
     pub fn set_retention_keyed_in(
         &self,
         tenant: &str,
@@ -1520,16 +1450,8 @@ impl MiscelaService {
         policy: RetentionPolicy,
         key: Option<&str>,
     ) -> Result<(RetentionSummary, bool), ApiError> {
-        self.set_retention_scoped(&Scope::new(tenant, name)?, policy, key)
-    }
-
-    fn set_retention_scoped(
-        &self,
-        scope: &Scope,
-        policy: RetentionPolicy,
-        key: Option<&str>,
-    ) -> Result<(RetentionSummary, bool), ApiError> {
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = Scope::new(tenant, name)?;
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Retention { summary } => Ok((summary, true)),
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
@@ -1537,60 +1459,34 @@ impl MiscelaService {
         }
         // A retention change is durable only through a snapshot write, so a
         // degraded dataset refuses it (typed, retryable) until re-armed.
-        self.ensure_durable_writable(scope)?;
-        let base = self.entry(scope)?;
+        self.ensure_durable_writable(&scope)?;
+        let base = self.entry(&scope)?;
         let mut ds = (*base.dataset).clone();
         ds.set_retention(policy);
         let trimmed = ds.trim_expired();
         // Retention time is also quota-check time: a window that still
         // retains more than the tenant's budget is a typed 403.
-        self.check_retained_quota(scope, ds.timestamp_count())?;
+        self.check_retained_quota(&scope, ds.timestamp_count())?;
         let ds = Arc::new(ds);
-        let shard = self.store.shard(&scope.key);
-        let summary = {
-            let mut registry = shard.datasets.write();
-            let entry = registry.get_mut(&scope.key).ok_or_else(|| {
-                ApiError::NotFound(format!("dataset {:?} is not registered", scope.name))
-            })?;
-            if entry.revision != base.revision {
-                return Err(ApiError::BadRequest(format!(
-                    "dataset {:?} changed while the retention policy was being applied \
-                     (revision {} -> {}); retry",
-                    scope.name, base.revision, entry.revision
-                )));
-            }
-            if trimmed > 0 {
-                entry.revision += 1;
-            }
-            entry.dataset = Arc::clone(&ds);
-            RetentionSummary {
-                name: scope.name.clone(),
-                trimmed_timestamps: trimmed,
-                trimmed_total: ds.trimmed(),
-                timestamps: ds.timestamp_count(),
-                revision: entry.revision,
-            }
+        let revision = self.install_revision(
+            &scope,
+            base.revision,
+            &ds,
+            trimmed > 0,
+            "the retention policy",
+        )?;
+        let summary = RetentionSummary {
+            name: scope.name.clone(),
+            trimmed_timestamps: trimmed,
+            trimmed_total: ds.trimmed(),
+            timestamps: ds.timestamp_count(),
+            revision,
         };
-        if trimmed > 0 {
-            self.store
-                .cache
-                .evict_superseded(&scope.key, summary.revision);
-            self.age_extraction(scope);
-            self.store
-                .db
-                .delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
-            self.store.db.insert(
-                DATASETS_COLLECTION,
-                dataset_record(scope, &ds, summary.revision),
-            );
-            // The trim bumped the revision: wake this shard's watchers.
-            shard.notify_watchers();
-        }
         // Cache the keyed response before the durable snapshot so the
         // snapshot persists it for replay across a crash.
         self.remember(
             key,
-            scope,
+            &scope,
             ReplayOutcome::Retention {
                 summary: summary.clone(),
             },
@@ -1598,39 +1494,18 @@ impl MiscelaService {
         // A retention change is only durable through a snapshot (there is
         // no WAL record for it), and a retention *trim* is exactly when the
         // WAL should compact — the trimmed history must not be replayed.
-        if let Some(result) = self.durable(scope, |state| {
-            state
-                .log
-                .install_snapshot(&durability::snapshot_data(
-                    &ds,
-                    summary.revision,
-                    state.watermark,
-                    &self.replay_entries_for(scope),
-                ))
-                .map_err(wal_err)?;
-            state.sealed_at_snapshot = ds.sealed_timestamps();
-            self.relog_inflight(scope, state)
-        }) {
-            result?;
-        }
+        self.durable(&scope, |state| self.snapshot(&scope, state, &ds, revision))
+            .unwrap_or(Ok(()))?;
         Ok((summary, false))
     }
 
-    /// Lists the default tenant's registered datasets (from the store, so
-    /// names uploaded by previous sessions appear even if their series are
-    /// not resident).
-    pub fn list_datasets(&self) -> Vec<DatasetSummary> {
-        self.list_datasets_tenant(DEFAULT_TENANT)
-    }
-
-    /// Lists a tenant's registered datasets.
+    /// Lists a tenant's registered datasets (from the store, so names
+    /// uploaded by previous sessions appear even if their series are not
+    /// resident).
     pub fn list_datasets_in(&self, tenant: &str) -> Result<Vec<DatasetSummary>, ApiError> {
         validate_tenant(tenant)?;
-        Ok(self.list_datasets_tenant(tenant))
-    }
-
-    fn list_datasets_tenant(&self, tenant: &str) -> Vec<DatasetSummary> {
-        self.store
+        Ok(self
+            .store
             .db
             .find(DATASETS_COLLECTION, &Filter::eq("tenant", tenant))
             .into_iter()
@@ -1647,40 +1522,29 @@ impl MiscelaService {
                         .collect(),
                 })
             })
-            .collect()
+            .collect())
     }
 
-    /// Removes a dataset and its cached results (including its extraction
-    /// cache, whose states can never be valid for another dataset name),
-    /// along with any in-flight upload/append session targeting it and its
-    /// on-disk durability log.
-    pub fn delete_dataset(&self, name: &str) -> Result<(), ApiError> {
-        self.delete_dataset_keyed(name, None).map(|_| ())
-    }
-
-    /// Like [`MiscelaService::delete_dataset`], with an optional
-    /// idempotency key: a retry carrying the same key replays the original
-    /// acknowledgment (`replayed = true`) instead of reporting 404 for the
-    /// already-deleted dataset. The delete entry lives only in the
-    /// in-memory cache — the durability log is removed with the dataset —
-    /// so across a crash a retried delete falls back to 404, which clients
-    /// treat as confirmation.
-    pub fn delete_dataset_keyed(&self, name: &str, key: Option<&str>) -> Result<bool, ApiError> {
-        self.delete_dataset_scoped(&Scope::default_tenant(name), key)
-    }
-
-    /// [`MiscelaService::delete_dataset_keyed`] in a tenant's namespace.
+    /// Removes a tenant's dataset and its cached results (including its
+    /// extraction cache, whose states can never be valid for another
+    /// dataset name), along with any in-flight upload/append session
+    /// targeting it and its on-disk durability log.
+    ///
+    /// An optional idempotency key makes the call retry-safe: a retry
+    /// carrying the same key replays the original acknowledgment
+    /// (`replayed = true`) instead of reporting 404 for the already-deleted
+    /// dataset. The delete entry lives only in the in-memory cache — the
+    /// durability log is removed with the dataset — so across a crash a
+    /// retried delete falls back to 404, which clients treat as
+    /// confirmation.
     pub fn delete_dataset_keyed_in(
         &self,
         tenant: &str,
         name: &str,
         key: Option<&str>,
     ) -> Result<bool, ApiError> {
-        self.delete_dataset_scoped(&Scope::new(tenant, name)?, key)
-    }
-
-    fn delete_dataset_scoped(&self, scope: &Scope, key: Option<&str>) -> Result<bool, ApiError> {
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = Scope::new(tenant, name)?;
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Delete => Ok(true),
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
@@ -1715,50 +1579,23 @@ impl MiscelaService {
             shard.notify_watchers();
         }
         if existed || stored > 0 {
-            self.remember(key, scope, ReplayOutcome::Delete);
+            self.remember(key, &scope, ReplayOutcome::Delete);
             Ok(false)
         } else {
-            Err(ApiError::NotFound(format!(
-                "dataset {:?} is not registered",
-                scope.name
-            )))
+            Err(not_registered(&scope.name))
         }
     }
 
     // ----- chunked upload ------------------------------------------------
 
-    /// Starts a chunked upload: the client sends `location.csv` and
-    /// `attribute.csv` up front, then streams `data.csv` chunks.
-    pub fn begin_upload(
-        &self,
-        dataset: &str,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-    ) -> Result<(), ApiError> {
-        self.begin_upload_keyed(dataset, location_csv_text, attribute_csv_text, None)
-            .map(|_| ())
-    }
-
-    /// Like [`MiscelaService::begin_upload`], with an optional idempotency
-    /// key: a retry carrying the same key acknowledges without resetting
-    /// the session (`replayed = true`) — a blind retried begin would
-    /// discard every chunk accepted since the original.
-    pub fn begin_upload_keyed(
-        &self,
-        dataset: &str,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-        key: Option<&str>,
-    ) -> Result<bool, ApiError> {
-        self.begin_upload_scoped(
-            &Scope::default_tenant(dataset),
-            location_csv_text,
-            attribute_csv_text,
-            key,
-        )
-    }
-
-    /// [`MiscelaService::begin_upload_keyed`] in a tenant's namespace.
+    /// Starts a chunked upload into a tenant's namespace: the client sends
+    /// `location.csv` and `attribute.csv` up front, then streams `data.csv`
+    /// chunks.
+    ///
+    /// An optional idempotency key makes the call retry-safe: a retry
+    /// carrying the same key acknowledges without resetting the session
+    /// (`replayed = true`) — a blind retried begin would discard every
+    /// chunk accepted since the original.
     pub fn begin_upload_keyed_in(
         &self,
         tenant: &str,
@@ -1767,22 +1604,8 @@ impl MiscelaService {
         attribute_csv_text: &str,
         key: Option<&str>,
     ) -> Result<bool, ApiError> {
-        self.begin_upload_scoped(
-            &Scope::new(tenant, dataset)?,
-            location_csv_text,
-            attribute_csv_text,
-            key,
-        )
-    }
-
-    fn begin_upload_scoped(
-        &self,
-        scope: &Scope,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-        key: Option<&str>,
-    ) -> Result<bool, ApiError> {
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = Scope::new(tenant, dataset)?;
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::UploadBegin => Ok(true),
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
@@ -1793,8 +1616,7 @@ impl MiscelaService {
             .map_err(|e| ApiError::BadRequest(format!("location.csv: {e}")))?;
         let attributes = miscela_csv::attribute_csv::parse_document(attribute_csv_text)
             .map_err(|e| ApiError::BadRequest(format!("attribute.csv: {e}")))?;
-        let mut uploads = self.store.shard(&scope.key).uploads.lock();
-        uploads.insert(
+        self.store.shard(&scope.key).uploads.lock().insert(
             scope.key.clone(),
             UploadSession {
                 dataset: scope.key.clone(),
@@ -1804,28 +1626,19 @@ impl MiscelaService {
                 started: Instant::now(),
             },
         );
-        drop(uploads);
-        self.remember(key, scope, ReplayOutcome::UploadBegin);
+        self.remember(key, &scope, ReplayOutcome::UploadBegin);
         Ok(false)
     }
 
     /// Accepts one `data.csv` chunk for an upload in progress. Returns the
     /// number of chunks still missing.
-    pub fn upload_chunk(&self, dataset: &str, chunk: &Chunk) -> Result<usize, ApiError> {
-        self.upload_chunk_scoped(&Scope::default_tenant(dataset), chunk)
-    }
-
-    /// [`MiscelaService::upload_chunk`] in a tenant's namespace.
     pub fn upload_chunk_in(
         &self,
         tenant: &str,
         dataset: &str,
         chunk: &Chunk,
     ) -> Result<usize, ApiError> {
-        self.upload_chunk_scoped(&Scope::new(tenant, dataset)?, chunk)
-    }
-
-    fn upload_chunk_scoped(&self, scope: &Scope, chunk: &Chunk) -> Result<usize, ApiError> {
+        let scope = Scope::new(tenant, dataset)?;
         let mut uploads = self.store.shard(&scope.key).uploads.lock();
         let session = uploads.get_mut(&scope.key).ok_or_else(|| {
             ApiError::NotFound(format!("no upload in progress for {:?}", scope.name))
@@ -1839,39 +1652,19 @@ impl MiscelaService {
 
     /// Completes an upload: assembles the chunks, builds the dataset and
     /// registers it. Returns the dataset summary and the upload duration.
-    pub fn finish_upload(&self, dataset: &str) -> Result<(DatasetSummary, Duration), ApiError> {
-        self.finish_upload_keyed(dataset, None)
-            .map(|(s, d, _)| (s, d))
-    }
-
-    /// Like [`MiscelaService::finish_upload`], with an optional idempotency
-    /// key: a retry carrying the same key replays the original summary
-    /// (`replayed = true`) instead of reporting "no upload in progress" —
-    /// the original finish consumed the session.
-    pub fn finish_upload_keyed(
-        &self,
-        dataset: &str,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, Duration, bool), ApiError> {
-        self.finish_upload_scoped(&Scope::default_tenant(dataset), key)
-    }
-
-    /// [`MiscelaService::finish_upload_keyed`] in a tenant's namespace.
+    ///
+    /// An optional idempotency key makes the call retry-safe: a retry
+    /// carrying the same key replays the original summary (`replayed =
+    /// true`) instead of reporting "no upload in progress" — the original
+    /// finish consumed the session.
     pub fn finish_upload_keyed_in(
         &self,
         tenant: &str,
         dataset: &str,
         key: Option<&str>,
     ) -> Result<(DatasetSummary, Duration, bool), ApiError> {
-        self.finish_upload_scoped(&Scope::new(tenant, dataset)?, key)
-    }
-
-    fn finish_upload_scoped(
-        &self,
-        scope: &Scope,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, Duration, bool), ApiError> {
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = Scope::new(tenant, dataset)?;
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Register {
                     summary,
@@ -1897,52 +1690,32 @@ impl MiscelaService {
         let ds = DatasetLoader::new(&scope.name)
             .assemble(&session.attributes, &session.locations, &batches)
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        self.check_register_quota(scope, &ds)?;
-        let (summary, durable) =
-            self.register_dataset_impl(scope, ds, key, elapsed.as_nanos() as u64);
-        durable.map(|()| (summary, elapsed, false))
+        let summary = self.register(&scope, ds, key, elapsed.as_nanos() as u64)?;
+        Ok((summary, elapsed, false))
     }
 
     // ----- chunked append -----------------------------------------------
 
-    /// Starts an append session for an already-registered dataset: the
-    /// client then streams `data.csv` chunks of new rows through
-    /// [`MiscelaService::append_chunk`]. Unlike an upload, no
+    /// Starts an append session for a tenant's already-registered dataset,
+    /// returning the session id the client must echo on every sequenced
+    /// chunk. The client then streams `data.csv` chunks of new rows through
+    /// [`MiscelaService::append_chunk_seq_in`] (or the unsequenced
+    /// [`MiscelaService::append_chunk_in`]). Unlike an upload, no
     /// `location.csv`/`attribute.csv` are sent — the sensors must already
     /// exist.
-    pub fn begin_append(&self, dataset: &str) -> Result<(), ApiError> {
-        self.begin_append_keyed(dataset, None).map(|_| ())
-    }
-
-    /// Like [`MiscelaService::begin_append`], with an optional idempotency
-    /// key, returning the session id the client must echo on every
-    /// sequenced chunk. A retry carrying the same key replays the original
-    /// session id (`replayed = true`) instead of reporting a conflict with
-    /// the session it itself opened.
-    pub fn begin_append_keyed(
-        &self,
-        dataset: &str,
-        key: Option<&str>,
-    ) -> Result<BeginAppendOutcome, ApiError> {
-        self.begin_append_scoped(&Scope::default_tenant(dataset), key)
-    }
-
-    /// [`MiscelaService::begin_append_keyed`] in a tenant's namespace.
+    ///
+    /// An optional idempotency key makes the call retry-safe: a retry
+    /// carrying the same key replays the original session id (`replayed =
+    /// true`) instead of reporting a conflict with the session it itself
+    /// opened.
     pub fn begin_append_keyed_in(
         &self,
         tenant: &str,
         dataset: &str,
         key: Option<&str>,
     ) -> Result<BeginAppendOutcome, ApiError> {
-        self.begin_append_scoped(&Scope::new(tenant, dataset)?, key)
-    }
-
-    fn begin_append_scoped(
-        &self,
-        scope: &Scope,
-        key: Option<&str>,
-    ) -> Result<BeginAppendOutcome, ApiError> {
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = Scope::new(tenant, dataset)?;
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Begin { session } => Ok(BeginAppendOutcome {
                     session,
@@ -1952,10 +1725,10 @@ impl MiscelaService {
             };
         }
         // Fail fast when the target does not exist.
-        self.entry(scope)?;
+        self.entry(&scope)?;
         // A degraded dataset is read-only; probe the durable write path
         // (and re-arm it if it recovered) before opening a session.
-        self.ensure_durable_writable(scope)?;
+        self.ensure_durable_writable(&scope)?;
         let shard = self.store.shard(&scope.key);
         // Reserve the session slot atomically: a second begin while one is
         // open is a typed conflict, not a silent replacement that would
@@ -1991,7 +1764,7 @@ impl MiscelaService {
         // On a durable service the session id and its begin record are made
         // durable before any chunk is accepted: a crash right after this
         // call restores the (empty) session on recovery.
-        let session = match self.durable(scope, |state| {
+        let session = match self.durable(&scope, |state| {
             let id = state.next_session;
             state
                 .log
@@ -2013,80 +1786,32 @@ impl MiscelaService {
         if let Some(s) = shard.appends.lock().get_mut(&scope.key) {
             s.session = session;
         }
-        self.remember(key, scope, ReplayOutcome::Begin { session });
+        self.remember(key, &scope, ReplayOutcome::Begin { session });
         Ok(BeginAppendOutcome {
             session,
             replayed: false,
         })
     }
 
-    /// Accepts one `data.csv` chunk for an append in progress — the same
-    /// chunk envelope and parsing as [`MiscelaService::upload_chunk`].
-    /// Returns the number of chunks still missing.
-    ///
-    /// On a durable service the chunk is logged to the WAL and fsynced
-    /// *before* this returns `Ok`: an acknowledged chunk survives a crash
-    /// at any later point, recoverable into the restored session.
-    pub fn append_chunk(&self, dataset: &str, chunk: &Chunk) -> Result<usize, ApiError> {
-        self.append_chunk_scoped(&Scope::default_tenant(dataset), chunk)
-    }
-
-    /// [`MiscelaService::append_chunk`] in a tenant's namespace.
+    /// Accepts one unsequenced `data.csv` chunk for an append in progress —
+    /// the same chunk envelope and parsing as
+    /// [`MiscelaService::upload_chunk_in`]. Returns the number of chunks
+    /// still missing. On a durable service the chunk is logged to the WAL
+    /// and fsynced *before* this returns `Ok`.
     pub fn append_chunk_in(
         &self,
         tenant: &str,
         dataset: &str,
         chunk: &Chunk,
     ) -> Result<usize, ApiError> {
-        self.append_chunk_scoped(&Scope::new(tenant, dataset)?, chunk)
+        let scope = Scope::new(tenant, dataset)?;
+        Ok(self.accept_append_chunk(&scope, chunk, None)?.missing)
     }
 
-    fn append_chunk_scoped(&self, scope: &Scope, chunk: &Chunk) -> Result<usize, ApiError> {
-        // A degraded dataset stops acknowledging chunks; the probe re-arms
-        // the write path (re-logging every previously acknowledged chunk)
-        // before any new chunk is accepted.
-        self.ensure_durable_writable(scope)?;
-        let durable = self.store.durability.is_some();
-        let (missing, session_id, seq) = {
-            let mut appends = self.store.shard(&scope.key).appends.lock();
-            let session = appends.get_mut(&scope.key).ok_or_else(|| {
-                ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
-            })?;
-            session
-                .uploader
-                .accept(chunk)
-                .map_err(|e| ApiError::BadRequest(format!("chunk {}: {e}", chunk.index)))?;
-            if durable {
-                // A chunk re-sent after a lost ack replaces its earlier
-                // copy (the uploader already did), so the re-log list never
-                // grows duplicates.
-                match session.chunks.iter_mut().find(|c| c.index == chunk.index) {
-                    Some(slot) => *slot = chunk.clone(),
-                    None => session.chunks.push(chunk.clone()),
-                }
-            }
-            (
-                session.uploader.missing().len(),
-                session.session,
-                session.chunks.len() as u64,
-            )
-        };
-        if let Some(result) = self.durable(scope, |state| {
-            state
-                .log
-                .log(&durability::chunk_record(session_id, seq, chunk))
-                .map_err(wal_err)?;
-            state.log.commit().map_err(wal_err)
-        }) {
-            result?;
-        }
-        Ok(missing)
-    }
-
-    /// Sequenced [`MiscelaService::append_chunk`]: the client numbers each
-    /// chunk delivery 1, 2, 3… within the session and echoes the session id
-    /// from [`MiscelaService::begin_append_keyed`]. This makes chunk
-    /// delivery exactly-once under loss, duplication and reordering:
+    /// Accepts one sequenced append chunk: the client numbers each chunk
+    /// delivery 1, 2, 3… within the session and echoes the session id from
+    /// [`MiscelaService::begin_append_keyed_in`]. This makes chunk delivery
+    /// exactly-once under loss, duplication and reordering:
     ///
     /// * `seq` at or below the acked watermark → the chunk was already
     ///   accepted (the ack got lost); the original acknowledgment is
@@ -2097,17 +1822,6 @@ impl MiscelaService {
     /// * a session id other than the open session's → the session is stale
     ///   (the server restarted it, or a registration dropped it); typed
     ///   412 telling the client which session is current.
-    pub fn append_chunk_seq(
-        &self,
-        dataset: &str,
-        session_id: u64,
-        seq: u64,
-        chunk: &Chunk,
-    ) -> Result<ChunkAck, ApiError> {
-        self.append_chunk_seq_scoped(&Scope::default_tenant(dataset), session_id, seq, chunk)
-    }
-
-    /// [`MiscelaService::append_chunk_seq`] in a tenant's namespace.
     pub fn append_chunk_seq_in(
         &self,
         tenant: &str,
@@ -2116,39 +1830,43 @@ impl MiscelaService {
         seq: u64,
         chunk: &Chunk,
     ) -> Result<ChunkAck, ApiError> {
-        self.append_chunk_seq_scoped(&Scope::new(tenant, dataset)?, session_id, seq, chunk)
-    }
-
-    fn append_chunk_seq_scoped(
-        &self,
-        scope: &Scope,
-        session_id: u64,
-        seq: u64,
-        chunk: &Chunk,
-    ) -> Result<ChunkAck, ApiError> {
+        let scope = Scope::new(tenant, dataset)?;
         if seq == 0 {
             return Err(ApiError::BadRequest(
                 "chunk sequence numbers start at 1".to_string(),
             ));
         }
+        self.accept_append_chunk(&scope, chunk, Some((session_id, seq)))
+    }
+
+    /// The accept-and-log step both append-chunk paths share. Under the
+    /// appends lock it screens a sequenced delivery (`seq` carries the
+    /// session id and sequence number) against the open session, accepts
+    /// the chunk and keeps a copy for re-logging. The WAL record is written
+    /// and fsynced outside that lock, before any ack, so an acknowledged
+    /// chunk survives a crash at any later point; a sequenced ack advances
+    /// the session's watermark only after the fsync.
+    fn accept_append_chunk(
+        &self,
+        scope: &Scope,
+        chunk: &Chunk,
+        seq: Option<(u64, u64)>,
+    ) -> Result<ChunkAck, ApiError> {
+        // A degraded dataset stops acknowledging chunks; the probe re-arms
+        // the write path (re-logging every previously acknowledged chunk)
+        // before any new chunk is accepted.
         self.ensure_durable_writable(scope)?;
-        let durable = self.store.durability.is_some();
         let shard = self.store.shard(&scope.key);
-        {
-            let mut appends = shard.appends.lock();
-            let session = appends.get_mut(&scope.key).ok_or_else(|| {
-                ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
-            })?;
-            if session.session != session_id {
-                let expected_session = session.session;
-                let expected_seq = session.acked_seq + 1;
-                drop(appends);
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .protocol
-                    .lock()
-                    .stale_sessions += 1;
-                return Err(ApiError::SequenceGap {
+        let mut appends = shard.appends.lock();
+        let session = appends
+            .get_mut(&scope.key)
+            .ok_or_else(|| no_append(&scope.name))?;
+        if let Some((session_id, seq)) = seq {
+            let expected_session = session.session;
+            let expected_seq = session.acked_seq + 1;
+            let stale = expected_session != session_id;
+            let screened = if stale {
+                Some(Err(ApiError::SequenceGap {
                     message: format!(
                         "append session {session_id} for {:?} is stale; \
                          the open session is {expected_session}",
@@ -2156,125 +1874,107 @@ impl MiscelaService {
                     ),
                     expected_session,
                     expected_seq,
-                });
-            }
-            if seq <= session.acked_seq {
+                }))
+            } else if seq < expected_seq {
                 // Duplicate delivery: replay the original ack verbatim.
                 let (accepted, missing) = session.acks[(seq - 1) as usize];
-                let acked_seq = session.acked_seq;
-                drop(appends);
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .protocol
-                    .lock()
-                    .chunk_duplicates += 1;
-                return Ok(ChunkAck {
+                Some(Ok(ChunkAck {
                     accepted,
                     missing,
-                    acked_seq,
+                    acked_seq: session.acked_seq,
                     replayed: true,
-                });
-            }
-            if seq > session.acked_seq + 1 {
-                let expected_session = session.session;
-                let expected_seq = session.acked_seq + 1;
-                drop(appends);
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .protocol
-                    .lock()
-                    .sequence_gaps += 1;
-                return Err(ApiError::SequenceGap {
+                }))
+            } else if seq > expected_seq {
+                Some(Err(ApiError::SequenceGap {
                     message: format!(
                         "chunk sequence gap for {:?}: got {seq}, expected {expected_seq}",
                         scope.name
                     ),
                     expected_session,
                     expected_seq,
-                });
+                }))
+            } else {
+                None
+            };
+            if let Some(answer) = screened {
+                // Count it once the appends lock (a leaf lock) is released.
+                drop(appends);
+                let tenant = self.store.tenant_state(&scope.tenant);
+                let mut p = tenant.protocol.lock();
+                *match &answer {
+                    _ if stale => &mut p.stale_sessions,
+                    Ok(_) => &mut p.chunk_duplicates,
+                    Err(_) => &mut p.sequence_gaps,
+                } += 1;
+                return answer;
             }
-            session
-                .uploader
-                .accept(chunk)
-                .map_err(|e| ApiError::BadRequest(format!("chunk {}: {e}", chunk.index)))?;
-            if durable {
-                match session.chunks.iter_mut().find(|c| c.index == chunk.index) {
-                    Some(slot) => *slot = chunk.clone(),
-                    None => session.chunks.push(chunk.clone()),
-                }
+        }
+        session
+            .uploader
+            .accept(chunk)
+            .map_err(|e| ApiError::BadRequest(format!("chunk {}: {e}", chunk.index)))?;
+        if self.store.durability.is_some() {
+            // A chunk re-sent after a lost ack replaces its earlier copy
+            // (the uploader already did), so the re-log list never grows
+            // duplicates.
+            match session.chunks.iter_mut().find(|c| c.index == chunk.index) {
+                Some(slot) => *slot = chunk.clone(),
+                None => session.chunks.push(chunk.clone()),
             }
         }
-        // The WAL write happens outside the appends lock (same discipline
-        // as the unsequenced path); the ack — and the watermark bump — only
-        // after it fsyncs, so an acknowledged sequence number is always
-        // durable.
-        if let Some(result) = self.durable(scope, |state| {
-            state
-                .log
-                .log(&durability::chunk_record(session_id, seq, chunk))
-                .map_err(wal_err)?;
-            state.log.commit().map_err(wal_err)
-        }) {
-            result?;
-        }
-        let mut appends = shard.appends.lock();
-        let session = appends.get_mut(&scope.key).ok_or_else(|| {
-            ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
-        })?;
-        let missing = session.uploader.missing().len();
-        if session.acked_seq < seq {
-            session.acked_seq = seq;
-            session.acks.push((chunk.index, missing));
-        }
-        Ok(ChunkAck {
+        let session_id = session.session;
+        let record_seq = seq.map_or(session.chunks.len() as u64, |(_, seq)| seq);
+        let mut ack = ChunkAck {
             accepted: chunk.index,
-            missing,
+            missing: session.uploader.missing().len(),
             acked_seq: session.acked_seq,
             replayed: false,
+        };
+        drop(appends);
+        self.durable(scope, |state| {
+            state
+                .log
+                .log(&durability::chunk_record(session_id, record_seq, chunk))
+                .map_err(wal_err)?;
+            state.log.commit().map_err(wal_err)
         })
+        .unwrap_or(Ok(()))?;
+        if let Some((_, seq)) = seq {
+            let mut appends = shard.appends.lock();
+            let session = appends
+                .get_mut(&scope.key)
+                .ok_or_else(|| no_append(&scope.name))?;
+            ack.missing = session.uploader.missing().len();
+            if session.acked_seq < seq {
+                session.acked_seq = seq;
+                session.acks.push((chunk.index, ack.missing));
+            }
+            ack.acked_seq = session.acked_seq;
+        }
+        Ok(ack)
     }
 
-    /// Completes an append: applies the assembled rows to the registered
-    /// dataset in place (grid and every series extended with missing-value
+    /// Completes an append to a tenant's dataset: applies the assembled
+    /// rows in place (grid and every series extended with missing-value
     /// fill), bumps the dataset revision, and drops cached results of the
     /// superseded revisions. Returns the summary and the session duration.
-    pub fn finish_append(&self, dataset: &str) -> Result<(AppendSummary, Duration), ApiError> {
-        self.finish_append_keyed(dataset, None)
-            .map(|(s, d, _)| (s, d))
-    }
-
-    /// Like [`MiscelaService::finish_append`], with an optional idempotency
-    /// key: a retry carrying the same key replays the original summary
-    /// (`replayed = true`) instead of re-applying — the original finish
-    /// consumed the session, so a blind retry would double-apply (or
-    /// report "no append in progress" and leave the client unable to tell
-    /// whether its rows committed). The keyed response is also carried in
-    /// the session's WAL commit record, so the replay survives a crash
-    /// between the commit and the retry.
-    pub fn finish_append_keyed(
-        &self,
-        dataset: &str,
-        key: Option<&str>,
-    ) -> Result<(AppendSummary, Duration, bool), ApiError> {
-        self.finish_append_scoped(&Scope::default_tenant(dataset), key)
-    }
-
-    /// [`MiscelaService::finish_append_keyed`] in a tenant's namespace.
+    ///
+    /// An optional idempotency key makes the call retry-safe: a retry
+    /// carrying the same key replays the original summary (`replayed =
+    /// true`) instead of re-applying — the original finish consumed the
+    /// session, so a blind retry would double-apply (or report "no append
+    /// in progress" and leave the client unable to tell whether its rows
+    /// committed). The keyed response is also carried in the session's WAL
+    /// commit record, so the replay survives a crash between the commit
+    /// and the retry.
     pub fn finish_append_keyed_in(
         &self,
         tenant: &str,
         dataset: &str,
         key: Option<&str>,
     ) -> Result<(AppendSummary, Duration, bool), ApiError> {
-        self.finish_append_scoped(&Scope::new(tenant, dataset)?, key)
-    }
-
-    fn finish_append_scoped(
-        &self,
-        scope: &Scope,
-        key: Option<&str>,
-    ) -> Result<(AppendSummary, Duration, bool), ApiError> {
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = Scope::new(tenant, dataset)?;
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Finish {
                     summary,
@@ -2283,18 +1983,22 @@ impl MiscelaService {
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
             };
         }
-        self.ensure_durable_writable(scope)?;
+        self.ensure_durable_writable(&scope)?;
         // Applying the assembled rows is real work: it holds an admission
         // permit (fixed cost — the apply is O(tail)) so an append storm
         // cannot starve mines of budget. Admission happens before the
         // session is consumed, so a shed finish leaves the session intact
         // for a retry.
-        let _permit = self.admit_scoped(scope, APPEND_COST, None)?;
-        let shard = self.store.shard(&scope.key);
-        let session = shard.appends.lock().remove(&scope.key).ok_or_else(|| {
-            ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
-        })?;
+        let _permit = self.admit(&scope, APPEND_COST, None)?;
+        let session = self
+            .store
+            .shard(&scope.key)
+            .appends
+            .lock()
+            .remove(&scope.key)
+            .ok_or_else(|| no_append(&scope.name))?;
         let elapsed = session.started.elapsed();
+        let elapsed_ns = elapsed.as_nanos() as u64;
         let session_id = session.session;
         let batches = session
             .uploader
@@ -2303,11 +2007,8 @@ impl MiscelaService {
         // Clone the Arc under a read lock and apply the append outside any
         // lock — the clone is a copy-on-extend view (series blocks stay
         // `Arc`-shared; only the mutable tails are copied), so this costs
-        // O(tail), not O(dataset), no matter how old the dataset is. The
-        // brief write lock at the end swaps the new dataset in, re-checking
-        // the revision so a concurrent re-registration (or racing append)
-        // is detected instead of silently overwritten.
-        let base = self.entry(scope)?;
+        // O(tail), not O(dataset), no matter how old the dataset is.
+        let base = self.entry(&scope)?;
         let mut ds = (*base.dataset).clone();
         let append = DatasetLoader::append(&mut ds, &batches)
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
@@ -2315,119 +2016,54 @@ impl MiscelaService {
         // retained-timestamps budget is a typed 403. The session was
         // already consumed — the client trims (or raises the quota) and
         // begins a new append.
-        self.check_retained_quota(scope, ds.timestamp_count())?;
+        self.check_retained_quota(&scope, ds.timestamp_count())?;
         let ds = Arc::new(ds);
-        let summary = {
-            let mut registry = shard.datasets.write();
-            let entry = registry.get_mut(&scope.key).ok_or_else(|| {
-                ApiError::NotFound(format!("dataset {:?} is not registered", scope.name))
-            })?;
-            if entry.revision != base.revision {
-                return Err(ApiError::BadRequest(format!(
-                    "dataset {:?} changed while the append was being applied \
-                     (revision {} -> {}); retry the append",
-                    scope.name, base.revision, entry.revision
-                )));
-            }
-            entry.revision += 1;
-            entry.dataset = Arc::clone(&ds);
-            AppendSummary {
-                name: scope.name.clone(),
-                new_timestamps: append.new_timestamps,
-                measurements: append.measurements,
-                trimmed_timestamps: append.trimmed_timestamps,
-                timestamps: ds.timestamp_count(),
-                revision: entry.revision,
-            }
+        let revision = self.install_revision(&scope, base.revision, &ds, true, "the append")?;
+        let summary = AppendSummary {
+            name: scope.name.clone(),
+            new_timestamps: append.new_timestamps,
+            measurements: append.measurements,
+            trimmed_timestamps: append.trimmed_timestamps,
+            timestamps: ds.timestamp_count(),
+            revision,
         };
-        // The revision bump already makes superseded results unreachable by
-        // key; garbage-collecting them too keeps the store collection from
-        // growing one dead generation per append, and aging this dataset's
-        // extraction tier lets superseded prefix states be reclaimed once
-        // no mining pass touches them anymore. (Everything here — including
-        // the store record below — reads only O(1) dataset accessors, so
-        // the whole service append stays O(tail).)
-        self.store
-            .cache
-            .evict_superseded(&scope.key, summary.revision);
-        self.age_extraction(scope);
-        self.store
-            .db
-            .delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
-        self.store.db.insert(
-            DATASETS_COLLECTION,
-            dataset_record(scope, &ds, summary.revision),
-        );
-        // The new revision is visible: wake this shard's watchers (the
-        // datasets lock is released; the durable commit below does not
-        // change what a watcher observes).
-        shard.notify_watchers();
         // The append is applied: cache the keyed response *before* the
         // durable commit, so even a retry that arrives while the commit
         // record is still being written (or after it failed and the
         // dataset degraded) replays this outcome instead of re-applying.
         self.remember(
             key,
-            scope,
+            &scope,
             ReplayOutcome::Finish {
                 summary: summary.clone(),
-                elapsed_ns: elapsed.as_nanos() as u64,
+                elapsed_ns,
             },
         );
         // Durable commit: the session's commit record is fsynced before the
         // ack. When the append sealed new 256-point blocks (or trimmed the
         // window) a snapshot follows, compacting the WAL so recovery stays
         // O(rows since last snapshot).
-        if let Some(result) = self.durable(scope, |state| {
+        self.durable(&scope, |state| {
             state
                 .log
                 .log(&durability::commit_record(
-                    session_id,
-                    key,
-                    &summary,
-                    elapsed.as_nanos() as u64,
+                    session_id, key, &summary, elapsed_ns,
                 ))
                 .map_err(wal_err)?;
             state.log.commit().map_err(wal_err)?;
             state.watermark = session_id;
             if summary.trimmed_timestamps > 0 || ds.sealed_timestamps() > state.sealed_at_snapshot {
-                state
-                    .log
-                    .install_snapshot(&durability::snapshot_data(
-                        &ds,
-                        summary.revision,
-                        state.watermark,
-                        &self.replay_entries_for(scope),
-                    ))
-                    .map_err(wal_err)?;
-                state.sealed_at_snapshot = ds.sealed_timestamps();
-                self.relog_inflight(scope, state)?;
+                self.snapshot(&scope, state, &ds, revision)?;
             }
             Ok(())
-        }) {
-            result?;
-        }
+        })
+        .unwrap_or(Ok(()))?;
         Ok((summary, elapsed, false))
     }
 
-    /// Convenience wrapper: appends a full `data.csv` document of new rows
-    /// by splitting it into paper-sized chunks and driving the append-chunk
-    /// protocol.
-    pub fn append_documents(
-        &self,
-        dataset: &str,
-        data_csv_text: &str,
-        chunk_lines: usize,
-    ) -> Result<AppendSummary, ApiError> {
-        self.begin_append(dataset)?;
-        for chunk in miscela_csv::split_into_chunks(data_csv_text, chunk_lines) {
-            self.append_chunk(dataset, &chunk)?;
-        }
-        let (summary, _) = self.finish_append(dataset)?;
-        Ok(summary)
-    }
-
-    /// [`MiscelaService::append_documents`] in a tenant's namespace.
+    /// Convenience driver: appends a full `data.csv` document of new rows
+    /// to a tenant's dataset by splitting it into paper-sized chunks and
+    /// driving the append-chunk protocol.
     pub fn append_documents_in(
         &self,
         tenant: &str,
@@ -2443,25 +2079,9 @@ impl MiscelaService {
         Ok(summary)
     }
 
-    /// Convenience wrapper: uploads a full `data.csv` document by splitting
-    /// it into paper-sized chunks and driving the chunk protocol.
-    pub fn upload_documents(
-        &self,
-        dataset: &str,
-        data_csv_text: &str,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-        chunk_lines: usize,
-    ) -> Result<DatasetSummary, ApiError> {
-        self.begin_upload(dataset, location_csv_text, attribute_csv_text)?;
-        for chunk in miscela_csv::split_into_chunks(data_csv_text, chunk_lines) {
-            self.upload_chunk(dataset, &chunk)?;
-        }
-        let (summary, _) = self.finish_upload(dataset)?;
-        Ok(summary)
-    }
-
-    /// [`MiscelaService::upload_documents`] in a tenant's namespace.
+    /// Convenience driver: uploads a full `data.csv` document into a
+    /// tenant's namespace by splitting it into paper-sized chunks and
+    /// driving the chunk protocol.
     pub fn upload_documents_in(
         &self,
         tenant: &str,
@@ -2481,64 +2101,23 @@ impl MiscelaService {
 
     // ----- mining ---------------------------------------------------------
 
-    /// Mines a registered dataset with the given parameters, consulting the
-    /// cache first (Section 3.3). The cache key carries the dataset's
-    /// current revision, so results mined before an append can never be
-    /// served for the appended content.
-    pub fn mine(&self, dataset: &str, params: &MiningParams) -> Result<MineOutcome, ApiError> {
-        self.mine_cancellable(dataset, params, None, &CancelToken::never())
-    }
-
-    /// [`MiscelaService::mine`] in a tenant's namespace.
-    pub fn mine_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        params: &MiningParams,
-    ) -> Result<MineOutcome, ApiError> {
-        self.mine_scoped(
-            &Scope::new(tenant, dataset)?,
-            params,
-            None,
-            &CancelToken::never(),
-        )
-    }
-
-    /// Like [`MiscelaService::mine`], with a wall-clock deadline: the
-    /// request fails with [`ApiError::DeadlineExceeded`] if it is still
-    /// queued for admission at the deadline, and an in-flight mine aborts
-    /// cooperatively within a bounded stride once the deadline passes.
-    /// Cache hits are served even past the deadline — they cost nothing.
-    pub fn mine_with_deadline(
-        &self,
-        dataset: &str,
-        params: &MiningParams,
-        deadline: Option<Instant>,
-    ) -> Result<MineOutcome, ApiError> {
-        self.mine_cancellable(dataset, params, deadline, &CancelToken::never())
-    }
-
-    /// The full serving path under overload protection: cache lookup →
-    /// cost-weighted admission (bounded queue, immediate shedding beyond
-    /// it) → cancellable mine.
+    /// Mines a tenant's registered dataset — the full serving path under
+    /// overload protection: cache lookup (Section 3.3) → cost-weighted
+    /// admission (bounded queue, immediate shedding beyond it) →
+    /// cancellable mine. The cache key carries the dataset's current
+    /// revision, so results mined before an append can never be served
+    /// for the appended content.
     ///
     /// `cancel` lets a caller abort the mine from another thread; `deadline`
-    /// additionally bounds both queueing and mining time. A cancelled or
+    /// additionally bounds both queueing and mining time: the request fails
+    /// with [`ApiError::DeadlineExceeded`] if it is still queued for
+    /// admission at the deadline, and an in-flight mine aborts
+    /// cooperatively within a bounded stride once it passes. Cache hits are
+    /// served even past the deadline — they cost nothing. A cancelled or
     /// timed-out mine writes nothing into the result cache (only
     /// content-keyed per-series extraction states, which are valid for any
     /// retry), so a subsequent identical request recomputes and caches the
     /// complete result.
-    pub fn mine_cancellable(
-        &self,
-        dataset: &str,
-        params: &MiningParams,
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-    ) -> Result<MineOutcome, ApiError> {
-        self.mine_scoped(&Scope::default_tenant(dataset), params, deadline, cancel)
-    }
-
-    /// [`MiscelaService::mine_cancellable`] in a tenant's namespace.
     pub fn mine_cancellable_in(
         &self,
         tenant: &str,
@@ -2547,17 +2126,8 @@ impl MiscelaService {
         deadline: Option<Instant>,
         cancel: &CancelToken,
     ) -> Result<MineOutcome, ApiError> {
-        self.mine_scoped(&Scope::new(tenant, dataset)?, params, deadline, cancel)
-    }
-
-    fn mine_scoped(
-        &self,
-        scope: &Scope,
-        params: &MiningParams,
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-    ) -> Result<MineOutcome, ApiError> {
         let started = Instant::now();
+        let scope = Scope::new(tenant, dataset)?;
         params
             .validate()
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
@@ -2570,50 +2140,28 @@ impl MiscelaService {
         // still resolve a revision through their store record, so their
         // persisted results can be served from the cache without a
         // re-upload.
-        let entry = self.entry(scope).ok();
-        let (revision, trimmed) = match &entry {
-            Some(e) => (e.revision, e.dataset.trimmed() as u64),
-            None => self.stored_version(scope)?,
-        };
+        let entry = self.entry(&scope).ok();
+        let (revision, trimmed) = self.version(&scope, entry.as_ref())?;
         let key = CacheKey::for_state(&scope.key, revision, trimmed, params);
+        let hit = |caps| MineOutcome {
+            result: cached_result(caps),
+            cache_hit: true,
+            revision,
+            elapsed: started.elapsed(),
+        };
         if let Some(caps) = self.store.cache.get(&key) {
-            let result = MiningResult {
-                caps,
-                delayed: Vec::new(),
-                report: Default::default(),
-            };
-            return Ok(MineOutcome {
-                result,
-                cache_hit: true,
-                revision,
-                elapsed: started.elapsed(),
-            });
+            return Ok(hit(caps));
         }
-        let entry = entry.ok_or_else(|| {
-            ApiError::NotFound(format!(
-                "dataset {:?} is not resident; re-upload it",
-                scope.name
-            ))
-        })?;
+        let entry = entry.ok_or_else(|| not_resident(&scope.name))?;
         // A cache miss does real work: hold a cost-weighted admission
         // permit for the rest of the request, shedding (typed, retryable)
         // instead of queueing without bound.
         let cost = AdmissionController::mine_cost(&entry.dataset);
-        let _permit = self.admit_scoped(scope, cost, deadline)?;
+        let _permit = self.admit(&scope, cost, deadline)?;
         // An identical request may have filled the cache while this one
         // waited for admission; serving it now keeps the work bounded.
         if let Some(caps) = self.store.cache.get(&key) {
-            let result = MiningResult {
-                caps,
-                delayed: Vec::new(),
-                report: Default::default(),
-            };
-            return Ok(MineOutcome {
-                result,
-                cache_hit: true,
-                revision,
-                elapsed: started.elapsed(),
-            });
+            return Ok(hit(caps));
         }
         let miner = Miner::new(params.clone()).map_err(|e| ApiError::BadRequest(e.to_string()))?;
         // The full-result cache missed, but the per-series extraction cache
@@ -2621,23 +2169,14 @@ impl MiscelaService {
         // when only search-side parameters (ψ, η, μ) were tweaked — and
         // appended series resume from their cached prefix states instead of
         // re-extracting from scratch.
-        let extraction = self.extraction_for(scope);
+        let extraction = self.extraction_for(&scope);
         let token = match deadline {
             Some(d) => cancel.with_deadline(d),
             None => cancel.clone(),
         };
         let result = miner
             .mine_cancellable(&entry.dataset, Some(&*extraction), &token)
-            .map_err(|e| match e {
-                MiningError::Cancelled => {
-                    ApiError::DeadlineExceeded(format!("mine of {:?} was cancelled", scope.name))
-                }
-                MiningError::DeadlineExceeded => ApiError::DeadlineExceeded(format!(
-                    "mine of {:?} passed its deadline before completing",
-                    scope.name
-                )),
-                other => ApiError::Internal(other.to_string()),
-            })?;
+            .map_err(|e| mining_err("mine", &scope.name, e))?;
         self.store.cache.put(&key, &result.caps);
         Ok(MineOutcome {
             result,
@@ -2647,41 +2186,23 @@ impl MiscelaService {
         })
     }
 
-    /// Serves a batch parameter sweep: the whole ψ/η/μ grid as **one**
-    /// scheduled job ([`Miner::mine_sweep`]) instead of one request per
-    /// point.
+    /// Serves a batch parameter sweep over a tenant's dataset: the whole
+    /// ψ/η/μ grid as **one** scheduled job ([`Miner::mine_sweep`]) instead
+    /// of one request per point.
     ///
-    /// The serving path mirrors [`MiscelaService::mine_cancellable`], batch
-    /// style: a keyed retry replays the original response body; duplicate
-    /// grid points are deduplicated server-side; each distinct point is
-    /// probed against the revision-aware result cache; and only the misses
-    /// are mined — under a **single** admission permit charged at the
-    /// per-mine cost scaled by the number of points actually mined (an
-    /// all-hit sweep is admission-free, like a solo cache hit). Freshly
+    /// The serving path mirrors [`MiscelaService::mine_cancellable_in`],
+    /// batch style: a keyed retry replays the original response body;
+    /// duplicate grid points are deduplicated server-side; each distinct
+    /// point is probed against the revision-aware result cache; and only
+    /// the misses are mined — under a **single** admission permit charged
+    /// at the per-mine cost scaled by the number of points actually mined
+    /// (an all-hit sweep is admission-free, like a solo cache hit). Freshly
     /// mined points are written back to the result cache individually, so
     /// a later solo mine of any grid point is a cache hit.
     ///
     /// The caller is responsible for serializing the fresh outcome and
-    /// handing the body to [`MiscelaService::remember_sweep`] so retries
+    /// handing the body to [`MiscelaService::remember_sweep_in`] so retries
     /// can replay it.
-    pub fn mine_sweep(
-        &self,
-        dataset: &str,
-        points: &[MiningParams],
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-        key: Option<&str>,
-    ) -> Result<SweepServed, ApiError> {
-        self.mine_sweep_scoped(
-            &Scope::default_tenant(dataset),
-            points,
-            deadline,
-            cancel,
-            key,
-        )
-    }
-
-    /// [`MiscelaService::mine_sweep`] in a tenant's namespace.
     pub fn mine_sweep_in(
         &self,
         tenant: &str,
@@ -2691,22 +2212,12 @@ impl MiscelaService {
         cancel: &CancelToken,
         key: Option<&str>,
     ) -> Result<SweepServed, ApiError> {
-        self.mine_sweep_scoped(&Scope::new(tenant, dataset)?, points, deadline, cancel, key)
-    }
-
-    fn mine_sweep_scoped(
-        &self,
-        scope: &Scope,
-        points: &[MiningParams],
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-        key: Option<&str>,
-    ) -> Result<SweepServed, ApiError> {
         let started = Instant::now();
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = Scope::new(tenant, dataset)?;
+        if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Sweep { body } => Ok(SweepServed::Replayed(body)),
-                _ => Err(Self::key_conflict(key.expect("replay hit requires a key"))),
+                _ => Err(Self::key_conflict(key.unwrap_or_default())),
             };
         }
         if points.is_empty() {
@@ -2718,11 +2229,8 @@ impl MiscelaService {
             p.validate()
                 .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         }
-        let entry = self.entry(scope).ok();
-        let (revision, trimmed) = match &entry {
-            Some(e) => (e.revision, e.dataset.trimmed() as u64),
-            None => self.stored_version(scope)?,
-        };
+        let entry = self.entry(&scope).ok();
+        let (revision, trimmed) = self.version(&scope, entry.as_ref())?;
         // Server-side dedup: repeated grid points cost one cache probe and
         // at most one mine, and always share one result.
         let mut unique: Vec<&MiningParams> = Vec::new();
@@ -2739,11 +2247,7 @@ impl MiscelaService {
         }
         let probe = |i: usize| -> Option<MiningResult> {
             let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
-            self.store.cache.get(&ck).map(|caps| MiningResult {
-                caps,
-                delayed: Vec::new(),
-                report: Default::default(),
-            })
+            self.store.cache.get(&ck).map(cached_result)
         };
         let mut results: Vec<Option<MiningResult>> = (0..unique.len()).map(probe).collect();
         let was_cached: Vec<bool> = results.iter().map(|r| r.is_some()).collect();
@@ -2752,17 +2256,12 @@ impl MiscelaService {
             .collect();
         let mut stats = SweepStats::default();
         if !missing.is_empty() {
-            let entry = entry.ok_or_else(|| {
-                ApiError::NotFound(format!(
-                    "dataset {:?} is not resident; re-upload it",
-                    scope.name
-                ))
-            })?;
+            let entry = entry.ok_or_else(|| not_resident(&scope.name))?;
             // One admission charge for the whole job, scaled by the grid
             // points that actually need mining.
             let cost =
                 AdmissionController::mine_cost(&entry.dataset).saturating_mul(missing.len() as u64);
-            let _permit = self.admit_scoped(scope, cost, deadline)?;
+            let _permit = self.admit(&scope, cost, deadline)?;
             // Identical requests may have filled entries while this one
             // waited for admission.
             let still: Vec<usize> = missing
@@ -2777,23 +2276,13 @@ impl MiscelaService {
                 .collect();
             if !still.is_empty() {
                 let grid: Vec<MiningParams> = still.iter().map(|&i| unique[i].clone()).collect();
-                let extraction = self.extraction_for(scope);
+                let extraction = self.extraction_for(&scope);
                 let token = match deadline {
                     Some(d) => cancel.with_deadline(d),
                     None => cancel.clone(),
                 };
                 let out = Miner::mine_sweep(&entry.dataset, &grid, Some(&*extraction), &token)
-                    .map_err(|e| match e {
-                        MiningError::Cancelled => ApiError::DeadlineExceeded(format!(
-                            "sweep of {:?} was cancelled",
-                            scope.name
-                        )),
-                        MiningError::DeadlineExceeded => ApiError::DeadlineExceeded(format!(
-                            "sweep of {:?} passed its deadline before completing",
-                            scope.name
-                        )),
-                        other => ApiError::Internal(other.to_string()),
-                    })?;
+                    .map_err(|e| mining_err("sweep", &scope.name, e))?;
                 stats = out.stats;
                 for (&i, result) in still.iter().zip(out.results) {
                     let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
@@ -2806,33 +2295,28 @@ impl MiscelaService {
         // the request's true shape (work counters stay as performed).
         stats.requested_points = points.len();
         stats.unique_points = unique.len();
+        let results = point_of
+            .iter()
+            .map(|&ui| {
+                results[ui].clone().ok_or_else(|| {
+                    ApiError::Internal(format!("sweep point {ui} was left unresolved"))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(SweepServed::Fresh(SweepOutcome {
             cache_hits: point_of.iter().map(|&ui| was_cached[ui]).collect(),
-            results: point_of
-                .iter()
-                .map(|&ui| results[ui].clone().expect("every unique point resolved"))
-                .collect(),
+            results,
             stats,
             revision,
             elapsed: started.elapsed(),
         }))
     }
 
-    /// Caches the serialized response body of a keyed sweep so an
-    /// identical retry replays it verbatim ([`ReplayOutcome::Sweep`];
-    /// memory-only — excluded from snapshot persistence). No-op without a
-    /// key.
-    pub fn remember_sweep(&self, key: Option<&str>, dataset: &str, body: String) {
-        self.remember(
-            key,
-            &Scope::default_tenant(dataset),
-            ReplayOutcome::Sweep { body },
-        );
-    }
-
-    /// [`MiscelaService::remember_sweep`] in a tenant's namespace. An
-    /// invalid tenant name is a no-op (the serving call already rejected
-    /// it).
+    /// Caches the serialized response body of a keyed sweep on a tenant's
+    /// dataset so an identical retry replays it verbatim
+    /// ([`ReplayOutcome::Sweep`]; memory-only — excluded from snapshot
+    /// persistence). No-op without a key, and for an invalid tenant or
+    /// dataset name (the serving call already rejected it).
     pub fn remember_sweep_in(&self, tenant: &str, dataset: &str, key: Option<&str>, body: String) {
         if let Ok(scope) = Scope::new(tenant, dataset) {
             self.remember(key, &scope, ReplayOutcome::Sweep { body });
@@ -2841,22 +2325,12 @@ impl MiscelaService {
 
     // ----- watch ---------------------------------------------------------
 
-    /// Long-polls a dataset's revision: returns immediately when the
-    /// current revision differs from `since_revision` (pass 0 — no real
+    /// Long-polls a tenant's dataset's revision: returns immediately when
+    /// the current revision differs from `since_revision` (pass 0 — no real
     /// revision — to observe the current state), otherwise parks on the
     /// owning shard's condvar until an append, retention trim, delete or
     /// re-registration bumps it, or `deadline` passes (`changed = false`).
     /// A delete wakes parked watchers with the typed `NotFound` close.
-    pub fn watch(
-        &self,
-        name: &str,
-        since_revision: u64,
-        deadline: Instant,
-    ) -> Result<WatchOutcome, ApiError> {
-        self.watch_scoped(&Scope::default_tenant(name), since_revision, deadline)
-    }
-
-    /// [`MiscelaService::watch`] in a tenant's namespace.
     pub fn watch_in(
         &self,
         tenant: &str,
@@ -2864,15 +2338,7 @@ impl MiscelaService {
         since_revision: u64,
         deadline: Instant,
     ) -> Result<WatchOutcome, ApiError> {
-        self.watch_scoped(&Scope::new(tenant, name)?, since_revision, deadline)
-    }
-
-    fn watch_scoped(
-        &self,
-        scope: &Scope,
-        since_revision: u64,
-        deadline: Instant,
-    ) -> Result<WatchOutcome, ApiError> {
+        let scope = Scope::new(tenant, name)?;
         let shard = self.store.shard(&scope.key);
         // Classic condvar discipline: hold `watch_seq` from predicate check
         // to park, so a bump (which takes `watch_seq` to increment it)
@@ -2919,16 +2385,6 @@ impl MiscelaService {
             seq = guard;
         }
     }
-
-    /// Dataset statistics for a registered dataset.
-    pub fn dataset_stats(&self, name: &str) -> Result<DatasetStats, ApiError> {
-        Ok(self.dataset(name)?.stats())
-    }
-
-    /// [`MiscelaService::dataset_stats`] in a tenant's namespace.
-    pub fn dataset_stats_in(&self, tenant: &str, name: &str) -> Result<DatasetStats, ApiError> {
-        Ok(self.dataset_in(tenant, name)?.stats())
-    }
 }
 
 impl Default for MiscelaService {
@@ -2937,26 +2393,6 @@ impl Default for MiscelaService {
     }
 }
 
-/// The registry document for one dataset revision. Reads only O(1) dataset
-/// accessors — no per-value scans — so writing it on the append path keeps
-/// the service append O(tail). `name` stays the tenant-local dataset name;
-/// `tenant` and the scoped `key` make the record addressable per namespace.
-fn dataset_record(scope: &Scope, ds: &Dataset, revision: u64) -> Json {
-    let mut doc = Json::object();
-    doc.set("name", Json::from(ds.name()));
-    doc.set("tenant", Json::from(scope.tenant.as_str()));
-    doc.set("key", Json::from(scope.key.as_str()));
-    doc.set("revision", Json::from(revision as i64));
-    doc.set("trimmed", Json::from(ds.trimmed()));
-    doc.set("sensors", Json::from(ds.sensor_count()));
-    doc.set("records", Json::from(ds.record_count()));
-    doc.set("timestamps", Json::from(ds.timestamp_count()));
-    doc.set(
-        "attributes",
-        Json::Array(ds.attributes().names().map(Json::from).collect()),
-    );
-    doc
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2976,51 +2412,69 @@ mod tests {
             .with_segmentation(false)
     }
 
+    fn register(svc: &MiscelaService, dataset: Dataset) -> DatasetSummary {
+        svc.register_dataset_keyed_in(DEFAULT_TENANT, dataset, None)
+            .unwrap()
+            .0
+    }
+
+    fn mine(
+        svc: &MiscelaService,
+        dataset: &str,
+        params: &MiningParams,
+    ) -> Result<MineOutcome, ApiError> {
+        svc.mine_cancellable_in(DEFAULT_TENANT, dataset, params, None, &CancelToken::never())
+    }
+
     #[test]
     fn register_list_delete() {
         let svc = MiscelaService::new();
-        assert!(svc.list_datasets().is_empty());
-        let summary = svc.register_dataset(small_dataset());
+        assert!(svc.list_datasets_in(DEFAULT_TENANT).unwrap().is_empty());
+        let summary = register(&svc, small_dataset());
         assert_eq!(summary.name, "santander");
         assert!(summary.sensors > 0);
-        let listed = svc.list_datasets();
+        let listed = svc.list_datasets_in(DEFAULT_TENANT).unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0], summary);
-        assert!(svc.dataset("santander").is_ok());
-        assert!(svc.dataset_stats("santander").is_ok());
-        svc.delete_dataset("santander").unwrap();
-        assert!(svc.dataset("santander").is_err());
-        assert!(svc.delete_dataset("santander").is_err());
+        assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_ok());
+        assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_ok());
+        svc.delete_dataset_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
+        assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_err());
+        assert!(svc
+            .delete_dataset_keyed_in(DEFAULT_TENANT, "santander", None)
+            .is_err());
     }
 
     #[test]
     fn mine_uses_cache_on_repeat_requests() {
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         let params = quick_params();
-        let first = svc.mine("santander", &params).unwrap();
+        let first = mine(&svc, "santander", &params).unwrap();
         assert!(!first.cache_hit);
-        let second = svc.mine("santander", &params).unwrap();
+        let second = mine(&svc, "santander", &params).unwrap();
         assert!(second.cache_hit);
         assert_eq!(second.result.caps, first.result.caps);
         // A different parameter setting misses the cache.
-        let third = svc.mine("santander", &params.clone().with_psi(21)).unwrap();
+        let third = mine(&svc, "santander", &params.clone().with_psi(21)).unwrap();
         assert!(!third.cache_hit);
         // Unknown dataset and invalid parameters are rejected.
-        assert!(svc.mine("nope", &params).is_err());
-        assert!(svc
-            .mine("santander", &MiningParams::new().with_psi(0))
-            .is_err());
+        assert!(mine(&svc, "nope", &params).is_err());
+        assert!(mine(&svc, "santander", &MiningParams::new().with_psi(0)).is_err());
     }
 
     #[test]
     fn extraction_cache_skips_front_end_on_parameter_tweaks() {
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         let params = quick_params();
-        let first = svc.mine("santander", &params).unwrap();
+        let first = mine(&svc, "santander", &params).unwrap();
         assert_eq!(first.result.report.extraction_cache_hits, 0);
-        let sensors = svc.dataset("santander").unwrap().sensor_count();
+        let sensors = svc
+            .dataset_in(DEFAULT_TENANT, "santander")
+            .unwrap()
+            .sensor_count();
         let stats = svc.extraction_cache_stats();
         // Two entries per series: the content key, plus the salted
         // origin-anchored alias that lets trimmed descendants recover the
@@ -3031,32 +2485,30 @@ mod tests {
         );
         // A ψ tweak misses the result cache but hits the extraction cache
         // for every series — steps (1)+(2) are skipped entirely.
-        let tweaked = svc.mine("santander", &params.clone().with_psi(25)).unwrap();
+        let tweaked = mine(&svc, "santander", &params.clone().with_psi(25)).unwrap();
         assert!(!tweaked.cache_hit);
         assert_eq!(tweaked.result.report.extraction_cache_hits, sensors);
         // The cached front-end must not change the mined CAPs.
         let direct = Miner::new(params.clone().with_psi(25))
             .unwrap()
-            .mine(&svc.dataset("santander").unwrap())
+            .mine(&svc.dataset_in(DEFAULT_TENANT, "santander").unwrap())
             .unwrap();
         assert_eq!(tweaked.result.caps, direct.caps);
         // An ε change re-extracts (different extraction key).
-        let new_eps = svc
-            .mine("santander", &params.clone().with_epsilon(0.7))
-            .unwrap();
+        let new_eps = mine(&svc, "santander", &params.clone().with_epsilon(0.7)).unwrap();
         assert_eq!(new_eps.result.report.extraction_cache_hits, 0);
     }
 
     #[test]
     fn reregistering_invalidates_cache() {
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         let params = quick_params();
-        let _ = svc.mine("santander", &params).unwrap();
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        let _ = mine(&svc, "santander", &params).unwrap();
+        assert!(mine(&svc, "santander", &params).unwrap().cache_hit);
         // New upload under the same name: cached results must not survive.
-        svc.register_dataset(small_dataset());
-        assert!(!svc.mine("santander", &params).unwrap().cache_hit);
+        register(&svc, small_dataset());
+        assert!(!mine(&svc, "santander", &params).unwrap().cache_hit);
     }
 
     #[test]
@@ -3068,17 +2520,21 @@ mod tests {
         let attributes = writer.attribute_csv(&generated);
 
         let svc = MiscelaService::new();
-        svc.begin_upload("uploaded", &locations, &attributes)
+        svc.begin_upload_keyed_in(DEFAULT_TENANT, "uploaded", &locations, &attributes, None)
             .unwrap();
         let chunks = miscela_csv::split_into_chunks(&data, 1_000);
         assert!(chunks.len() > 1);
         for (i, chunk) in chunks.iter().enumerate() {
-            let missing = svc.upload_chunk("uploaded", chunk).unwrap();
+            let missing = svc
+                .upload_chunk_in(DEFAULT_TENANT, "uploaded", chunk)
+                .unwrap();
             assert_eq!(missing, chunks.len() - i - 1);
         }
-        let (summary, _elapsed) = svc.finish_upload("uploaded").unwrap();
+        let (summary, _elapsed, _) = svc
+            .finish_upload_keyed_in(DEFAULT_TENANT, "uploaded", None)
+            .unwrap();
         assert_eq!(summary.sensors, generated.sensor_count());
-        let uploaded = svc.dataset("uploaded").unwrap();
+        let uploaded = svc.dataset_in(DEFAULT_TENANT, "uploaded").unwrap();
         assert_eq!(uploaded.timestamp_count(), generated.timestamp_count());
         assert_eq!(uploaded.present_count(), generated.present_count());
     }
@@ -3090,25 +2546,37 @@ mod tests {
         let chunk = miscela_csv::split_into_chunks("id,attribute,time,data\n", 10)
             .into_iter()
             .next();
-        assert!(chunk.is_none() || svc.upload_chunk("ghost", &chunk.unwrap()).is_err());
+        assert!(
+            chunk.is_none()
+                || svc
+                    .upload_chunk_in(DEFAULT_TENANT, "ghost", &chunk.unwrap())
+                    .is_err()
+        );
         // Malformed location.csv fails at begin_upload.
         assert!(svc
-            .begin_upload("bad", "not,a,valid", "temperature\n")
+            .begin_upload_keyed_in(DEFAULT_TENANT, "bad", "not,a,valid", "temperature\n", None)
             .is_err());
         // Finishing an upload that never started.
-        assert!(svc.finish_upload("ghost").is_err());
+        assert!(svc
+            .finish_upload_keyed_in(DEFAULT_TENANT, "ghost", None)
+            .is_err());
         // Incomplete upload cannot be finished.
         let generated = small_dataset();
         let writer = DatasetWriter::new();
-        svc.begin_upload(
+        svc.begin_upload_keyed_in(
+            DEFAULT_TENANT,
             "partial",
             &writer.location_csv(&generated),
             &writer.attribute_csv(&generated),
+            None,
         )
         .unwrap();
         let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&generated), 2_000);
-        svc.upload_chunk("partial", &chunks[0]).unwrap();
-        assert!(svc.finish_upload("partial").is_err());
+        svc.upload_chunk_in(DEFAULT_TENANT, "partial", &chunks[0])
+            .unwrap();
+        assert!(svc
+            .finish_upload_keyed_in(DEFAULT_TENANT, "partial", None)
+            .is_err());
     }
 
     #[test]
@@ -3125,7 +2593,8 @@ mod tests {
         // Register the prefix through the real upload path, then stream the
         // tail through the append-chunk protocol.
         let svc = MiscelaService::new();
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3133,40 +2602,56 @@ mod tests {
             5_000,
         )
         .unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 1);
+        assert_eq!(
+            svc.dataset_revision_in(DEFAULT_TENANT, "santander")
+                .unwrap(),
+            1
+        );
         let params = quick_params();
-        let before = svc.mine("santander", &params).unwrap();
+        let before = mine(&svc, "santander", &params).unwrap();
         assert_eq!(before.revision, 1);
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(mine(&svc, "santander", &params).unwrap().cache_hit);
 
-        svc.begin_append("santander").unwrap();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
         let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 100);
         assert!(chunks.len() > 1);
         for (i, chunk) in chunks.iter().enumerate() {
-            let missing = svc.append_chunk("santander", chunk).unwrap();
+            let missing = svc
+                .append_chunk_in(DEFAULT_TENANT, "santander", chunk)
+                .unwrap();
             assert_eq!(missing, chunks.len() - i - 1);
         }
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        let (summary, _elapsed, _) = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
         assert_eq!(summary.new_timestamps, 24);
         assert_eq!(summary.timestamps, n);
         assert_eq!(summary.revision, 2);
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 2);
+        assert_eq!(
+            svc.dataset_revision_in(DEFAULT_TENANT, "santander")
+                .unwrap(),
+            2
+        );
 
         // The revision bump makes the pre-append cached result unreachable,
         // and the re-mine resumes extraction from cached prefix states.
-        let after = svc.mine("santander", &params).unwrap();
+        let after = mine(&svc, "santander", &params).unwrap();
         assert!(!after.cache_hit);
         assert_eq!(after.revision, 2);
         let report = &after.result.report;
         assert_eq!(
             report.extraction_cache_hits + report.extraction_prefix_hits,
-            svc.dataset("santander").unwrap().sensor_count()
+            svc.dataset_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .sensor_count()
         );
         assert!(report.extraction_prefix_hits > 0);
         assert!(svc.extraction_cache_stats().prefix_hits > 0);
         // Equivalence: identical CAPs to a cold mine of the full upload.
         let cold = MiscelaService::new();
-        cold.upload_documents(
+        cold.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&full),
             &writer.location_csv(&full),
@@ -3176,34 +2661,52 @@ mod tests {
         .unwrap();
         assert_eq!(
             after.result.caps,
-            cold.mine("santander", &params).unwrap().result.caps
+            mine(&cold, "santander", &params).unwrap().result.caps
         );
         // The appended revision is itself cached now.
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(mine(&svc, "santander", &params).unwrap().cache_hit);
     }
 
     #[test]
     fn append_error_paths() {
         let svc = MiscelaService::new();
         // Appending to an unregistered dataset fails at begin.
-        assert!(svc.begin_append("ghost").is_err());
-        svc.register_dataset(small_dataset());
+        assert!(svc
+            .begin_append_keyed_in(DEFAULT_TENANT, "ghost", None)
+            .is_err());
+        register(&svc, small_dataset());
         // Chunk/finish without a session in progress.
         let chunk = miscela_csv::split_into_chunks("id,attribute,time,data\n", 10).pop();
-        assert!(chunk.is_none() || svc.append_chunk("santander", &chunk.unwrap()).is_err());
-        assert!(svc.finish_append("santander").is_err());
+        assert!(
+            chunk.is_none()
+                || svc
+                    .append_chunk_in(DEFAULT_TENANT, "santander", &chunk.unwrap())
+                    .is_err()
+        );
+        assert!(svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .is_err());
         // Rows inside the existing grid are rejected at finish and leave
         // the dataset untouched.
         let writer = DatasetWriter::new();
-        let ds = svc.dataset("santander").unwrap();
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
         let n = ds.timestamp_count();
         let stale_csv = writer.data_csv(&ds);
         drop(ds);
         assert!(svc
-            .append_documents("santander", &stale_csv, 10_000)
+            .append_documents_in(DEFAULT_TENANT, "santander", &stale_csv, 10_000)
             .is_err());
-        assert_eq!(svc.dataset("santander").unwrap().timestamp_count(), n);
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 1);
+        assert_eq!(
+            svc.dataset_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .timestamp_count(),
+            n
+        );
+        assert_eq!(
+            svc.dataset_revision_in(DEFAULT_TENANT, "santander")
+                .unwrap(),
+            1
+        );
     }
 
     #[test]
@@ -3221,7 +2724,8 @@ mod tests {
         let writer = DatasetWriter::new();
 
         let svc = MiscelaService::new();
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3229,17 +2733,17 @@ mod tests {
             10_000,
         )
         .unwrap();
-        let before = svc.dataset("santander").unwrap();
+        let before = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
         assert!(
             before.iter().next().unwrap().series.block_count() > 0,
             "fixture must be long enough to have sealed blocks"
         );
         let summary = svc
-            .append_documents("santander", &writer.data_csv(&tail), 10_000)
+            .append_documents_in(DEFAULT_TENANT, "santander", &writer.data_csv(&tail), 10_000)
             .unwrap();
         assert_eq!(summary.new_timestamps, 8);
         assert_eq!(summary.trimmed_timestamps, 0);
-        let after = svc.dataset("santander").unwrap();
+        let after = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
         for idx in before.indices() {
             let old = before.series(idx);
             let new = after.series(idx);
@@ -3256,40 +2760,57 @@ mod tests {
         use miscela_model::{RetentionPolicy, SERIES_BLOCK_LEN};
 
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         let params = quick_params();
-        let before = svc.mine("santander", &params).unwrap();
+        let before = mine(&svc, "santander", &params).unwrap();
         assert_eq!(before.revision, 1);
 
         // A policy that trims nothing yet does not bump the revision.
-        let n = svc.dataset("santander").unwrap().timestamp_count();
+        let n = svc
+            .dataset_in(DEFAULT_TENANT, "santander")
+            .unwrap()
+            .timestamp_count();
         assert!(n > SERIES_BLOCK_LEN, "fixture must span multiple blocks");
         let noop = svc
-            .set_retention("santander", RetentionPolicy::keep_last(n))
-            .unwrap();
+            .set_retention_keyed_in(
+                DEFAULT_TENANT,
+                "santander",
+                RetentionPolicy::keep_last(n),
+                None,
+            )
+            .unwrap()
+            .0;
         assert_eq!(noop.trimmed_timestamps, 0);
         assert_eq!(noop.revision, 1);
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(mine(&svc, "santander", &params).unwrap().cache_hit);
 
         // A tight window trims whole blocks, bumps the revision, and makes
         // the pre-trim cached result unreachable.
         let tight = svc
-            .set_retention("santander", RetentionPolicy::keep_last(16))
-            .unwrap();
+            .set_retention_keyed_in(
+                DEFAULT_TENANT,
+                "santander",
+                RetentionPolicy::keep_last(16),
+                None,
+            )
+            .unwrap()
+            .0;
         assert_eq!(tight.trimmed_timestamps, SERIES_BLOCK_LEN);
         assert_eq!(tight.trimmed_total, SERIES_BLOCK_LEN);
         assert_eq!(tight.timestamps, n - SERIES_BLOCK_LEN);
         assert_eq!(tight.revision, 2);
         assert_eq!(
-            svc.retention("santander").unwrap(),
+            *svc.dataset_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .retention(),
             RetentionPolicy::keep_last(16)
         );
-        let after = svc.mine("santander", &params).unwrap();
+        let after = mine(&svc, "santander", &params).unwrap();
         assert!(!after.cache_hit);
         assert_eq!(after.revision, 2);
         // Equivalence: the trimmed window mines identically to a cold
         // re-chunked copy of the same content.
-        let ds = svc.dataset("santander").unwrap();
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
         let twin = ds
             .slice_time(ds.grid().start(), ds.grid().range().end)
             .unwrap();
@@ -3323,7 +2844,8 @@ mod tests {
             .unwrap();
 
         let svc = MiscelaService::new();
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "stream",
             &writer.data_csv(&initial),
             &writer.location_csv(&initial),
@@ -3331,10 +2853,15 @@ mod tests {
             10_000,
         )
         .unwrap();
-        svc.set_retention("stream", RetentionPolicy::keep_last(SERIES_BLOCK_LEN))
-            .unwrap();
+        svc.set_retention_keyed_in(
+            DEFAULT_TENANT,
+            "stream",
+            RetentionPolicy::keep_last(SERIES_BLOCK_LEN),
+            None,
+        )
+        .unwrap();
         let params = quick_params();
-        svc.mine("stream", &params).unwrap();
+        mine(&svc, "stream", &params).unwrap();
 
         let mut appended_through = window_end;
         let mut mirror_len = window_end;
@@ -3348,7 +2875,7 @@ mod tests {
                 .unwrap();
             appended_through += batch;
             let summary = svc
-                .append_documents("stream", &writer.data_csv(&tail), 10_000)
+                .append_documents_in(DEFAULT_TENANT, "stream", &writer.data_csv(&tail), 10_000)
                 .unwrap();
             assert_eq!(summary.new_timestamps, batch);
             // Mirror the policy: trims are block-granular over the excess.
@@ -3359,9 +2886,9 @@ mod tests {
             mirror_len -= expect_trim;
             total_trimmed += expect_trim;
             assert_eq!(summary.timestamps, mirror_len);
-            let warm = svc.mine("stream", &params).unwrap();
+            let warm = mine(&svc, "stream", &params).unwrap();
             assert_eq!(warm.revision, summary.revision);
-            let ds = svc.dataset("stream").unwrap();
+            let ds = svc.dataset_in(DEFAULT_TENANT, "stream").unwrap();
             let twin = ds
                 .slice_time(ds.grid().start(), ds.grid().range().end)
                 .unwrap();
@@ -3376,7 +2903,10 @@ mod tests {
         }
         // The stream actually slid (at least one block-granular trim ran).
         assert!(total_trimmed >= SERIES_BLOCK_LEN);
-        assert_eq!(svc.dataset("stream").unwrap().trimmed(), total_trimmed);
+        assert_eq!(
+            svc.dataset_in(DEFAULT_TENANT, "stream").unwrap().trimmed(),
+            total_trimmed
+        );
         // Dead revisions were garbage-collected from the result cache: only
         // the live revision's entry remains stored.
         assert_eq!(svc.store.cache.stored_results(), 1);
@@ -3391,23 +2921,23 @@ mod tests {
         // must never garbage-collect the still-valid extraction states of
         // a quiet dataset.
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset()); // busy feed "santander"
+        register(&svc, small_dataset()); // busy feed "santander"
         let quiet = ChinaGenerator::small(ChinaProfile::China6)
             .with_scale(0.006)
             .generate();
         let quiet_sensors = quiet.sensor_count();
-        svc.register_dataset(quiet); // quiet dataset "china6"
+        register(&svc, quiet); // quiet dataset "china6"
         let params = quick_params();
-        svc.mine("china6", &params).unwrap();
+        mine(&svc, "china6", &params).unwrap();
 
         // Churn the busy feed far past DEFAULT_KEEP_GENERATIONS.
         for _ in 0..(2 * miscela_cache::DEFAULT_KEEP_GENERATIONS + 2) {
-            svc.register_dataset(small_dataset());
+            register(&svc, small_dataset());
         }
 
         // A psi tweak forces the extraction path for the quiet dataset:
         // every one of its series must still hit its cached state.
-        let outcome = svc.mine("china6", &params.clone().with_psi(21)).unwrap();
+        let outcome = mine(&svc, "china6", &params.clone().with_psi(21)).unwrap();
         assert_eq!(
             outcome.result.report.extraction_cache_hits, quiet_sensors,
             "churn on the busy feed evicted the quiet dataset's states"
@@ -3422,19 +2952,28 @@ mod tests {
         // sealed block, leaving only the mutable tail — the dataset must
         // survive (retention never empties the grid) and keep mining.
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
-        let n = svc.dataset("santander").unwrap().timestamp_count();
+        register(&svc, small_dataset());
+        let n = svc
+            .dataset_in(DEFAULT_TENANT, "santander")
+            .unwrap()
+            .timestamp_count();
         let summary = svc
-            .set_retention("santander", RetentionPolicy::keep_last(1))
-            .unwrap();
-        let ds = svc.dataset("santander").unwrap();
+            .set_retention_keyed_in(
+                DEFAULT_TENANT,
+                "santander",
+                RetentionPolicy::keep_last(1),
+                None,
+            )
+            .unwrap()
+            .0;
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
         assert_eq!(ds.iter().next().unwrap().series.block_count(), 0);
         assert_eq!(ds.timestamp_count(), n - summary.trimmed_timestamps);
         assert_eq!(ds.timestamp_count(), n % SERIES_BLOCK_LEN);
         assert!(ds.timestamp_count() > 0);
         // The tail-only window still mines (equivalently to its cold twin).
         let params = quick_params();
-        let warm = svc.mine("santander", &params).unwrap();
+        let warm = mine(&svc, "santander", &params).unwrap();
         let twin = ds
             .slice_time(ds.grid().start(), ds.grid().range().end)
             .unwrap();
@@ -3448,7 +2987,8 @@ mod tests {
         let writer = DatasetWriter::new();
         let svc = MiscelaService::new();
         let summary = svc
-            .upload_documents(
+            .upload_documents_in(
+                DEFAULT_TENANT,
                 "conv",
                 &writer.data_csv(&generated),
                 &writer.location_csv(&generated),
@@ -3457,7 +2997,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(summary.sensors, generated.sensor_count());
-        assert_eq!(svc.list_datasets().len(), 1);
+        assert_eq!(svc.list_datasets_in(DEFAULT_TENANT).unwrap().len(), 1);
     }
 
     #[test]
@@ -3466,16 +3006,24 @@ mod tests {
         // typed NotFound, never a panic — including after the session was
         // cleared out from under the client by a delete or re-register.
         let svc = MiscelaService::new();
-        let err = svc.finish_append("ghost").unwrap_err();
+        let err = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "ghost", None)
+            .unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
-        svc.register_dataset(small_dataset());
-        let err = svc.finish_append("santander").unwrap_err();
+        register(&svc, small_dataset());
+        let err = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
         // delete_dataset clears the in-flight session.
-        svc.begin_append("santander").unwrap();
-        svc.delete_dataset("santander").unwrap();
-        svc.register_dataset(small_dataset());
-        let err = svc.finish_append("santander").unwrap_err();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
+        svc.delete_dataset_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
+        register(&svc, small_dataset());
+        let err = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
     }
 
@@ -3484,6 +3032,55 @@ mod tests {
             std::env::temp_dir().join(format!("miscela-service-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn append_status_reads_the_same_before_and_after_a_restart() {
+        // `received` counts distinct chunks however they arrived, so a
+        // durable session fed unsequenced chunks (which leave no sequenced
+        // acks) reports the same counts live and after recovery.
+        let full = small_dataset();
+        let n = full.timestamp_count();
+        let split_t = full.grid().at(n - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let writer = DatasetWriter::new();
+        let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 40);
+        assert!(chunks.len() > 2, "fixture must leave chunks missing");
+
+        let dir = durable_dir("append-status");
+        let live = {
+            let svc = MiscelaService::with_durability(&dir).unwrap();
+            svc.upload_documents_in(
+                DEFAULT_TENANT,
+                "santander",
+                &writer.data_csv(&prefix),
+                &writer.location_csv(&prefix),
+                &writer.attribute_csv(&prefix),
+                10_000,
+            )
+            .unwrap();
+            svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+                .unwrap();
+            for chunk in &chunks[..2] {
+                svc.append_chunk_in(DEFAULT_TENANT, "santander", chunk)
+                    .unwrap();
+            }
+            svc.append_status_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .unwrap()
+        };
+        assert_eq!((live.received, live.missing), (2, chunks.len() - 2));
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        let restarted = svc
+            .append_status_in(DEFAULT_TENANT, "santander")
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (restarted.received, restarted.missing),
+            (live.received, live.missing)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -3501,7 +3098,8 @@ mod tests {
         let before_caps;
         {
             let svc = MiscelaService::with_durability(&dir).unwrap();
-            svc.upload_documents(
+            svc.upload_documents_in(
+                DEFAULT_TENANT,
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -3509,22 +3107,35 @@ mod tests {
                 10_000,
             )
             .unwrap();
-            let summary = svc.append_documents("santander", &tail_csv, 100).unwrap();
+            let summary = svc
+                .append_documents_in(DEFAULT_TENANT, "santander", &tail_csv, 100)
+                .unwrap();
             assert_eq!(summary.revision, 2);
-            before_caps = svc.mine("santander", &params).unwrap().result.caps;
+            before_caps = mine(&svc, "santander", &params).unwrap().result.caps;
             // Drop without any shutdown hook: durability must not rely on one.
         }
         let svc = MiscelaService::with_durability(&dir).unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 2);
-        assert_eq!(svc.dataset("santander").unwrap().timestamp_count(), n);
+        assert_eq!(
+            svc.dataset_revision_in(DEFAULT_TENANT, "santander")
+                .unwrap(),
+            2
+        );
+        assert_eq!(
+            svc.dataset_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .timestamp_count(),
+            n
+        );
         // The 12-point tail sealed no new block, so the session survived in
         // the WAL (not a snapshot) and was replayed record by record.
-        let stats = svc.durability_stats("santander").unwrap();
+        let stats = svc
+            .durability_stats_in(DEFAULT_TENANT, "santander")
+            .unwrap();
         assert!(stats.replayed_records >= 3, "{stats:?}");
         assert_eq!(stats.snapshot_generation, 1);
         assert_eq!(stats.torn_bytes, 0);
         // Byte-identical mining outcome on the recovered dataset.
-        let after = svc.mine("santander", &params).unwrap();
+        let after = mine(&svc, "santander", &params).unwrap();
         assert!(!after.cache_hit);
         assert_eq!(after.revision, 2);
         assert_eq!(after.result.caps, before_caps);
@@ -3548,7 +3159,8 @@ mod tests {
         let dir = durable_dir("inflight");
         {
             let svc = MiscelaService::with_durability(&dir).unwrap();
-            svc.upload_documents(
+            svc.upload_documents_in(
+                DEFAULT_TENANT,
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -3556,31 +3168,46 @@ mod tests {
                 10_000,
             )
             .unwrap();
-            svc.begin_append("santander").unwrap();
+            svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+                .unwrap();
             let (first, rest) = chunks.split_at(chunks.len() / 2);
             for chunk in first {
-                svc.append_chunk("santander", chunk).unwrap();
+                svc.append_chunk_in(DEFAULT_TENANT, "santander", chunk)
+                    .unwrap();
             }
             // A mid-session retention snapshot resets the WAL; the acked
             // chunks must be re-logged into it (relog_inflight) or the
             // session would be silently lost below.
-            svc.set_retention("santander", RetentionPolicy::keep_last(n))
-                .unwrap();
+            svc.set_retention_keyed_in(
+                DEFAULT_TENANT,
+                "santander",
+                RetentionPolicy::keep_last(n),
+                None,
+            )
+            .unwrap();
             for chunk in rest {
-                svc.append_chunk("santander", chunk).unwrap();
+                svc.append_chunk_in(DEFAULT_TENANT, "santander", chunk)
+                    .unwrap();
             }
             // Crash before finish_append.
         }
         let svc = MiscelaService::with_durability(&dir).unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 1);
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        assert_eq!(
+            svc.dataset_revision_in(DEFAULT_TENANT, "santander")
+                .unwrap(),
+            1
+        );
+        let (summary, _elapsed, _) = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
         assert_eq!(summary.new_timestamps, 12);
         assert_eq!(summary.timestamps, n);
         assert_eq!(summary.revision, 2);
         // The restored session produced the same dataset (and CAPs) as an
         // uninterrupted twin driving the same appends.
         let twin = MiscelaService::new();
-        twin.upload_documents(
+        twin.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3588,11 +3215,11 @@ mod tests {
             10_000,
         )
         .unwrap();
-        twin.append_documents("santander", &writer.data_csv(&tail), 50)
+        twin.append_documents_in(DEFAULT_TENANT, "santander", &writer.data_csv(&tail), 50)
             .unwrap();
         assert_eq!(
-            svc.mine("santander", &params).unwrap().result.caps,
-            twin.mine("santander", &params).unwrap().result.caps
+            mine(&svc, "santander", &params).unwrap().result.caps,
+            mine(&twin, "santander", &params).unwrap().result.caps
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3607,7 +3234,8 @@ mod tests {
         let writer = DatasetWriter::new();
 
         let svc = MiscelaService::new();
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3615,45 +3243,65 @@ mod tests {
             10_000,
         )
         .unwrap();
-        svc.begin_append("santander").unwrap();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
         let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 50);
-        svc.append_chunk("santander", &chunks[0]).unwrap();
+        svc.append_chunk_in(DEFAULT_TENANT, "santander", &chunks[0])
+            .unwrap();
         // A second begin must not silently replace the open session (which
         // would orphan its acknowledged chunks).
-        let err = svc.begin_append("santander").unwrap_err();
+        let err = svc
+            .begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap_err();
         assert!(matches!(err, ApiError::Conflict(_)), "{err:?}");
         assert!(!err.is_retryable());
         assert_eq!(err.status().as_u16(), 409);
         // The open session survived the rejected begin and finishes with
         // every chunk it acknowledged.
         for chunk in &chunks[1..] {
-            svc.append_chunk("santander", chunk).unwrap();
+            svc.append_chunk_in(DEFAULT_TENANT, "santander", chunk)
+                .unwrap();
         }
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        let (summary, _elapsed, _) = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
         assert_eq!(summary.new_timestamps, 12);
         // After the finish, a new session opens cleanly.
-        svc.begin_append("santander").unwrap();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
     }
 
     #[test]
     fn expired_deadline_is_typed_and_cache_hits_still_serve() {
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         let params = quick_params();
         // A cold mine whose deadline already passed is refused before any
         // work happens (typed, retryable).
         let expired = Some(Instant::now());
         let err = svc
-            .mine_with_deadline("santander", &params, expired)
+            .mine_cancellable_in(
+                DEFAULT_TENANT,
+                "santander",
+                &params,
+                expired,
+                &CancelToken::never(),
+            )
             .unwrap_err();
         assert!(matches!(err, ApiError::DeadlineExceeded(_)), "{err:?}");
         assert!(err.is_retryable());
         // Nothing was cached by the refused request.
-        let warm = svc.mine("santander", &params).unwrap();
+        let warm = mine(&svc, "santander", &params).unwrap();
         assert!(!warm.cache_hit);
         // A cache hit costs nothing, so it is served even past a deadline.
         let hit = svc
-            .mine_with_deadline("santander", &params, Some(Instant::now()))
+            .mine_cancellable_in(
+                DEFAULT_TENANT,
+                "santander",
+                &params,
+                Some(Instant::now()),
+                &CancelToken::never(),
+            )
             .unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.result.caps, warm.result.caps);
@@ -3662,28 +3310,34 @@ mod tests {
     #[test]
     fn cancelled_mine_leaves_cache_and_revisions_consistent() {
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         let params = quick_params();
-        let revision = svc.dataset_revision("santander").unwrap();
+        let revision = svc
+            .dataset_revision_in(DEFAULT_TENANT, "santander")
+            .unwrap();
 
         let cancelled = CancelToken::never();
         cancelled.cancel();
         let err = svc
-            .mine_cancellable("santander", &params, None, &cancelled)
+            .mine_cancellable_in(DEFAULT_TENANT, "santander", &params, None, &cancelled)
             .unwrap_err();
         assert!(matches!(err, ApiError::DeadlineExceeded(_)), "{err:?}");
 
         // The aborted mine wrote nothing: no revision moved, no result was
         // cached, and an identical retry produces the same CAPs as a cold
         // twin service that never saw a cancellation.
-        assert_eq!(svc.dataset_revision("santander").unwrap(), revision);
-        let retry = svc.mine("santander", &params).unwrap();
+        assert_eq!(
+            svc.dataset_revision_in(DEFAULT_TENANT, "santander")
+                .unwrap(),
+            revision
+        );
+        let retry = mine(&svc, "santander", &params).unwrap();
         assert!(!retry.cache_hit);
         let twin = MiscelaService::new();
-        twin.register_dataset(small_dataset());
+        register(&twin, small_dataset());
         assert_eq!(
             retry.result.caps,
-            twin.mine("santander", &params).unwrap().result.caps
+            mine(&twin, "santander", &params).unwrap().result.caps
         );
     }
 
@@ -3700,7 +3354,8 @@ mod tests {
         let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
         let writer = DatasetWriter::new();
         let upload = |svc: &MiscelaService| {
-            svc.upload_documents(
+            svc.upload_documents_in(
+                DEFAULT_TENANT,
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -3713,16 +3368,20 @@ mod tests {
         let dir = durable_dir("relazy");
         let svc = MiscelaService::with_durability(&dir).unwrap();
         upload(&svc);
-        svc.begin_append("santander").unwrap();
-        svc.delete_dataset("santander").unwrap();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
+        svc.delete_dataset_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
         // The delete cleared the session and the durable state.
-        let err = svc.begin_append("santander").unwrap_err();
+        let err = svc
+            .begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
         // Re-registering re-creates durable state on demand; append flows
         // work again end to end.
         upload(&svc);
         let summary = svc
-            .append_documents("santander", &writer.data_csv(&tail), 100)
+            .append_documents_in(DEFAULT_TENANT, "santander", &writer.data_csv(&tail), 100)
             .unwrap();
         assert_eq!(summary.revision, 2);
         assert_eq!(summary.new_timestamps, 12);
@@ -3748,7 +3407,8 @@ mod tests {
         let opener = std::sync::Arc::new(FailingOpener::new(fail.clone()));
         let svc = MiscelaService::with_durability_opener(Arc::new(Database::new()), &dir, opener)
             .unwrap();
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3756,41 +3416,64 @@ mod tests {
             10_000,
         )
         .unwrap();
-        svc.begin_append("santander").unwrap();
-        svc.append_chunk("santander", &chunks[0]).unwrap();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
+        svc.append_chunk_in(DEFAULT_TENANT, "santander", &chunks[0])
+            .unwrap();
 
         // The disk dies between two acknowledged writes.
         fail.exhaust();
-        let err = svc.append_chunk("santander", &chunks[1]).unwrap_err();
+        let err = svc
+            .append_chunk_in(DEFAULT_TENANT, "santander", &chunks[1])
+            .unwrap_err();
         assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
         assert!(err.is_retryable());
         assert!(err.retry_after_ms().is_some());
-        assert!(svc.degraded_reason("santander").is_some());
+        assert!(svc
+            .degraded_reason_in(DEFAULT_TENANT, "santander")
+            .is_some());
 
         // Read-only degraded mode: mines and reads keep serving...
-        assert!(!svc.mine("santander", &params).unwrap().cache_hit);
-        assert!(svc.dataset_stats("santander").is_ok());
+        assert!(!mine(&svc, "santander", &params).unwrap().cache_hit);
+        assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_ok());
         // ...while every durable write path answers typed and retryable.
-        let err = svc.append_chunk("santander", &chunks[1]).unwrap_err();
-        assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
         let err = svc
-            .set_retention("santander", miscela_model::RetentionPolicy::keep_last(n))
+            .append_chunk_in(DEFAULT_TENANT, "santander", &chunks[1])
             .unwrap_err();
         assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
-        let err = svc.finish_append("santander").unwrap_err();
+        let err = svc
+            .set_retention_keyed_in(
+                DEFAULT_TENANT,
+                "santander",
+                miscela_model::RetentionPolicy::keep_last(n),
+                None,
+            )
+            .unwrap_err();
         assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
-        assert!(svc.degraded_reason("santander").is_some());
+        let err = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap_err();
+        assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
+        assert!(svc
+            .degraded_reason_in(DEFAULT_TENANT, "santander")
+            .is_some());
 
         // The disk recovers: the next write probes the path, re-arms
         // durability (re-snapshotting and re-logging the acked chunks) and
         // proceeds. No acknowledged row was lost.
         fail.heal();
-        svc.append_chunk("santander", &chunks[1]).unwrap();
-        assert!(svc.degraded_reason("santander").is_none());
+        svc.append_chunk_in(DEFAULT_TENANT, "santander", &chunks[1])
+            .unwrap();
+        assert!(svc
+            .degraded_reason_in(DEFAULT_TENANT, "santander")
+            .is_none());
         for chunk in &chunks[2..] {
-            svc.append_chunk("santander", chunk).unwrap();
+            svc.append_chunk_in(DEFAULT_TENANT, "santander", chunk)
+                .unwrap();
         }
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        let (summary, _elapsed, _) = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
         assert_eq!(summary.new_timestamps, 12);
         assert_eq!(summary.revision, 2);
         drop(svc);
@@ -3798,13 +3481,22 @@ mod tests {
         // A restart replays the episode's outcome: every acknowledged row
         // is present and the CAPs match an undisturbed twin byte for byte.
         let svc = MiscelaService::with_durability(&dir).unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 2);
-        assert_eq!(svc.dataset("santander").unwrap().timestamp_count(), n);
-        let twin = MiscelaService::new();
-        twin.register_dataset(small_dataset());
         assert_eq!(
-            svc.mine("santander", &params).unwrap().result.caps,
-            twin.mine("santander", &params).unwrap().result.caps
+            svc.dataset_revision_in(DEFAULT_TENANT, "santander")
+                .unwrap(),
+            2
+        );
+        assert_eq!(
+            svc.dataset_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .timestamp_count(),
+            n
+        );
+        let twin = MiscelaService::new();
+        register(&twin, small_dataset());
+        assert_eq!(
+            mine(&svc, "santander", &params).unwrap().result.caps,
+            mine(&twin, "santander", &params).unwrap().result.caps
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3816,31 +3508,31 @@ mod tests {
             .unwrap();
         svc.register_dataset_keyed_in("bob", small_dataset(), None)
             .unwrap();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         // Each namespace lists only its own datasets.
         assert_eq!(svc.list_datasets_in("alice").unwrap().len(), 1);
         assert_eq!(svc.list_datasets_in("bob").unwrap().len(), 1);
-        assert_eq!(svc.list_datasets().len(), 1);
+        assert_eq!(svc.list_datasets_in(DEFAULT_TENANT).unwrap().len(), 1);
         // Deleting bob's copy touches neither alice's nor the default one.
         svc.delete_dataset_keyed_in("bob", "santander", None)
             .unwrap();
         assert!(svc.dataset_in("bob", "santander").is_err());
         assert!(svc.dataset_in("alice", "santander").is_ok());
-        assert!(svc.dataset("santander").is_ok());
+        assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_ok());
         // The result cache is namespaced too: alice's warm entry does not
         // serve the identical default-tenant dataset.
         let params = quick_params();
         assert!(
-            !svc.mine_in("alice", "santander", &params)
+            !svc.mine_cancellable_in("alice", "santander", &params, None, &CancelToken::never())
                 .unwrap()
                 .cache_hit
         );
         assert!(
-            svc.mine_in("alice", "santander", &params)
+            svc.mine_cancellable_in("alice", "santander", &params, None, &CancelToken::never())
                 .unwrap()
                 .cache_hit
         );
-        assert!(!svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(!mine(&svc, "santander", &params).unwrap().cache_hit);
         // Invalid tenant names and scoped dataset names are typed 400s.
         assert!(matches!(
             svc.list_datasets_in("no/pe"),
@@ -3947,7 +3639,8 @@ mod tests {
         let prefix = full.slice_time(start, split_t).unwrap();
         let tail = full.slice_time(split_t, end).unwrap();
         let svc = MiscelaService::new();
-        svc.upload_documents(
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3956,14 +3649,20 @@ mod tests {
         )
         .unwrap();
         std::thread::scope(|s| {
-            let watcher =
-                s.spawn(|| svc.watch("santander", 1, Instant::now() + Duration::from_secs(10)));
+            let watcher = s.spawn(|| {
+                svc.watch_in(
+                    DEFAULT_TENANT,
+                    "santander",
+                    1,
+                    Instant::now() + Duration::from_secs(10),
+                )
+            });
             // Give the watcher a moment to park; even if it has not parked
             // yet, it observes the bumped revision on its first predicate
             // check, so this cannot flake either way.
             std::thread::sleep(Duration::from_millis(50));
             let summary = svc
-                .append_documents("santander", &writer.data_csv(&tail), 1_000)
+                .append_documents_in(DEFAULT_TENANT, "santander", &writer.data_csv(&tail), 1_000)
                 .unwrap();
             assert_eq!(summary.revision, 2);
             let out = watcher.join().unwrap().unwrap();
@@ -3976,29 +3675,38 @@ mod tests {
     #[test]
     fn watch_immediate_paths_and_deadline() {
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         // since_revision 0 never matches a real revision: immediate reply
         // carrying the current state.
-        let out = svc.watch("santander", 0, Instant::now()).unwrap();
+        let out = svc
+            .watch_in(DEFAULT_TENANT, "santander", 0, Instant::now())
+            .unwrap();
         assert!(out.changed);
         assert_eq!(out.revision, 1);
         assert!(out.timestamps > 0);
         // An up-to-date watcher with an expired deadline reports unchanged.
-        let out = svc.watch("santander", 1, Instant::now()).unwrap();
+        let out = svc
+            .watch_in(DEFAULT_TENANT, "santander", 1, Instant::now())
+            .unwrap();
         assert!(!out.changed);
         assert!(out.deadline_expired);
         assert_eq!(out.revision, 1);
         // A short real deadline parks and then times out.
         let before = Instant::now();
         let out = svc
-            .watch("santander", 1, before + Duration::from_millis(40))
+            .watch_in(
+                DEFAULT_TENANT,
+                "santander",
+                1,
+                before + Duration::from_millis(40),
+            )
             .unwrap();
         assert!(!out.changed);
         assert!(out.deadline_expired);
         assert!(before.elapsed() >= Duration::from_millis(40));
         // An unregistered dataset is the typed close.
         assert!(matches!(
-            svc.watch("ghost", 0, Instant::now()),
+            svc.watch_in(DEFAULT_TENANT, "ghost", 0, Instant::now()),
             Err(ApiError::NotFound(_))
         ));
     }
@@ -4006,12 +3714,19 @@ mod tests {
     #[test]
     fn delete_wakes_parked_watchers_with_typed_close() {
         let svc = MiscelaService::new();
-        svc.register_dataset(small_dataset());
+        register(&svc, small_dataset());
         std::thread::scope(|s| {
-            let watcher =
-                s.spawn(|| svc.watch("santander", 1, Instant::now() + Duration::from_secs(10)));
+            let watcher = s.spawn(|| {
+                svc.watch_in(
+                    DEFAULT_TENANT,
+                    "santander",
+                    1,
+                    Instant::now() + Duration::from_secs(10),
+                )
+            });
             std::thread::sleep(Duration::from_millis(50));
-            svc.delete_dataset("santander").unwrap();
+            svc.delete_dataset_keyed_in(DEFAULT_TENANT, "santander", None)
+                .unwrap();
             let err = watcher.join().unwrap().unwrap_err();
             assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
         });
@@ -4029,22 +3744,31 @@ mod tests {
             let svc = MiscelaService::with_durability(&dir).unwrap();
             svc.upload_documents_in("alice", "santander", &data, &locations, &attributes, 5_000)
                 .unwrap();
-            svc.upload_documents("santander", &data, &locations, &attributes, 5_000)
-                .unwrap();
+            svc.upload_documents_in(
+                DEFAULT_TENANT,
+                "santander",
+                &data,
+                &locations,
+                &attributes,
+                5_000,
+            )
+            .unwrap();
         }
         // A fresh service over the same directory restores both namespaces
         // — alice's replica under tenants/alice, the default at the root —
         // without cross-listing.
         let svc = MiscelaService::with_durability(&dir).unwrap();
         assert_eq!(svc.list_datasets_in("alice").unwrap().len(), 1);
-        assert_eq!(svc.list_datasets().len(), 1);
+        assert_eq!(svc.list_datasets_in(DEFAULT_TENANT).unwrap().len(), 1);
         assert_eq!(svc.dataset_revision_in("alice", "santander").unwrap(), 1);
         assert_eq!(
             svc.dataset_in("alice", "santander").unwrap().record_count(),
             generated.record_count()
         );
         assert_eq!(
-            svc.dataset("santander").unwrap().record_count(),
+            svc.dataset_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .record_count(),
             generated.record_count()
         );
         let _ = std::fs::remove_dir_all(&dir);

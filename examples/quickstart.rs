@@ -5,6 +5,7 @@
 
 use miscela_v::miscela_core::MiningParams;
 use miscela_v::miscela_datagen::SantanderGenerator;
+use miscela_v::miscela_server::DEFAULT_TENANT;
 use miscela_v::miscela_viz::ascii::sparkline;
 use miscela_v::MiscelaV;
 
@@ -14,7 +15,7 @@ fn main() {
     //    CSV files instead).
     let system = MiscelaV::new();
     let dataset = SantanderGenerator::small().with_scale(0.03).generate();
-    let summary = system.register_dataset(dataset);
+    let summary = system.register_dataset(dataset).unwrap();
     println!(
         "registered dataset {:?}: {} sensors, {} records, attributes: {}",
         summary.name,
@@ -44,7 +45,10 @@ fn main() {
 
     // 4. Look at the strongest CAP: which sensors, which attributes, and how
     //    their measurements move together.
-    let ds = system.service().dataset("santander").unwrap();
+    let ds = system
+        .service()
+        .dataset_in(DEFAULT_TENANT, "santander")
+        .unwrap();
     if let Some(cap) = outcome.result.caps.caps().first() {
         println!("\nstrongest CAP: {cap}");
         for &sensor in &cap.sensors() {

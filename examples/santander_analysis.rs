@@ -8,6 +8,7 @@ use miscela_v::analysis::named_pairs;
 use miscela_v::miscela_core::evolving::extract_evolving;
 use miscela_v::miscela_core::{correlation, MiningParams};
 use miscela_v::miscela_datagen::SantanderGenerator;
+use miscela_v::miscela_server::DEFAULT_TENANT;
 use miscela_v::MiscelaV;
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
     let dataset = SantanderGenerator::small().with_scale(0.05).generate();
     let stats = dataset.stats();
     println!("{stats}");
-    system.register_dataset(dataset);
+    system.register_dataset(dataset).unwrap();
 
     let params = MiningParams::new()
         .with_epsilon(0.4)
@@ -28,7 +29,10 @@ fn main() {
     let caps = &outcome.result.caps;
     println!("found {}", caps.summary());
 
-    let ds = system.service().dataset("santander").unwrap();
+    let ds = system
+        .service()
+        .dataset_in(DEFAULT_TENANT, "santander")
+        .unwrap();
 
     // Which attribute pairs are correlated, and how often? (The paper:
     // "we can find correlated patterns among temperatures and traffic

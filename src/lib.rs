@@ -32,7 +32,7 @@
 //! use miscela_v::miscela_datagen::SantanderGenerator;
 //!
 //! let system = MiscelaV::new();
-//! system.register_dataset(SantanderGenerator::small().with_scale(0.02).generate());
+//! system.register_dataset(SantanderGenerator::small().with_scale(0.02).generate()).unwrap();
 //! let params = MiningParams::new().with_epsilon(0.4).with_eta_km(0.5)
 //!     .with_psi(20).with_segmentation(false);
 //! let outcome = system.mine("santander", &params).unwrap();
@@ -53,13 +53,19 @@ pub use miscela_viz;
 
 pub mod analysis;
 
-use miscela_core::{CapSet, MiningParams};
+use miscela_core::{CancelToken, CapSet, MiningParams};
 use miscela_model::{Dataset, SensorIndex};
-use miscela_server::{ApiError, DatasetSummary, MineOutcome, MiscelaService, Router};
+use miscela_server::{
+    ApiError, DatasetSummary, MineOutcome, MiscelaService, Router, DEFAULT_TENANT,
+};
 use miscela_viz::{Dashboard, SvgDocument};
 use std::sync::Arc;
 
 /// The integrated Miscela-V system: service + cache + visualization.
+///
+/// Every call addresses the service's default tenant ([`DEFAULT_TENANT`]);
+/// drive [`MiscelaV::service`] directly to work in another tenant's
+/// namespace.
 pub struct MiscelaV {
     service: Arc<MiscelaService>,
     router: Router,
@@ -84,9 +90,14 @@ impl MiscelaV {
         &self.router
     }
 
-    /// Registers a dataset built in-process (e.g. by a generator).
-    pub fn register_dataset(&self, dataset: Dataset) -> DatasetSummary {
-        self.service.register_dataset(dataset)
+    /// Registers a dataset built in-process (e.g. by a generator). Fails
+    /// like any other registration: on an invalid name (one containing
+    /// `/`), over a tenant quota, or when a durable snapshot cannot be
+    /// written.
+    pub fn register_dataset(&self, dataset: Dataset) -> Result<DatasetSummary, ApiError> {
+        self.service
+            .register_dataset_keyed_in(DEFAULT_TENANT, dataset, None)
+            .map(|(summary, _)| summary)
     }
 
     /// Uploads a dataset from the paper's three CSV documents, using the
@@ -98,7 +109,8 @@ impl MiscelaV {
         location_csv: &str,
         attribute_csv: &str,
     ) -> Result<DatasetSummary, ApiError> {
-        self.service.upload_documents(
+        self.service.upload_documents_in(
+            DEFAULT_TENANT,
             name,
             data_csv,
             location_csv,
@@ -109,13 +121,19 @@ impl MiscelaV {
 
     /// Mines a registered dataset (cache-aware).
     pub fn mine(&self, dataset: &str, params: &MiningParams) -> Result<MineOutcome, ApiError> {
-        self.service.mine(dataset, params)
+        self.service.mine_cancellable_in(
+            DEFAULT_TENANT,
+            dataset,
+            params,
+            None,
+            &CancelToken::never(),
+        )
     }
 
     /// Renders the Figure-3 dashboard for the highest-support CAP of a
     /// mining result.
     pub fn dashboard(&self, dataset: &str, caps: &CapSet) -> Result<Option<SvgDocument>, ApiError> {
-        let ds = self.service.dataset(dataset)?;
+        let ds = self.service.dataset_in(DEFAULT_TENANT, dataset)?;
         Ok(Dashboard::new(&ds, caps).render_top())
     }
 
@@ -129,7 +147,7 @@ impl MiscelaV {
     ) -> Result<Vec<SensorIndex>, ApiError> {
         // Validate the dataset exists (and the index is plausible) so the
         // call mirrors the API's behaviour.
-        let ds = self.service.dataset(dataset)?;
+        let ds = self.service.dataset_in(DEFAULT_TENANT, dataset)?;
         if sensor.index() >= ds.sensor_count() {
             return Err(ApiError::BadRequest(format!(
                 "sensor index {} out of range ({} sensors)",
@@ -163,8 +181,9 @@ mod tests {
     #[test]
     fn end_to_end_register_mine_visualize() {
         let system = MiscelaV::new();
-        let summary =
-            system.register_dataset(SantanderGenerator::small().with_scale(0.02).generate());
+        let summary = system
+            .register_dataset(SantanderGenerator::small().with_scale(0.02).generate())
+            .unwrap();
         assert_eq!(summary.name, "santander");
 
         let outcome = system.mine("santander", &params()).unwrap();
@@ -193,6 +212,62 @@ mod tests {
         let again = system.mine("santander", &params()).unwrap();
         assert!(again.cache_hit);
         assert_eq!(again.result.caps, outcome.result.caps);
+    }
+
+    #[test]
+    fn slash_names_cannot_reach_another_tenant() {
+        use miscela_csv::{DatasetLoader, DatasetWriter};
+        use miscela_server::TenantQuota;
+
+        // A default-tenant dataset named `acme/d` would share its store key
+        // with tenant `acme`'s dataset `d`; in-process callers get the same
+        // typed refusal as the router.
+        let system = MiscelaV::new();
+        let generated = SantanderGenerator::small().with_scale(0.02).generate();
+        let writer = DatasetWriter::new();
+        let data = writer.data_csv(&generated);
+        let locations = writer.location_csv(&generated);
+        let attributes = writer.attribute_csv(&generated);
+        let named = DatasetLoader::new("acme/d")
+            .load_documents(&data, &locations, &attributes)
+            .unwrap();
+        let err = system.register_dataset(named).unwrap_err();
+        assert!(matches!(err, ApiError::BadRequest(_)), "{err:?}");
+        let err = system
+            .upload("acme/d", &data, &locations, &attributes)
+            .unwrap_err();
+        assert!(matches!(err, ApiError::BadRequest(_)), "{err:?}");
+
+        // Tenant `acme` sees nothing: no dataset to read, list or delete.
+        let service = system.service();
+        let err = service.dataset_in("acme", "d").unwrap_err();
+        assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
+        assert!(service.list_datasets_in("acme").unwrap().is_empty());
+        assert_eq!(service.tenant_cache_stats("acme").unwrap().datasets, 0);
+        let err = service
+            .delete_dataset_keyed_in("acme", "d", None)
+            .unwrap_err();
+        assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
+        assert!(service.list_datasets_in(DEFAULT_TENANT).unwrap().is_empty());
+
+        // `acme`'s dataset count is still zero — a delete that found
+        // nothing must not decrement it — so a one-dataset quota admits
+        // exactly one registration.
+        let quota = TenantQuota {
+            max_datasets: Some(1),
+            ..TenantQuota::default()
+        };
+        service.set_quota("acme", quota).unwrap();
+        service
+            .register_dataset_keyed_in("acme", generated.clone(), None)
+            .unwrap();
+        let other = DatasetLoader::new("e")
+            .load_documents(&data, &locations, &attributes)
+            .unwrap();
+        let err = service
+            .register_dataset_keyed_in("acme", other, None)
+            .unwrap_err();
+        assert!(matches!(err, ApiError::QuotaExceeded(_)), "{err:?}");
     }
 
     #[test]

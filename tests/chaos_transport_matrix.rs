@@ -30,7 +30,7 @@ use miscela_v::miscela_server::client::{
 };
 use miscela_v::miscela_server::durability::snapshot_data;
 use miscela_v::miscela_server::message::{ApiRequest, ApiResponse};
-use miscela_v::miscela_server::{MiscelaService, Router};
+use miscela_v::miscela_server::{MiscelaService, Router, DEFAULT_TENANT};
 use miscela_v::miscela_store::{Database, Json};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -162,8 +162,12 @@ struct WorkflowObs {
 /// Folds the client-observed responses together with the server's final
 /// state into one comparable value.
 fn outcome(obs: WorkflowObs, service: &MiscelaService) -> Outcome {
-    let ds = service.dataset(DATASET).expect("dataset must survive");
-    let revision = service.dataset_revision(DATASET).unwrap();
+    let ds = service
+        .dataset_in(DEFAULT_TENANT, DATASET)
+        .expect("dataset must survive");
+    let revision = service
+        .dataset_revision_in(DEFAULT_TENANT, DATASET)
+        .unwrap();
     Outcome {
         register_sensors: obs.register_sensors,
         append_revision: obs.append_revision,
@@ -173,7 +177,7 @@ fn outcome(obs: WorkflowObs, service: &MiscelaService) -> Outcome {
         caps_after_retention: obs.caps_after_retention,
         final_revision: revision,
         final_snapshot: snapshot_data(&ds, revision, 0, &[]).to_string(),
-        ephemeral_gone: service.dataset(EPHEMERAL).is_err(),
+        ephemeral_gone: service.dataset_in(DEFAULT_TENANT, EPHEMERAL).is_err(),
     }
 }
 
@@ -388,8 +392,12 @@ fn mid_chaos_crash_and_recovery_converges_to_the_twin() {
     drop(recovered);
     let reopened = MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir)
         .expect("final restart");
-    let ds = reopened.dataset(DATASET).expect("dataset survives restart");
-    let revision = reopened.dataset_revision(DATASET).unwrap();
+    let ds = reopened
+        .dataset_in(DEFAULT_TENANT, DATASET)
+        .expect("dataset survives restart");
+    let revision = reopened
+        .dataset_revision_in(DEFAULT_TENANT, DATASET)
+        .unwrap();
     assert_eq!(
         snapshot_data(&ds, revision, 0, &[]).to_string(),
         expected.final_snapshot,

@@ -12,7 +12,7 @@ fn register_mine_and_cache_roundtrip_with_default_params() {
     let (dataset, planted) = PlantedGenerator::new().generate();
     let name = dataset.name().to_string();
 
-    let summary = system.register_dataset(dataset);
+    let summary = system.register_dataset(dataset).unwrap();
     assert_eq!(summary.name, name);
     assert!(summary.sensors > 0);
     assert!(!planted.is_empty());

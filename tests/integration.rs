@@ -3,11 +3,11 @@
 
 use miscela_v::miscela_core::baseline::NaiveMiner;
 use miscela_v::miscela_core::evolving::extract_with_segmentation;
-use miscela_v::miscela_core::{CapSet, Miner, MiningParams, ProximityGraph};
+use miscela_v::miscela_core::{CancelToken, CapSet, Miner, MiningParams, ProximityGraph};
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::{CovidGenerator, PlantedGenerator, SantanderGenerator};
 use miscela_v::miscela_model::AttributeId;
-use miscela_v::miscela_server::{ApiRequest, MiscelaService, Router};
+use miscela_v::miscela_server::{ApiRequest, MiscelaService, Router, DEFAULT_TENANT};
 use miscela_v::miscela_store::{persist, Json};
 use miscela_v::miscela_viz::{Dashboard, MapConfig, MapView};
 use miscela_v::MiscelaV;
@@ -44,12 +44,15 @@ fn csv_export_upload_mine_visualize_round_trip() {
 
     // The same parameters on the directly registered dataset find the same
     // CAP count (the CSV round trip loses only float formatting precision).
-    system.register_dataset(generated);
+    system.register_dataset(generated).unwrap();
     let direct = system.mine("santander", &quick_params()).unwrap();
     assert_eq!(direct.result.caps.len(), outcome.result.caps.len());
 
     // Visualization layers accept the result.
-    let ds = system.service().dataset("uploaded").unwrap();
+    let ds = system
+        .service()
+        .dataset_in(DEFAULT_TENANT, "uploaded")
+        .unwrap();
     let dash = Dashboard::new(&ds, &outcome.result.caps);
     let svg = dash.render_top().expect("at least one CAP").render();
     assert!(svg.contains("<svg"));
@@ -126,7 +129,10 @@ fn planted_patterns_survive_the_whole_pipeline() {
         .with_mu(3)
         .with_segmentation(false);
     let outcome = system.mine("planted", &params).unwrap();
-    let uploaded = system.service().dataset("planted").unwrap();
+    let uploaded = system
+        .service()
+        .dataset_in(DEFAULT_TENANT, "planted")
+        .unwrap();
     for planted in &truth {
         let expected: std::collections::BTreeSet<&str> =
             planted.sensor_ids.iter().map(|s| s.as_str()).collect();
@@ -159,8 +165,18 @@ fn cache_survives_store_persistence() {
     let first_caps;
     {
         let service = Arc::new(MiscelaService::new());
-        service.register_dataset(ds);
-        let outcome = service.mine("santander", &params).unwrap();
+        service
+            .register_dataset_keyed_in(DEFAULT_TENANT, ds, None)
+            .unwrap();
+        let outcome = service
+            .mine_cancellable_in(
+                DEFAULT_TENANT,
+                "santander",
+                &params,
+                None,
+                &CancelToken::never(),
+            )
+            .unwrap();
         assert!(!outcome.cache_hit);
         first_caps = outcome.result.caps.clone();
         persist::save(service.database(), &dir).unwrap();
@@ -170,7 +186,15 @@ fn cache_survives_store_persistence() {
     let service = MiscelaService::with_database(reloaded);
     // The dataset itself is not re-registered, but the cached result is
     // available for the same (dataset, parameters) key.
-    let outcome = service.mine("santander", &params).unwrap();
+    let outcome = service
+        .mine_cancellable_in(
+            DEFAULT_TENANT,
+            "santander",
+            &params,
+            None,
+            &CancelToken::never(),
+        )
+        .unwrap();
     assert!(outcome.cache_hit);
     assert_eq!(outcome.result.caps, first_caps);
     std::fs::remove_dir_all(&dir).unwrap();

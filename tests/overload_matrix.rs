@@ -38,7 +38,9 @@ use miscela_v::miscela_csv::chunk::Chunk;
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::SantanderGenerator;
 use miscela_v::miscela_model::{Dataset, RetentionPolicy};
-use miscela_v::miscela_server::{AdmissionConfig, ApiError, MiscelaService};
+use miscela_v::miscela_server::{
+    AdmissionConfig, ApiError, MineOutcome, MiscelaService, DEFAULT_TENANT,
+};
 use miscela_v::miscela_store::wal::{FailPoint, FailingOpener};
 use miscela_v::miscela_store::Database;
 use std::path::PathBuf;
@@ -71,9 +73,14 @@ fn variant(v: usize) -> MiningParams {
     base_params().with_epsilon(0.4 + 0.0005 * v as f64)
 }
 
+fn mine(svc: &MiscelaService, name: &str, params: &MiningParams) -> Result<MineOutcome, ApiError> {
+    svc.mine_cancellable_in(DEFAULT_TENANT, name, params, None, &CancelToken::never())
+}
+
 fn upload(svc: &MiscelaService, name: &str, ds: &Dataset) {
     let writer = DatasetWriter::new();
-    svc.upload_documents(
+    svc.upload_documents_in(
+        DEFAULT_TENANT,
         name,
         &writer.data_csv(ds),
         &writer.location_csv(ds),
@@ -127,7 +134,7 @@ fn held_budget_sheds_typed_and_cancelled_mine_re_mines_identically() {
         let done = AtomicBool::new(false);
         let (observed, shed, mined) = std::thread::scope(|scope| {
             let miner = scope.spawn(|| {
-                let r = svc.mine_cancellable(DATASET, &params, None, &token);
+                let r = svc.mine_cancellable_in(DEFAULT_TENANT, DATASET, &params, None, &token);
                 done.store(true, Ordering::SeqCst);
                 r
             });
@@ -139,7 +146,7 @@ fn held_budget_sheds_typed_and_cancelled_mine_re_mines_identically() {
                 }
                 std::thread::yield_now();
             }
-            let shed = observed.then(|| svc.mine(DATASET, &variant(1000 + v)));
+            let shed = observed.then(|| mine(&svc, DATASET, &variant(1000 + v)));
             token.cancel();
             (observed, shed, miner.join().expect("miner thread panicked"))
         });
@@ -176,15 +183,15 @@ fn held_budget_sheds_typed_and_cancelled_mine_re_mines_identically() {
 
     // The cancelled mine must not have cached a partial result: the retry
     // recomputes (no cache hit) and matches the undisturbed twin exactly.
-    let retry = svc.mine(DATASET, &variant(v)).expect("retry after cancel");
+    let retry = mine(&svc, DATASET, &variant(v)).expect("retry after cancel");
     assert!(!retry.cache_hit, "cancelled mine left a cache entry");
-    let expected = twin.mine(DATASET, &variant(v)).expect("twin mine");
+    let expected = mine(&twin, DATASET, &variant(v)).expect("twin mine");
     assert_eq!(
         capset_to_json(&retry.result.caps).to_string(),
         capset_to_json(&expected.result.caps).to_string(),
         "re-mine after cancellation diverged from the undisturbed twin"
     );
-    let again = svc.mine(DATASET, &variant(v)).expect("second retry");
+    let again = mine(&svc, DATASET, &variant(v)).expect("second retry");
     assert!(again.cache_hit, "completed retry did not cache");
 }
 
@@ -200,14 +207,20 @@ fn expired_deadline_cancels_deterministically_and_retry_matches_twin() {
     upload(&twin, DATASET, &ds);
 
     let err = svc
-        .mine_with_deadline(DATASET, &base_params(), Some(Instant::now()))
+        .mine_cancellable_in(
+            DEFAULT_TENANT,
+            DATASET,
+            &base_params(),
+            Some(Instant::now()),
+            &CancelToken::never(),
+        )
         .expect_err("expired deadline must not mine");
     assert!(matches!(err, ApiError::DeadlineExceeded(_)), "{err:?}");
     assert!(err.is_retryable());
 
-    let retry = svc.mine(DATASET, &base_params()).expect("retry");
+    let retry = mine(&svc, DATASET, &base_params()).expect("retry");
     assert!(!retry.cache_hit);
-    let expected = twin.mine(DATASET, &base_params()).expect("twin");
+    let expected = mine(&twin, DATASET, &base_params()).expect("twin");
     assert_eq!(
         capset_to_json(&retry.result.caps).to_string(),
         capset_to_json(&expected.result.caps).to_string(),
@@ -230,8 +243,7 @@ fn oversubscribed_storm_bounds_admitted_latency() {
     upload(&svc, DATASET, &ds);
 
     // Single-mine baseline on an idle service (variant no storm client uses).
-    let baseline = svc
-        .mine(DATASET, &variant(5000))
+    let baseline = mine(&svc, DATASET, &variant(5000))
         .expect("baseline mine")
         .elapsed;
 
@@ -248,7 +260,7 @@ fn oversubscribed_storm_bounds_admitted_latency() {
                 for j in 0..per_client {
                     // Every request a distinct cold variant: no cache hits,
                     // every request faces admission.
-                    match svc.mine(DATASET, &variant(c * per_client + j)) {
+                    match mine(svc, DATASET, &variant(c * per_client + j)) {
                         Ok(out) => latencies.lock().unwrap().push(out.elapsed.as_nanos()),
                         Err(e) => {
                             assert!(e.is_retryable(), "untyped storm failure: {e:?}");
@@ -310,12 +322,15 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
     // The uninterrupted twin: same upload + append on a plain service.
     let twin = MiscelaService::new();
     upload(&twin, DATASET, &prefix);
-    twin.begin_append(DATASET).unwrap();
+    twin.begin_append_keyed_in(DEFAULT_TENANT, DATASET, None)
+        .unwrap();
     for chunk in &chunks {
-        twin.append_chunk(DATASET, chunk).unwrap();
+        twin.append_chunk_in(DEFAULT_TENANT, DATASET, chunk)
+            .unwrap();
     }
-    twin.finish_append(DATASET).unwrap();
-    let expected = twin.mine(DATASET, &base_params()).unwrap().result.caps;
+    twin.finish_append_keyed_in(DEFAULT_TENANT, DATASET, None)
+        .unwrap();
+    let expected = mine(&twin, DATASET, &base_params()).unwrap().result.caps;
 
     let dir = matrix_dir("degraded");
     let fail = FailPoint::unlimited();
@@ -323,7 +338,8 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
     let mut svc =
         MiscelaService::with_durability_opener(Arc::new(Database::new()), &dir, opener).unwrap();
     upload(&svc, DATASET, &prefix);
-    svc.begin_append(DATASET).unwrap();
+    svc.begin_append_keyed_in(DEFAULT_TENANT, DATASET, None)
+        .unwrap();
 
     let crash_at = chunks.len() - 1;
     for (i, chunk) in chunks.iter().enumerate() {
@@ -331,29 +347,43 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
             // The disk "fills": the next durable write fails and the
             // dataset degrades to read-only.
             fail.exhaust();
-            let err = svc.append_chunk(DATASET, chunk).unwrap_err();
+            let err = svc
+                .append_chunk_in(DEFAULT_TENANT, DATASET, chunk)
+                .unwrap_err();
             assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
             assert!(err.is_retryable());
             assert!(err.retry_after_ms().is_some());
-            let reason = svc.degraded_reason(DATASET);
+            let reason = svc.degraded_reason_in(DEFAULT_TENANT, DATASET);
             assert!(reason.is_some(), "failed write did not degrade");
 
             // Degraded mode is read-only, not down: mines and stats serve.
-            svc.mine(DATASET, &base_params()).expect("degraded mine");
-            svc.dataset(DATASET).expect("degraded read");
+            mine(&svc, DATASET, &base_params()).expect("degraded mine");
+            svc.dataset_in(DEFAULT_TENANT, DATASET)
+                .expect("degraded read");
             // Every durable write path answers typed while degraded.
             let err = svc
-                .set_retention(DATASET, RetentionPolicy::keep_last(100_000))
+                .set_retention_keyed_in(
+                    DEFAULT_TENANT,
+                    DATASET,
+                    RetentionPolicy::keep_last(100_000),
+                    None,
+                )
                 .unwrap_err();
             assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
 
             // The disk recovers; the probe re-arms durability and the
             // retried chunk lands.
             fail.heal();
-            svc.append_chunk(DATASET, chunk).expect("retry after heal");
-            assert_eq!(svc.degraded_reason(DATASET), None, "heal did not re-arm");
+            svc.append_chunk_in(DEFAULT_TENANT, DATASET, chunk)
+                .expect("retry after heal");
+            assert_eq!(
+                svc.degraded_reason_in(DEFAULT_TENANT, DATASET),
+                None,
+                "heal did not re-arm"
+            );
         } else {
-            svc.append_chunk(DATASET, chunk).expect("append chunk");
+            svc.append_chunk_in(DEFAULT_TENANT, DATASET, chunk)
+                .expect("append chunk");
         }
         if i == crash_at - 1 {
             // Crash in the middle of the session, after the degraded
@@ -361,10 +391,12 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
             drop(svc);
             svc = MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir)
                 .unwrap();
-            assert_eq!(svc.degraded_reason(DATASET), None);
+            assert_eq!(svc.degraded_reason_in(DEFAULT_TENANT, DATASET), None);
         }
     }
-    let (summary, _) = svc.finish_append(DATASET).expect("finish after episode");
+    let (summary, _, _) = svc
+        .finish_append_keyed_in(DEFAULT_TENANT, DATASET, None)
+        .expect("finish after episode");
     assert_eq!(summary.revision, 2);
 
     // One more restart: everything acknowledged must survive recovery and
@@ -372,13 +404,13 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
     drop(svc);
     let svc =
         MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir).unwrap();
-    let recovered = svc.dataset(DATASET).unwrap();
+    let recovered = svc.dataset_in(DEFAULT_TENANT, DATASET).unwrap();
     assert_eq!(
         recovered.timestamp_count(),
         n,
         "degraded episode lost acknowledged rows"
     );
-    let caps: CapSet = svc.mine(DATASET, &base_params()).unwrap().result.caps;
+    let caps: CapSet = mine(&svc, DATASET, &base_params()).unwrap().result.caps;
     assert_eq!(
         capset_to_json(&caps).to_string(),
         capset_to_json(&expected).to_string(),
@@ -427,7 +459,7 @@ fn concurrent_storm_stays_consistent() {
         for t in 0..2usize {
             scope.spawn(move || {
                 for j in 0..mine_rounds {
-                    match svc.mine(DATASET, &variant(t * mine_rounds + j)) {
+                    match mine(svc, DATASET, &variant(t * mine_rounds + j)) {
                         Ok(out) => assert!(out.revision >= 1),
                         Err(e) => assert!(e.is_retryable(), "untyped mine failure: {e:?}"),
                     }
@@ -445,8 +477,8 @@ fn concurrent_storm_stays_consistent() {
             for batch in batches {
                 let chunks = split_into_chunks(batch, 100);
                 let revision = loop {
-                    match svc.begin_append(DATASET) {
-                        Ok(()) | Err(ApiError::Conflict(_)) => {}
+                    match svc.begin_append_keyed_in(DEFAULT_TENANT, DATASET, None) {
+                        Ok(_) | Err(ApiError::Conflict(_)) => {}
                         Err(e) if e.is_retryable() => {
                             std::thread::yield_now();
                             continue;
@@ -454,10 +486,11 @@ fn concurrent_storm_stays_consistent() {
                         Err(e) => panic!("append begin failed: {e:?}"),
                     }
                     for chunk in &chunks {
-                        svc.append_chunk(DATASET, chunk).expect("append chunk");
+                        svc.append_chunk_in(DEFAULT_TENANT, DATASET, chunk)
+                            .expect("append chunk");
                     }
-                    match svc.finish_append(DATASET) {
-                        Ok((summary, _)) => break summary.revision,
+                    match svc.finish_append_keyed_in(DEFAULT_TENANT, DATASET, None) {
+                        Ok((summary, _, _)) => break summary.revision,
                         Err(ApiError::BadRequest(msg)) if msg.contains("retry the append") => {
                             std::thread::yield_now();
                         }
@@ -474,7 +507,7 @@ fn concurrent_storm_stays_consistent() {
         // a "retry" response; the flip simply retries.
         scope.spawn(move || {
             let flip = |policy: fn() -> RetentionPolicy| loop {
-                match svc.set_retention(DATASET, policy()) {
+                match svc.set_retention_keyed_in(DEFAULT_TENANT, DATASET, policy(), None) {
                     Ok(_) => break,
                     Err(ApiError::BadRequest(msg)) if msg.contains("retry") => {
                         std::thread::yield_now();
@@ -493,11 +526,12 @@ fn concurrent_storm_stays_consistent() {
         scope.spawn(move || {
             for _ in 0..churn_rounds {
                 upload(svc, "scratch", scratch);
-                match svc.mine("scratch", &base_params()) {
+                match mine(svc, "scratch", &base_params()) {
                     Ok(_) => {}
                     Err(e) => assert!(e.is_retryable(), "scratch mine failed: {e:?}"),
                 }
-                svc.delete_dataset("scratch").expect("scratch delete");
+                svc.delete_dataset_keyed_in(DEFAULT_TENANT, "scratch", None)
+                    .expect("scratch delete");
             }
         });
     });
@@ -508,16 +542,22 @@ fn concurrent_storm_stays_consistent() {
         finish_revisions.windows(2).all(|w| w[0] < w[1]),
         "append revisions were not strictly monotonic: {finish_revisions:?}"
     );
-    assert_eq!(svc.dataset(DATASET).unwrap().timestamp_count(), n);
+    assert_eq!(
+        svc.dataset_in(DEFAULT_TENANT, DATASET)
+            .unwrap()
+            .timestamp_count(),
+        n
+    );
 
     // Post-storm re-mine equals a cold twin fed the same batches in order.
     let twin = MiscelaService::new();
     upload(&twin, DATASET, &prefix);
     for batch in &batches {
-        twin.append_documents(DATASET, batch, 100).unwrap();
+        twin.append_documents_in(DEFAULT_TENANT, DATASET, batch, 100)
+            .unwrap();
     }
-    let post = svc.mine(DATASET, &variant(9999)).unwrap().result.caps;
-    let cold = twin.mine(DATASET, &variant(9999)).unwrap().result.caps;
+    let post = mine(&svc, DATASET, &variant(9999)).unwrap().result.caps;
+    let cold = mine(&twin, DATASET, &variant(9999)).unwrap().result.caps;
     assert_eq!(
         capset_to_json(&post).to_string(),
         capset_to_json(&cold).to_string(),

@@ -4,7 +4,9 @@ use miscela_v::miscela_core::evolving::extract_evolving;
 use miscela_v::miscela_core::{Bitset, MiningParams};
 use miscela_v::miscela_csv::data_csv::{self, DataBatch};
 use miscela_v::miscela_csv::{CsvError, CsvReader};
-use miscela_v::miscela_model::{AppendRowRef, GeoPoint, SensorId, TimeSeries, Timestamp};
+use miscela_v::miscela_model::{
+    AppendRowRef, GeoPoint, ModelError, SensorId, TimeSeries, Timestamp,
+};
 use miscela_v::miscela_store::Json;
 use proptest::prelude::*;
 
@@ -270,6 +272,18 @@ proptest! {
         prop_assert_eq!(Json::parse(&object.to_string_pretty()).unwrap(), object);
     }
 
+    /// `Timestamp::parse` on arbitrary strings — including digit runs long
+    /// enough to overflow any integer — returns a timestamp or a typed
+    /// error, never panics, and anything it accepts formats back to the
+    /// same instant.
+    #[test]
+    fn timestamp_parse_never_panics(s in timestamp_text_strategy()) {
+        match Timestamp::parse(&s) {
+            Ok(t) => prop_assert_eq!(Timestamp::parse(&t.format()), Ok(t)),
+            Err(e) => prop_assert!(matches!(e, ModelError::InvalidTimestamp(_)), "{:?}", e),
+        }
+    }
+
     /// `Json::parse` on arbitrary input returns a value or a typed error;
     /// it never panics or overflows the stack, however deep the nesting.
     #[test]
@@ -284,6 +298,24 @@ proptest! {
             Err(e) => prop_assert!(e.position <= input.len(), "{} in {:?}", e, input),
         }
     }
+}
+
+/// Timestamp-like strings: a well-formed `YYYY-MM-DD HH:MM:SS` whose year
+/// is any digit run (up to 30 digits, far past what `i64` holds), or a
+/// concatenation of digit runs, the format's separators and arbitrary text.
+fn timestamp_text_strategy() -> impl Strategy<Value = String> {
+    let year = || prop_oneof!["[0-9]{1,4}", "[0-9]{5,30}"];
+    let skeleton = (
+        year(),
+        "[0][1-9]-[1-2][0-8] [0-1][0-9]:[0-5][0-9]:[0-5][0-9]",
+    )
+        .prop_map(|(year, rest)| format!("{year}-{rest}"));
+    let pieces = proptest::collection::vec(
+        prop_oneof![year(), "[- :T]", "[a-zA-Z0-9 _.,:\\-]{0,6}"],
+        0..8,
+    )
+    .prop_map(|pieces| pieces.concat());
+    prop_oneof![skeleton, pieces]
 }
 
 /// One `data.csv` line: mostly rows whose fields are drawn per column
@@ -539,7 +571,7 @@ fn chaos_workflow(
         ChaosTransport, ResilientClient, RetryPolicy, RouterTransport,
     };
     use miscela_v::miscela_server::durability::snapshot_data;
-    use miscela_v::miscela_server::{MiscelaService, Router};
+    use miscela_v::miscela_server::{MiscelaService, Router, DEFAULT_TENANT};
     use std::sync::Arc;
 
     let service = Arc::new(MiscelaService::new());
@@ -558,9 +590,9 @@ fn chaos_workflow(
             return Err("per-request backoff exceeded the budget".to_string());
         }
         let ds = service
-            .dataset("prop")
+            .dataset_in(DEFAULT_TENANT, "prop")
             .map_err(|e| format!("dataset lost: {e:?}"))?;
-        let revision = service.dataset_revision("prop").unwrap();
+        let revision = service.dataset_revision_in(DEFAULT_TENANT, "prop").unwrap();
         Ok((
             caps.get("caps").unwrap().to_string_compact(),
             snapshot_data(&ds, revision, 0, &[]).to_string(),

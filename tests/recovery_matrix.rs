@@ -26,12 +26,12 @@
 //! keeping the first and last) for a bounded CI smoke run.
 
 use miscela_v::miscela_cache::codec::capset_to_json;
-use miscela_v::miscela_core::{CapSet, MiningParams};
+use miscela_v::miscela_core::{CancelToken, CapSet, MiningParams};
 use miscela_v::miscela_csv::chunk::Chunk;
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::SantanderGenerator;
 use miscela_v::miscela_model::SERIES_BLOCK_LEN;
-use miscela_v::miscela_server::{ApiError, MiscelaService};
+use miscela_v::miscela_server::{ApiError, MiscelaService, DEFAULT_TENANT};
 use miscela_v::miscela_store::wal::{FailPoint, FailingOpener};
 use miscela_v::miscela_store::Database;
 use std::path::PathBuf;
@@ -103,7 +103,8 @@ const FINISH_KEY: &str = "recovery-matrix-finish";
 fn run_op(svc: &MiscelaService, fx: &Fixture, op: Op) -> Result<(), ApiError> {
     match op {
         Op::Upload => svc
-            .upload_documents(
+            .upload_documents_in(
+                DEFAULT_TENANT,
                 DATASET,
                 &fx.prefix_csv,
                 &fx.location_csv,
@@ -111,10 +112,14 @@ fn run_op(svc: &MiscelaService, fx: &Fixture, op: Op) -> Result<(), ApiError> {
                 10_000,
             )
             .map(|_| ()),
-        Op::Begin => svc.begin_append(DATASET),
-        Op::Chunk(i) => svc.append_chunk(DATASET, &fx.tail_chunks[i]).map(|_| ()),
+        Op::Begin => svc
+            .begin_append_keyed_in(DEFAULT_TENANT, DATASET, None)
+            .map(|_| ()),
+        Op::Chunk(i) => svc
+            .append_chunk_in(DEFAULT_TENANT, DATASET, &fx.tail_chunks[i])
+            .map(|_| ()),
         Op::Finish => svc
-            .finish_append_keyed(DATASET, Some(FINISH_KEY))
+            .finish_append_keyed_in(DEFAULT_TENANT, DATASET, Some(FINISH_KEY))
             .map(|_| ()),
     }
 }
@@ -134,10 +139,21 @@ fn uninterrupted_caps(fx: &Fixture) -> CapSet {
         run_op(&svc, fx, op).expect("uninterrupted run must succeed");
     }
     assert_eq!(
-        svc.dataset(DATASET).unwrap().timestamp_count(),
+        svc.dataset_in(DEFAULT_TENANT, DATASET)
+            .unwrap()
+            .timestamp_count(),
         fx.full_timestamps
     );
-    svc.mine(DATASET, &quick_params()).unwrap().result.caps
+    svc.mine_cancellable_in(
+        DEFAULT_TENANT,
+        DATASET,
+        &quick_params(),
+        None,
+        &CancelToken::never(),
+    )
+    .unwrap()
+    .result
+    .caps
 }
 
 /// Probe run: the full workflow through a never-tripping fail point,
@@ -229,7 +245,7 @@ fn run_with_kill(fx: &Fixture, budget: u64) -> CapSet {
                     // replayed from the recovered watermark — never a
                     // NotFound, never a double-apply.
                     let (summary, _elapsed, replayed) = svc
-                        .finish_append_keyed(DATASET, Some(FINISH_KEY))
+                        .finish_append_keyed_in(DEFAULT_TENANT, DATASET, Some(FINISH_KEY))
                         .unwrap_or_else(|e| {
                             panic!(
                                 "budget {budget}: keyed finish retry failed after recovery: {e:?}"
@@ -259,11 +275,23 @@ fn run_with_kill(fx: &Fixture, budget: u64) -> CapSet {
     let svc =
         MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir).unwrap();
     assert_eq!(
-        svc.dataset(DATASET).unwrap().timestamp_count(),
+        svc.dataset_in(DEFAULT_TENANT, DATASET)
+            .unwrap()
+            .timestamp_count(),
         fx.full_timestamps,
         "budget {budget}: recovery lost acknowledged rows"
     );
-    let caps = svc.mine(DATASET, &quick_params()).unwrap().result.caps;
+    let caps = svc
+        .mine_cancellable_in(
+            DEFAULT_TENANT,
+            DATASET,
+            &quick_params(),
+            None,
+            &CancelToken::never(),
+        )
+        .unwrap()
+        .result
+        .caps;
     let _ = std::fs::remove_dir_all(&dir);
     caps
 }

@@ -18,12 +18,12 @@
 //!   surviving dataset equals a cold twin rebuilt from the same documents
 //!   on a fresh single-tenant service, byte for byte.
 
-use miscela_v::miscela_core::MiningParams;
+use miscela_v::miscela_core::{CancelToken, MiningParams};
 use miscela_v::miscela_csv::DatasetWriter;
 use miscela_v::miscela_datagen::SantanderGenerator;
 use miscela_v::miscela_model::{Dataset, RetentionPolicy};
 use miscela_v::miscela_server::message::ApiError;
-use miscela_v::miscela_server::MiscelaService;
+use miscela_v::miscela_server::{MiscelaService, DEFAULT_TENANT};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -207,7 +207,13 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
             s.spawn(move || {
                 let params = quick_params();
                 while !done.load(Ordering::Relaxed) {
-                    match svc.mine_in(tenant, &name, &params) {
+                    match svc.mine_cancellable_in(
+                        tenant,
+                        &name,
+                        &params,
+                        None,
+                        &CancelToken::never(),
+                    ) {
                         Ok(_)
                         | Err(ApiError::NotFound(_))
                         | Err(ApiError::Overloaded { .. })
@@ -290,8 +296,18 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
         for plan in plans[t].iter().take(DATASETS_PER_TENANT - 1) {
             let twin_svc = MiscelaService::new();
             run_plan(&twin_svc, "default", plan);
-            let warm = svc.mine_in(tenant, &plan.name, &params).unwrap();
-            let cold = twin_svc.mine(&plan.name, &params).unwrap();
+            let warm = svc
+                .mine_cancellable_in(tenant, &plan.name, &params, None, &CancelToken::never())
+                .unwrap();
+            let cold = twin_svc
+                .mine_cancellable_in(
+                    DEFAULT_TENANT,
+                    &plan.name,
+                    &params,
+                    None,
+                    &CancelToken::never(),
+                )
+                .unwrap();
             assert_eq!(
                 warm.result.caps, cold.result.caps,
                 "storm-surviving {tenant}/{} diverged from its cold twin",
