@@ -5,9 +5,17 @@
 //! CAP sets as JSON, using the encoding defined here: an array of CAP
 //! objects, each with its member sensors (index + direction), attribute ids,
 //! support and co-evolving timestamps.
+//!
+//! The serving path encodes each mined CAP set once, with
+//! [`capset_to_text`], which writes the compact text straight from the
+//! CAPs. The result cache keeps that text and responses embed it as
+//! [`Json::Raw`]. [`capset_to_json`] builds the same document as a tree; it
+//! is the reference the text writer is tested against. Decoding always
+//! reads a tree ([`capset_from_json`]).
 
 use miscela_core::{Cap, CapMember, CapSet, Direction};
 use miscela_model::{AttributeId, SensorIndex};
+use miscela_store::json::write_number;
 use miscela_store::Json;
 use std::collections::BTreeSet;
 
@@ -50,6 +58,55 @@ pub fn cap_to_json(cap: &Cap) -> Json {
 /// Encodes a whole CAP set as a JSON array.
 pub fn capset_to_json(caps: &CapSet) -> Json {
     Json::Array(caps.caps().iter().map(cap_to_json).collect())
+}
+
+/// Writes a whole CAP set as compact JSON text: the bytes of
+/// `capset_to_json(caps).to_string_compact()`, without building the tree.
+pub fn capset_to_text(caps: &CapSet) -> String {
+    let mut out = String::new();
+    out.push('[');
+    for (i, cap) in caps.caps().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_cap(&mut out, cap);
+    }
+    out.push(']');
+    out
+}
+
+/// Writes one CAP object, its keys in the sorted order a tree writes them.
+fn write_cap(out: &mut String, cap: &Cap) {
+    out.push_str("{\"attributes\":");
+    write_numbers(out, cap.attributes.iter().map(|a| f64::from(a.0)));
+    out.push_str(",\"members\":[");
+    for (i, m) in cap.members.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Direction symbols (`+`, `-`) need no escaping.
+        out.push_str("{\"direction\":\"");
+        out.push_str(m.direction.symbol());
+        out.push_str("\",\"sensor\":");
+        write_number(out, f64::from(m.sensor.0));
+        out.push('}');
+    }
+    out.push_str("],\"support\":");
+    write_number(out, cap.support as f64);
+    out.push_str(",\"timestamps\":");
+    write_numbers(out, cap.timestamps.iter().map(|&t| f64::from(t)));
+    out.push('}');
+}
+
+fn write_numbers(out: &mut String, numbers: impl Iterator<Item = f64>) {
+    out.push('[');
+    for (i, n) in numbers.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(out, n);
+    }
+    out.push(']');
 }
 
 /// Decodes one CAP from its JSON object. Returns `None` on malformed input.

@@ -195,10 +195,9 @@ impl EvolvingSetsCache {
         let generation = inner.generation;
         inner.entries.insert(key, (state, generation));
         while inner.entries.len() > inner.capacity {
-            let oldest = inner
-                .insertion_order
-                .pop_front()
-                .expect("eviction with empty insertion order");
+            let Some(oldest) = inner.insertion_order.pop_front() else {
+                break;
+            };
             inner.entries.remove(&oldest);
         }
     }

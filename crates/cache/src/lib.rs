@@ -15,7 +15,9 @@
 //! [`PersistentCache`] stores entries as JSON documents in a
 //! [`miscela_store::Database`] collection (the MongoDB substitute), so
 //! cached results survive across sessions and can be inspected with the
-//! store's query interface.
+//! store's query interface. Each entry is a [`CachedCaps`]: the CAPs plus
+//! their JSON text, encoded once and shared by both tiers and the
+//! responses.
 //!
 //! [`EvolvingSetsCache`] is the front-end companion: a per-series cache of
 //! extraction results keyed by series content fingerprint and the
@@ -34,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use miscela_cache::{CacheKey, ResultCache};
+//! use miscela_cache::{CacheKey, CachedCaps, ResultCache};
 //! use miscela_core::{CapSet, MiningParams};
 //!
 //! let cache = ResultCache::new();
@@ -42,8 +44,9 @@
 //! let key = CacheKey::new("santander", &params);
 //!
 //! assert!(cache.get(&key).is_none()); // miss: would trigger mining
-//! cache.put(key.clone(), CapSet::new());
-//! assert!(cache.get(&key).is_some()); // hit: mining skipped
+//! cache.put(key.clone(), CachedCaps::new(CapSet::new()));
+//! let hit = cache.get(&key).unwrap(); // hit: mining skipped
+//! assert_eq!(&*hit.text, "[]"); // the CAPs' JSON, encoded once
 //!
 //! let stats = cache.stats();
 //! assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -51,6 +54,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Nothing the cache reads (stored documents, JSON) may panic the process:
+// a failure is a miss or a typed error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod codec;
 pub mod extraction;
@@ -60,5 +69,5 @@ pub mod persistent;
 
 pub use extraction::{EvolvingSetsCache, ExtractionCacheStats, DEFAULT_KEEP_GENERATIONS};
 pub use key::CacheKey;
-pub use memory::{CacheStats, ResultCache};
+pub use memory::{CacheStats, CachedCaps, ResultCache};
 pub use persistent::PersistentCache;

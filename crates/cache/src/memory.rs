@@ -1,9 +1,30 @@
 //! In-memory result cache with hit/miss statistics.
 
+use crate::codec::capset_to_text;
 use crate::key::CacheKey;
 use miscela_core::CapSet;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// One cached mining result: its CAPs and their compact JSON text, encoded
+/// once. Both cache tiers and every response that serves the result share
+/// the one text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedCaps {
+    /// The CAPs.
+    pub caps: CapSet,
+    /// `capset_to_text(&caps)`.
+    pub text: Arc<str>,
+}
+
+impl CachedCaps {
+    /// Encodes a result's CAPs.
+    pub fn new(caps: CapSet) -> Self {
+        let text = Arc::from(capset_to_text(&caps));
+        CachedCaps { caps, text }
+    }
+}
 
 /// Hit/miss counters of a cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,8 +53,8 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe in-memory cache from [`CacheKey`] to [`CapSet`], with an
-/// optional capacity bound evicting the least recently inserted entry.
+/// A thread-safe in-memory cache from [`CacheKey`] to [`CachedCaps`], with
+/// an optional capacity bound evicting the least recently inserted entry.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     inner: Mutex<Inner>,
@@ -41,7 +62,7 @@ pub struct ResultCache {
 
 #[derive(Debug, Default)]
 struct Inner {
-    entries: HashMap<CacheKey, CapSet>,
+    entries: HashMap<CacheKey, CachedCaps>,
     insertion_order: Vec<CacheKey>,
     capacity: Option<usize>,
     hits: usize,
@@ -67,7 +88,7 @@ impl ResultCache {
     }
 
     /// Looks up a key, recording a hit or miss.
-    pub fn get(&self, key: &CacheKey) -> Option<CapSet> {
+    pub fn get(&self, key: &CacheKey) -> Option<CachedCaps> {
         let mut inner = self.inner.lock();
         match inner.entries.get(key).cloned() {
             Some(v) => {
@@ -87,12 +108,12 @@ impl ResultCache {
     }
 
     /// Inserts (or replaces) an entry.
-    pub fn put(&self, key: CacheKey, caps: CapSet) {
+    pub fn put(&self, key: CacheKey, cached: CachedCaps) {
         let mut inner = self.inner.lock();
         if !inner.entries.contains_key(&key) {
             inner.insertion_order.push(key.clone());
         }
-        inner.entries.insert(key, caps);
+        inner.entries.insert(key, cached);
         if let Some(cap) = inner.capacity {
             while inner.entries.len() > cap {
                 let oldest = inner.insertion_order.remove(0);
@@ -165,12 +186,16 @@ mod tests {
         CacheKey::new(dataset, &MiningParams::default().with_psi(psi))
     }
 
+    fn empty() -> CachedCaps {
+        CachedCaps::new(CapSet::new())
+    }
+
     #[test]
     fn get_put_and_stats() {
         let cache = ResultCache::new();
         let k = key("santander", 10);
         assert!(cache.get(&k).is_none());
-        cache.put(k.clone(), CapSet::new());
+        cache.put(k.clone(), empty());
         assert!(cache.get(&k).is_some());
         assert!(cache.contains(&k));
         let stats = cache.stats();
@@ -183,9 +208,9 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest() {
         let cache = ResultCache::with_capacity(2);
-        cache.put(key("a", 1), CapSet::new());
-        cache.put(key("b", 1), CapSet::new());
-        cache.put(key("c", 1), CapSet::new());
+        cache.put(key("a", 1), empty());
+        cache.put(key("b", 1), empty());
+        cache.put(key("c", 1), empty());
         assert!(!cache.contains(&key("a", 1)));
         assert!(cache.contains(&key("b", 1)));
         assert!(cache.contains(&key("c", 1)));
@@ -195,9 +220,9 @@ mod tests {
     #[test]
     fn invalidate_dataset_removes_only_that_dataset() {
         let cache = ResultCache::new();
-        cache.put(key("santander", 1), CapSet::new());
-        cache.put(key("santander", 2), CapSet::new());
-        cache.put(key("china6", 1), CapSet::new());
+        cache.put(key("santander", 1), empty());
+        cache.put(key("santander", 2), empty());
+        cache.put(key("china6", 1), empty());
         assert_eq!(cache.invalidate_dataset("santander"), 2);
         assert!(!cache.contains(&key("santander", 1)));
         assert!(cache.contains(&key("china6", 1)));
@@ -220,7 +245,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..25 {
                     let k = key(&format!("d{t}"), i);
-                    cache.put(k.clone(), CapSet::new());
+                    cache.put(k.clone(), empty());
                     assert!(cache.get(&k).is_some());
                 }
             }));

@@ -5,10 +5,16 @@
 //! parameter signature, so that a freshly started server can still answer a
 //! repeated request without re-mining, and the documents can be inspected
 //! through the store's query API.
+//!
+//! Each result is encoded once: the memory tier keeps its [`CachedCaps`],
+//! and the stored document's `caps` field is the same shared text as a
+//! [`Json::Raw`], so a document written to disk has the bytes a tree would
+//! have written. A store loaded from disk holds `caps` as a parsed tree;
+//! both forms serve hits.
 
-use crate::codec::{capset_from_json, capset_to_json};
+use crate::codec::capset_from_json;
 use crate::key::CacheKey;
-use crate::memory::{CacheStats, ResultCache};
+use crate::memory::{CacheStats, CachedCaps, ResultCache};
 use miscela_core::CapSet;
 use miscela_store::{Database, Filter, Json};
 use std::sync::Arc;
@@ -38,20 +44,30 @@ impl PersistentCache {
     }
 
     /// Looks up a cached result, first in memory, then in the store.
-    pub fn get(&self, key: &CacheKey) -> Option<CapSet> {
+    pub fn get(&self, key: &CacheKey) -> Option<CachedCaps> {
         if let Some(hit) = self.memory.get(key) {
             return Some(hit);
         }
         let doc = self.db.find_one(RESULTS_COLLECTION, &key_filter(key))?;
-        let caps = capset_from_json(doc.get("caps")?)?;
+        let cached = match doc.get("caps")? {
+            // Written by `put`: keep sharing its text.
+            Json::Raw(text) => CachedCaps {
+                caps: capset_from_json(&Json::parse(text).ok()?)?,
+                text: Arc::clone(text),
+            },
+            tree => CachedCaps::new(capset_from_json(tree)?),
+        };
         // Promote to the memory tier for subsequent lookups.
-        self.memory.put(key.clone(), caps.clone());
-        Some(caps)
+        self.memory.put(key.clone(), cached.clone());
+        Some(cached)
     }
 
     /// Stores a result under a key (replacing any previous entry for the
-    /// same key).
-    pub fn put(&self, key: &CacheKey, caps: &CapSet) {
+    /// same key). Returns the CAPs' JSON text, encoded once and shared by
+    /// both tiers.
+    pub fn put(&self, key: &CacheKey, caps: &CapSet) -> Arc<str> {
+        let cached = CachedCaps::new(caps.clone());
+        let text = Arc::clone(&cached.text);
         self.db.delete_where(RESULTS_COLLECTION, &key_filter(key));
         let mut doc = Json::object();
         doc.set("dataset", Json::from(key.dataset.as_str()));
@@ -59,9 +75,10 @@ impl PersistentCache {
         doc.set("trimmed", Json::from(key.trimmed as i64));
         doc.set("signature", Json::from(key.signature.as_str()));
         doc.set("cap_count", Json::from(caps.len()));
-        doc.set("caps", capset_to_json(caps));
+        doc.set("caps", Json::Raw(Arc::clone(&text)));
         self.db.insert(RESULTS_COLLECTION, doc);
-        self.memory.put(key.clone(), caps.clone());
+        self.memory.put(key.clone(), cached);
+        text
     }
 
     /// Removes every cached result for a dataset. Returns how many store
@@ -132,6 +149,7 @@ fn key_filter(key: &CacheKey) -> Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::capset_to_json;
     use miscela_core::{Cap, CapMember, Direction, MiningParams};
     use miscela_model::{AttributeId, SensorIndex};
 
@@ -158,12 +176,12 @@ mod tests {
         let key = CacheKey::new("santander", &MiningParams::default());
         assert!(cache.get(&key).is_none());
         cache.put(&key, &sample_caps());
-        assert_eq!(cache.get(&key).unwrap(), sample_caps());
+        assert_eq!(cache.get(&key).unwrap().caps, sample_caps());
         assert_eq!(cache.stored_results(), 1);
         // Replacing the same key does not duplicate documents.
         cache.put(&key, &CapSet::new());
         assert_eq!(cache.stored_results(), 1);
-        assert!(cache.get(&key).unwrap().is_empty());
+        assert!(cache.get(&key).unwrap().caps.is_empty());
     }
 
     #[test]
@@ -178,10 +196,34 @@ mod tests {
         }
         let fresh = PersistentCache::new(Arc::clone(&db));
         let got = fresh.get(&key).expect("store tier should answer");
-        assert_eq!(got, sample_caps());
+        assert_eq!(got.caps, sample_caps());
         // The promotion into memory counts one miss then later hits.
         assert!(fresh.get(&key).is_some());
         assert!(fresh.stats().hits >= 1);
+    }
+
+    #[test]
+    fn documents_share_the_text_and_trees_still_hit() {
+        let db = Arc::new(Database::new());
+        let key = CacheKey::new("santander", &MiningParams::default());
+        let text = PersistentCache::new(Arc::clone(&db)).put(&key, &sample_caps());
+        let doc = db.find_one(RESULTS_COLLECTION, &key_filter(&key)).unwrap();
+        match doc.get("caps") {
+            Some(Json::Raw(stored)) => assert!(Arc::ptr_eq(stored, &text)),
+            other => panic!("caps should be the shared text, got {other:?}"),
+        }
+        // It serializes as the tree would, so files on disk do not change.
+        let mut tree = doc.body.clone();
+        tree.set("caps", capset_to_json(&sample_caps()));
+        assert_eq!(doc.body.to_string_compact(), tree.to_string_compact());
+        // A store loaded from disk holds the parsed tree instead.
+        let loaded = Arc::new(Database::new());
+        loaded.insert(
+            RESULTS_COLLECTION,
+            Json::parse(&doc.body.to_string_compact()).unwrap(),
+        );
+        let hit = PersistentCache::new(loaded).get(&key).unwrap();
+        assert_eq!((hit.caps, hit.text), (sample_caps(), text));
     }
 
     #[test]
@@ -192,8 +234,8 @@ mod tests {
         cache.put(&k1, &sample_caps());
         cache.put(&k2, &CapSet::new());
         assert_eq!(cache.stored_results(), 2);
-        assert_eq!(cache.get(&k1).unwrap().len(), 1);
-        assert!(cache.get(&k2).unwrap().is_empty());
+        assert_eq!(cache.get(&k1).unwrap().caps.len(), 1);
+        assert!(cache.get(&k2).unwrap().caps.is_empty());
     }
 
     #[test]
@@ -208,8 +250,8 @@ mod tests {
         // invalidate call.
         assert!(cache.get(&r2).is_none());
         cache.put(&r2, &CapSet::new());
-        assert_eq!(cache.get(&r1).unwrap(), sample_caps());
-        assert!(cache.get(&r2).unwrap().is_empty());
+        assert_eq!(cache.get(&r1).unwrap().caps, sample_caps());
+        assert!(cache.get(&r2).unwrap().caps.is_empty());
         assert_eq!(cache.stored_results(), 2);
         // Dataset-level invalidation still clears every revision.
         assert_eq!(cache.invalidate_dataset("santander"), 2);
@@ -288,7 +330,7 @@ mod tests {
         let live = CacheKey::for_revision("santander", 7, &params);
         fresh.put(&live, &sample_caps());
         assert_eq!(fresh.evict_superseded("santander", 7), 0);
-        assert_eq!(fresh.get(&live).unwrap(), sample_caps());
+        assert_eq!(fresh.get(&live).unwrap().caps, sample_caps());
     }
 
     #[test]
@@ -301,8 +343,8 @@ mod tests {
         // A post-trim window misses even at the same name/revision/params.
         assert!(cache.get(&trimmed).is_none());
         cache.put(&trimmed, &CapSet::new());
-        assert_eq!(cache.get(&untrimmed).unwrap(), sample_caps());
-        assert!(cache.get(&trimmed).unwrap().is_empty());
+        assert_eq!(cache.get(&untrimmed).unwrap().caps, sample_caps());
+        assert!(cache.get(&trimmed).unwrap().caps.is_empty());
         assert_eq!(cache.stored_results(), 2);
     }
 

@@ -39,6 +39,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Nothing an uploaded CSV holds may panic the process: every failure is a
+// typed `CsvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod attribute_csv;
 pub mod chunk;

@@ -78,7 +78,6 @@
 use crate::message::{ApiError, ApiRequest, ApiResponse, Method};
 use crate::service::{MiscelaService, SweepServed};
 use crate::shard::{TenantQuota, DEFAULT_TENANT};
-use miscela_cache::codec::capset_to_json;
 use miscela_core::{CancelToken, MiningParams};
 use miscela_csv::chunk::Chunk;
 use miscela_store::Json;
@@ -453,7 +452,7 @@ impl Router {
             ),
             ("cap_count", Json::from(outcome.result.caps.len())),
             ("elapsed_seconds", Json::from(outcome.elapsed.as_secs_f64())),
-            ("caps", capset_to_json(&outcome.result.caps)),
+            ("caps", Json::Raw(outcome.caps_text)),
         ])))
     }
 
@@ -497,12 +496,13 @@ impl Router {
             .results
             .iter()
             .zip(&outcome.cache_hits)
-            .map(|(result, &hit)| {
+            .zip(outcome.caps_text)
+            .map(|((result, &hit), text)| {
                 Json::from_pairs([
                     ("cache_hit", Json::from(hit)),
                     ("cap_count", Json::from(result.caps.len())),
                     ("delayed_count", Json::from(result.delayed.len())),
-                    ("caps", capset_to_json(&result.caps)),
+                    ("caps", Json::Raw(text)),
                 ])
             })
             .collect();
@@ -521,8 +521,10 @@ impl Router {
             ("replayed", Json::from(false)),
             ("results", Json::Array(results)),
         ]);
-        self.service
-            .remember_sweep_in(tenant, name, key, doc.to_string_compact());
+        if key.is_some() {
+            self.service
+                .remember_sweep_in(tenant, name, key, doc.to_string_compact());
+        }
         Ok(ApiResponse::ok(doc))
     }
 
@@ -958,6 +960,73 @@ mod tests {
         );
         let stats = router.handle(&ApiRequest::get("/protocol/stats"));
         assert!(stats.body.get("key_replays").unwrap().as_i64().unwrap() >= 1);
+    }
+
+    #[test]
+    fn mine_and_sweep_bodies_are_the_bytes_a_tree_writes() {
+        use miscela_cache::codec::capset_to_json;
+        let router = router_with_dataset();
+        let dataset = router
+            .service()
+            .dataset_in(DEFAULT_TENANT, "santander")
+            .unwrap();
+        // The CAPs of a cache-less mine, as a tree.
+        let reference = |psi: usize| {
+            let params = params_from_json(&mine_body(psi)).unwrap();
+            let mined = miscela_core::Miner::new(params)
+                .unwrap()
+                .mine(&dataset)
+                .unwrap();
+            capset_to_json(&mined.caps)
+        };
+        // A body with one field replaced, serialized.
+        let rebuilt = |body: &Json, field: &str, value: Json| {
+            let mut tree = body.clone();
+            tree.set(field, value);
+            tree.to_string_compact()
+        };
+        let mine = ApiRequest::post("/datasets/santander/mine", mine_body(20));
+        for expect_hit in [false, true] {
+            let resp = router.handle(&mine);
+            assert_eq!(
+                resp.body.get("cache_hit").unwrap().as_bool(),
+                Some(expect_hit)
+            );
+            assert_eq!(
+                resp.body.to_string_compact(),
+                rebuilt(&resp.body, "caps", reference(20))
+            );
+        }
+        let psis = [25, 20, 25];
+        let sweep = ApiRequest::post(
+            "/datasets/santander/mine/sweep",
+            Json::from_pairs([
+                ("points", Json::Array(psis.map(mine_body).to_vec())),
+                ("idempotency_key", Json::from("sweep-bytes")),
+            ]),
+        );
+        let first = router.handle(&sweep).body;
+        let results = first.get("results").unwrap().as_array().unwrap();
+        let trees = results
+            .iter()
+            .zip(psis)
+            .map(|(item, psi)| {
+                let mut item = item.clone();
+                item.set("caps", reference(psi));
+                item
+            })
+            .collect();
+        assert_eq!(
+            first.to_string_compact(),
+            rebuilt(&first, "results", Json::Array(trees))
+        );
+        // The keyed replay serves the same bytes, flagged as replayed.
+        let replay = router.handle(&sweep).body;
+        assert_eq!(replay.get("replayed").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            rebuilt(&replay, "replayed", Json::from(false)),
+            first.to_string_compact()
+        );
     }
 
     #[test]

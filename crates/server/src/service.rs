@@ -36,7 +36,8 @@
 //! and written by one function wherever a revision is installed.
 
 use miscela_cache::{
-    CacheKey, CacheStats, EvolvingSetsCache, ExtractionCacheStats, DEFAULT_KEEP_GENERATIONS,
+    CacheKey, CacheStats, CachedCaps, EvolvingSetsCache, ExtractionCacheStats,
+    DEFAULT_KEEP_GENERATIONS,
 };
 use miscela_core::{CancelToken, Miner, MiningError, MiningParams, MiningResult, SweepStats};
 use miscela_csv::chunk::{Chunk, ChunkedUploader};
@@ -280,6 +281,9 @@ pub struct AppendStatus {
 pub struct MineOutcome {
     /// The mining result (possibly served from the cache).
     pub result: MiningResult,
+    /// The CAPs as compact JSON text, encoded once and shared with the
+    /// result cache; responses embed it verbatim.
+    pub caps_text: Arc<str>,
     /// Whether the CAPs came from the cache.
     pub cache_hit: bool,
     /// The dataset revision the result corresponds to.
@@ -294,6 +298,9 @@ pub struct MineOutcome {
 pub struct SweepOutcome {
     /// Per-point results, in request order (duplicates share one result).
     pub results: Vec<MiningResult>,
+    /// Per-point: the CAPs as compact JSON text, shared with the result
+    /// cache (see [`MineOutcome::caps_text`]).
+    pub caps_text: Vec<Arc<str>>,
     /// Per-point: whether the CAPs were served from the result cache.
     pub cache_hits: Vec<bool>,
     /// Planner statistics for the freshly mined remainder of the grid
@@ -2143,14 +2150,15 @@ impl MiscelaService {
         let entry = self.entry(&scope).ok();
         let (revision, trimmed) = self.version(&scope, entry.as_ref())?;
         let key = CacheKey::for_state(&scope.key, revision, trimmed, params);
-        let hit = |caps| MineOutcome {
-            result: cached_result(caps),
+        let hit = |cached: CachedCaps| MineOutcome {
+            result: cached_result(cached.caps),
+            caps_text: cached.text,
             cache_hit: true,
             revision,
             elapsed: started.elapsed(),
         };
-        if let Some(caps) = self.store.cache.get(&key) {
-            return Ok(hit(caps));
+        if let Some(cached) = self.store.cache.get(&key) {
+            return Ok(hit(cached));
         }
         let entry = entry.ok_or_else(|| not_resident(&scope.name))?;
         // A cache miss does real work: hold a cost-weighted admission
@@ -2160,8 +2168,8 @@ impl MiscelaService {
         let _permit = self.admit(&scope, cost, deadline)?;
         // An identical request may have filled the cache while this one
         // waited for admission; serving it now keeps the work bounded.
-        if let Some(caps) = self.store.cache.get(&key) {
-            return Ok(hit(caps));
+        if let Some(cached) = self.store.cache.get(&key) {
+            return Ok(hit(cached));
         }
         let miner = Miner::new(params.clone()).map_err(|e| ApiError::BadRequest(e.to_string()))?;
         // The full-result cache missed, but the per-series extraction cache
@@ -2177,9 +2185,10 @@ impl MiscelaService {
         let result = miner
             .mine_cancellable(&entry.dataset, Some(&*extraction), &token)
             .map_err(|e| mining_err("mine", &scope.name, e))?;
-        self.store.cache.put(&key, &result.caps);
+        let caps_text = self.store.cache.put(&key, &result.caps);
         Ok(MineOutcome {
             result,
+            caps_text,
             cache_hit: false,
             revision: entry.revision,
             elapsed: started.elapsed(),
@@ -2245,11 +2254,13 @@ impl MiscelaService {
                 point_of.push(idx);
             }
         }
-        let probe = |i: usize| -> Option<MiningResult> {
+        let probe = |i: usize| -> Option<(MiningResult, Arc<str>)> {
             let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
-            self.store.cache.get(&ck).map(cached_result)
+            let cached = self.store.cache.get(&ck)?;
+            Some((cached_result(cached.caps), cached.text))
         };
-        let mut results: Vec<Option<MiningResult>> = (0..unique.len()).map(probe).collect();
+        let mut results: Vec<Option<(MiningResult, Arc<str>)>> =
+            (0..unique.len()).map(probe).collect();
         let was_cached: Vec<bool> = results.iter().map(|r| r.is_some()).collect();
         let missing: Vec<usize> = (0..unique.len())
             .filter(|&i| results[i].is_none())
@@ -2286,8 +2297,8 @@ impl MiscelaService {
                 stats = out.stats;
                 for (&i, result) in still.iter().zip(out.results) {
                     let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
-                    self.store.cache.put(&ck, &result.caps);
-                    results[i] = Some(result);
+                    let text = self.store.cache.put(&ck, &result.caps);
+                    results[i] = Some((result, text));
                 }
             }
         }
@@ -2295,17 +2306,20 @@ impl MiscelaService {
         // the request's true shape (work counters stay as performed).
         stats.requested_points = points.len();
         stats.unique_points = unique.len();
-        let results = point_of
+        let (results, caps_text) = point_of
             .iter()
             .map(|&ui| {
                 results[ui].clone().ok_or_else(|| {
                     ApiError::Internal(format!("sweep point {ui} was left unresolved"))
                 })
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
         Ok(SweepServed::Fresh(SweepOutcome {
             cache_hits: point_of.iter().map(|&ui| was_cached[ui]).collect(),
             results,
+            caps_text,
             stats,
             revision,
             elapsed: started.elapsed(),

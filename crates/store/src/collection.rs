@@ -99,10 +99,9 @@ impl Collection {
 
     /// Replaces the body of an existing document.
     pub fn update(&mut self, id: DocumentId, body: Json) -> Result<(), StoreError> {
-        if !self.docs.contains_key(&id) {
+        let Some(old) = self.docs.remove(&id) else {
             return Err(StoreError::UnknownDocument(id.0));
-        }
-        let old = self.docs.remove(&id).expect("checked above");
+        };
         for idx in &mut self.indexes {
             idx.remove(&old);
         }

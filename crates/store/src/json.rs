@@ -7,17 +7,36 @@
 //! pretty serializers. Numbers are stored as `f64`, which is sufficient for
 //! sensor measurements, counts and parameters.
 //!
+//! Most numbers the system writes and reads are integers (sensor indexes,
+//! timestamps, supports, revisions), so both directions have an integer
+//! fast path: [`write_number`] appends an integer's digits without
+//! allocating, and the parser reads a plain integer of at most 15 digits,
+//! which `f64` holds exactly, without `str::parse::<f64>`. Both give the
+//! same bytes and bits as the general path.
+//!
+//! [`Json::Raw`] holds compact text that this process wrote itself, such as
+//! a cached CAP set's encoding, so it can be embedded in a response or a
+//! stored document without rebuilding a tree. Both serializers copy it
+//! verbatim; [`Json::parse`] never returns it, so parsed input is always a
+//! tree.
+//!
 //! The parser reads untrusted bytes (request bodies, WAL records, persisted
 //! store files), so its recursion is bounded by [`MAX_DEPTH`]: deeper input
 //! is a [`JsonError`], never a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// How deeply arrays and objects may nest in a parsed document. Every
 /// document the system writes stays within single digits; the bound keeps
 /// hostile input such as 200,000 `[` bytes from overflowing the stack.
 pub const MAX_DEPTH: usize = 128;
+
+/// The longest plain integer the parser reads without `str::parse::<f64>`:
+/// every integer of at most 15 digits is below 2^53, so `f64` holds it
+/// exactly.
+const FAST_INTEGER_DIGITS: usize = 15;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +53,12 @@ pub enum Json {
     Array(Vec<Json>),
     /// An object with sorted keys (deterministic serialization).
     Object(BTreeMap<String, Json>),
+    /// Compact JSON text this process wrote itself, copied verbatim by both
+    /// serializers. Only the process's own writers make it (for example
+    /// `miscela_cache::codec::capset_to_text`); [`Json::parse`] never
+    /// returns it. The accessors treat it as opaque, and it equals only the
+    /// same text: to read inside it, serialize and parse.
+    Raw(Arc<str>),
 }
 
 impl Json {
@@ -153,8 +178,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Number(n) => out.push_str(&format_number(*n)),
+            Json::Number(n) => write_number(out, *n),
             Json::String(s) => write_escaped(out, s),
+            Json::Raw(text) => out.push_str(text),
             Json::Array(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -273,6 +299,7 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 }
 
 /// Formats a number the way JSON expects (integers without a fraction).
+/// [`write_number`] appends the same bytes.
 pub fn format_number(n: f64) -> String {
     if n.is_nan() || n.is_infinite() {
         // JSON has no NaN/Infinity; store represents them as null at a higher
@@ -285,6 +312,38 @@ pub fn format_number(n: f64) -> String {
         let s = format!("{n}");
         s
     }
+}
+
+/// Appends a number as [`format_number`] formats it, writing an integer's
+/// digits without allocating.
+pub fn write_number(out: &mut String, n: f64) {
+    if n.is_nan() || n.is_infinite() {
+        out.push_str("null");
+    } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
+        write_integer(out, n as i64);
+    } else {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Appends an integer's decimal digits.
+fn write_integer(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -400,11 +459,25 @@ impl Parser<'_> {
 
     fn parse_number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let digits_start = self.pos;
+        // May wrap beyond 19 digits; only values of at most 15 are used.
+        let mut value = 0u64;
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            value = value.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
+        }
+        let digits = self.pos - digits_start;
+        if (1..=FAST_INTEGER_DIGITS).contains(&digits)
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            // Exact in f64, so this is the value `str::parse` would give,
+            // `-0` included.
+            let n = value as f64;
+            return Ok(Json::Number(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -613,6 +686,7 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("nul").is_err());
+        assert!(Json::parse("-").is_err());
     }
 
     #[test]
@@ -689,6 +763,21 @@ mod tests {
             Json::Number(1e20).to_string_compact(),
             "100000000000000000000"
         );
+    }
+
+    #[test]
+    fn raw_text_is_written_verbatim() {
+        let raw = Json::Raw(Arc::from(r#"[{"a":1}]"#));
+        let doc = Json::from_pairs([("caps", raw.clone()), ("n", Json::from(1i64))]);
+        assert_eq!(doc.to_string_compact(), r#"{"caps":[{"a":1}],"n":1}"#);
+        assert!(doc.to_string_pretty().contains(r#""caps": [{"a":1}]"#));
+        // Parsing gives the tree back, never the raw variant.
+        let parsed = Json::parse(&doc.to_string_compact()).unwrap();
+        assert_eq!(
+            parsed.get("caps"),
+            Some(&Json::parse(r#"[{"a":1}]"#).unwrap())
+        );
+        assert_eq!(raw.as_array(), None);
     }
 
     #[test]

@@ -40,6 +40,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Nothing the store reads (persisted files, WAL records, JSON) may panic
+// the process: every failure is a typed error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod collection;
 pub mod database;

@@ -422,14 +422,16 @@ fn parse_frame(data: &[u8], pos: usize) -> Result<(Json, usize), String> {
     // Frame layout after the first colon: 16 hex digits, ':', payload, '\n'.
     let checksum_start = colon + 1;
     let payload_start = checksum_start + 17;
-    let frame_len = payload_start + len + 1;
-    if rest.len() < frame_len {
-        return Err(format!(
-            "truncated record ({} of {} frame bytes present)",
-            rest.len(),
-            frame_len
-        ));
-    }
+    // The header holds up to 20 digits, so the sum can overflow `usize`.
+    let frame_len = len
+        .checked_add(payload_start + 1)
+        .filter(|&n| n <= rest.len())
+        .ok_or_else(|| {
+            format!(
+                "truncated record ({} frame bytes present for a {len}-byte payload)",
+                rest.len()
+            )
+        })?;
     if rest[checksum_start + 16] != b':' {
         return Err("malformed checksum separator".to_string());
     }
@@ -568,6 +570,21 @@ mod tests {
         let torn = scan.torn.expect("corrupt record is reported");
         assert_eq!(torn.offset, frame0 as u64);
         assert!(torn.reason.contains("checksum"), "{}", torn.reason);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn overflowing_length_header_is_a_torn_tail() {
+        let path = temp_path("overflow");
+        let file = b"18446744073709551577:0000000000000000:{}\n";
+        assert_eq!(file.len(), 41);
+        fs::write(&path, file).unwrap();
+        let scan = scan(&path).unwrap();
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.valid_bytes, 0);
+        let torn = scan.torn.expect("an impossible length is a torn tail");
+        assert_eq!((torn.offset, torn.bytes), (0, 41));
+        assert!(torn.reason.contains("truncated"), "{}", torn.reason);
         fs::remove_file(&path).unwrap();
     }
 

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full Miscela-V pipeline from CSV
 //! upload through mining, caching and visualization.
 
+use miscela_v::miscela_cache::codec::capset_to_json;
 use miscela_v::miscela_core::baseline::NaiveMiner;
 use miscela_v::miscela_core::evolving::extract_with_segmentation;
 use miscela_v::miscela_core::{CancelToken, CapSet, Miner, MiningParams, ProximityGraph};
@@ -162,7 +163,7 @@ fn cache_survives_store_persistence() {
 
     let ds = SantanderGenerator::small().with_scale(0.02).generate();
     let params = quick_params();
-    let first_caps;
+    let (first_caps, first_text);
     {
         let service = Arc::new(MiscelaService::new());
         service
@@ -179,8 +180,13 @@ fn cache_survives_store_persistence() {
             .unwrap();
         assert!(!outcome.cache_hit);
         first_caps = outcome.result.caps.clone();
+        first_text = outcome.caps_text;
         persist::save(service.database(), &dir).unwrap();
     }
+    // On disk the document holds the bytes the tree encoding writes.
+    let saved = std::fs::read_to_string(dir.join("cap_results.jsonl")).unwrap();
+    let tree = capset_to_json(&first_caps).to_string_compact();
+    assert!(saved.contains(&format!("\"caps\":{tree},")), "{saved}");
 
     let reloaded = Arc::new(persist::load(&dir).unwrap());
     let service = MiscelaService::with_database(reloaded);
@@ -197,6 +203,8 @@ fn cache_survives_store_persistence() {
         .unwrap();
     assert!(outcome.cache_hit);
     assert_eq!(outcome.result.caps, first_caps);
+    // The reloaded document holds a parsed tree; it serves the same text.
+    assert_eq!(outcome.caps_text, first_text);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -284,6 +284,61 @@ proptest! {
         }
     }
 
+    /// The integer writer appends exactly `format_number`'s bytes for every
+    /// `f64`: integers on both sides of 2^53, signed zeros, fractions and
+    /// the non-finite values.
+    #[test]
+    fn write_number_matches_format_number(n in f64_strategy()) {
+        use miscela_v::miscela_store::json::{format_number, write_number};
+        let mut out = String::from("[");
+        write_number(&mut out, n);
+        prop_assert_eq!(&out[1..], format_number(n).as_str(), "{:?} ({:#x})", n, n.to_bits());
+    }
+
+    /// A plain integer parses to the bits `str::parse::<f64>` gives, with or
+    /// without a sign and leading zeros, whether it is short enough for the
+    /// integer fast path (at most 15 digits) or not.
+    #[test]
+    fn integer_parse_matches_str_parse(text in integer_text_strategy()) {
+        let parsed = Json::parse(&text);
+        let Ok(Json::Number(n)) = parsed else {
+            panic!("{text:?} parsed to {parsed:?}");
+        };
+        prop_assert_eq!(n.to_bits(), text.parse::<f64>().unwrap().to_bits(), "{}", text);
+    }
+
+    /// The direct CAP set writer gives the bytes of serializing the tree.
+    #[test]
+    fn capset_text_matches_the_tree(caps in capset_strategy()) {
+        use miscela_v::miscela_cache::codec::{capset_to_json, capset_to_text};
+        prop_assert_eq!(capset_to_text(&caps), capset_to_json(&caps).to_string_compact());
+    }
+
+    /// `wal::scan` on arbitrary bytes, including length headers of 19 and
+    /// 20 digits that overflow the frame arithmetic, returns the longest
+    /// valid prefix and a torn tail; it never panics.
+    #[test]
+    fn wal_scan_never_panics(pieces in proptest::collection::vec(wal_piece_strategy(), 0..5)) {
+        use miscela_v::miscela_store::wal::scan;
+        let bytes = pieces.concat();
+        let dir = std::env::temp_dir()
+            .join(format!("miscela-props-wal-scan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        std::fs::write(&path, &bytes).unwrap();
+        let scanned = scan(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let valid = scanned.valid_bytes as usize;
+        prop_assert!(valid <= bytes.len());
+        match scanned.torn {
+            None => prop_assert_eq!(valid, bytes.len()),
+            Some(torn) => {
+                prop_assert_eq!(torn.offset as usize, valid);
+                prop_assert_eq!(torn.bytes as usize, bytes.len() - valid);
+            }
+        }
+    }
+
     /// `Json::parse` on arbitrary input returns a value or a typed error;
     /// it never panics or overflows the stack, however deep the nesting.
     #[test]
@@ -298,6 +353,94 @@ proptest! {
             Err(e) => prop_assert!(e.position <= input.len(), "{} in {:?}", e, input),
         }
     }
+}
+
+/// Any `f64`: every bit pattern, integers around 2^53 and from 1e15 to
+/// 1e20, fractions, signed zeros and the non-finite values.
+fn f64_strategy() -> impl Strategy<Value = f64> {
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+    prop_oneof![
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(TWO_53 - 1.0),
+            Just(1.0 - TWO_53),
+            Just(TWO_53),
+            Just(-TWO_53),
+            Just(1e15),
+            Just(1e20),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ],
+        any::<u64>().prop_map(f64::from_bits),
+        any::<i64>().prop_map(|n| n as f64),
+        (1e15f64..1e20).prop_map(f64::trunc),
+        (-1e20f64..-1e15).prop_map(f64::trunc),
+        -1e6f64..1e6,
+        (-1e6f64..1e6).prop_map(f64::trunc),
+    ]
+}
+
+/// Plain JSON integers: an optional minus sign and 1 to 20 digits, often
+/// with leading zeros.
+fn integer_text_strategy() -> impl Strategy<Value = String> {
+    let digits = prop_oneof!["[0-9]{1,20}", "[0]{1,4}[0-9]{0,14}", "[0-9]{15,16}"];
+    (prop_oneof![Just(""), Just("-")], digits).prop_map(|(sign, digits)| format!("{sign}{digits}"))
+}
+
+/// CAP sets of up to four CAPs over any sensors, attributes and
+/// timestamps, `u32::MAX` included; the empty set too.
+fn capset_strategy() -> impl Strategy<Value = miscela_v::miscela_core::CapSet> {
+    use miscela_v::miscela_core::{Cap, CapMember, CapSet, Direction};
+    use miscela_v::miscela_model::{AttributeId, SensorIndex};
+    let index = || prop_oneof![0u32..600, Just(u32::MAX), any::<u32>()];
+    let member = (index(), any::<bool>()).prop_map(|(sensor, up)| CapMember {
+        sensor: SensorIndex(sensor),
+        direction: if up { Direction::Up } else { Direction::Down },
+    });
+    let attribute = prop_oneof![0u16..8, Just(u16::MAX)];
+    let cap = (
+        proptest::collection::vec(member, 0..5),
+        proptest::collection::vec(attribute, 0..4),
+        proptest::collection::vec(index(), 0..10),
+    )
+        .prop_map(|(members, attributes, timestamps)| {
+            Cap::new(
+                members,
+                attributes.into_iter().map(AttributeId).collect(),
+                timestamps,
+            )
+        });
+    proptest::collection::vec(cap, 0..5).prop_map(CapSet::from_caps)
+}
+
+/// Pieces of a WAL file: valid frames, frame-shaped records whose length
+/// header is any 1 to 20 digits (often 19 or 20, and often just below
+/// `u64::MAX`, where adding the frame overhead overflows), and arbitrary
+/// bytes.
+fn wal_piece_strategy() -> impl Strategy<Value = Vec<u8>> {
+    use miscela_v::miscela_store::wal::frame_record;
+    let length = prop_oneof![
+        "[0-9]{1,3}",
+        "[0-9]{19,20}",
+        "18446744073709551[56][0-9]{2}"
+    ];
+    let shaped = (
+        length,
+        "[0-9a-f]{14,17}",
+        "[{}\\[\\]0-9a-z\":,]{0,12}",
+        any::<bool>(),
+    )
+        .prop_map(|(len, checksum, payload, newline)| {
+            let end = if newline { "\n" } else { "" };
+            format!("{len}:{checksum}:{payload}{end}").into_bytes()
+        });
+    prop_oneof![
+        json_strategy().prop_map(|j| frame_record(&j).into_bytes()),
+        shaped,
+        proptest::collection::vec(any::<u8>(), 0..24),
+    ]
 }
 
 /// Timestamp-like strings: a well-formed `YYYY-MM-DD HH:MM:SS` whose year
