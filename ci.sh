@@ -66,6 +66,11 @@ MISCELA_OVERLOAD_SMOKE=1 cargo test --release -q -p miscela-v --test overload_ma
 step "chaos-matrix smoke (every transport fault class converges to the undisturbed twin)"
 MISCELA_CHAOS_SMOKE=1 cargo test --release -q -p miscela-v --test chaos_transport_matrix
 
+step "tenant-storm repeat (25 release runs; a watcher that misses its typed close fails the gate)"
+for run in $(seq 1 25); do
+    cargo test --release -q -p miscela-v --test tenant_storm || { echo "tenant_storm failed on run $run of 25" >&2; exit 1; }
+done
+
 step "end-to-end benchmark smoke (both workloads at smoke size, every output check on)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 

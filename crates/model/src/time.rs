@@ -158,7 +158,48 @@ impl Timestamp {
 
     /// Parses the paper's `YYYY-MM-DD HH:MM:SS` format. A bare `YYYY-MM-DD`
     /// is accepted as midnight. A `T` separator is also tolerated.
+    ///
+    /// Text in the exact 19-byte layout, which is every `data.csv`
+    /// timestamp the system writes, is read by digit offsets; anything
+    /// else, or a layout-shaped value [`Timestamp::from_ymd_hms`] rejects,
+    /// takes the general path. Both give the same value or error.
     pub fn parse(s: &str) -> Result<Self, ModelError> {
+        match Self::parse_fixed_layout(s) {
+            Some(t) => Ok(t),
+            None => Self::parse_general(s),
+        }
+    }
+
+    /// Reads `YYYY-MM-DD HH:MM:SS` from fixed offsets, or `None` when `s`
+    /// is not exactly that layout of ASCII digits or its fields are out of
+    /// range.
+    fn parse_fixed_layout(s: &str) -> Option<Self> {
+        let &[y0, y1, y2, y3, b'-', mo0, mo1, b'-', d0, d1, b' ', h0, h1, b':', mi0, mi1, b':', s0, s1] =
+            s.as_bytes()
+        else {
+            return None;
+        };
+        let digit = |b: u8| {
+            let d = b.wrapping_sub(b'0');
+            (d < 10).then_some(u32::from(d))
+        };
+        let pair = |hi: u8, lo: u8| Some(digit(hi)? * 10 + digit(lo)?);
+        let year = pair(y0, y1)? * 100 + pair(y2, y3)?;
+        Self::from_ymd_hms(
+            i64::from(year),
+            pair(mo0, mo1)?,
+            pair(d0, d1)?,
+            pair(h0, h1)?,
+            pair(mi0, mi1)?,
+            pair(s0, s1)?,
+        )
+        .ok()
+    }
+
+    /// The general parser behind [`Timestamp::parse`]: trims, splits the
+    /// date from an optional time at a space or `T`, and reads each field
+    /// with `str::parse`.
+    fn parse_general(s: &str) -> Result<Self, ModelError> {
         let s = s.trim();
         let err = || ModelError::InvalidTimestamp(s.to_string());
         let (date_part, time_part) = match s.split_once(' ').or_else(|| s.split_once('T')) {
@@ -537,6 +578,91 @@ mod tests {
             Timestamp::parse("9999-12-31 23:59:59").unwrap().format(),
             "9999-12-31 23:59:59"
         );
+    }
+
+    #[test]
+    fn fixed_layout_edges_match_the_general_parser() {
+        for s in [
+            "2016-03-01 00:00:00",
+            "2016-02-29 23:59:59",
+            "2015-02-29 00:00:00",
+            "1900-02-29 00:00:00",
+            "2000-02-29 00:00:00",
+            "2016-03-01 24:00:00",
+            "2016-03-01 00:00:60",
+            "2016-00-01 00:00:00",
+            "2016-13-01 00:00:00",
+            "0000-01-01 00:00:00",
+            "9999-12-31 23:59:59",
+            "2016-03-01T00:00:00",
+            "+016-03-01 00:00:00",
+            "2016-03-01 00:00:0 ",
+            " 2016-03-01 00:00:0",
+        ] {
+            assert_eq!(Timestamp::parse(s), Timestamp::parse_general(s), "{s:?}");
+        }
+        assert!(Timestamp::parse_fixed_layout("2016-02-29 23:59:59").is_some());
+        for general_only in [
+            "2016-03-01T00:00:00",
+            "+016-03-01 00:00:00",
+            "2015-02-29 00:00:00",
+        ] {
+            assert_eq!(Timestamp::parse_fixed_layout(general_only), None);
+        }
+    }
+
+    mod fixed_layout_proptest {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The layout's alphabet: digits, its separators, and the `T` and
+        /// `+` the general parser also reads.
+        const ALPHABET: &str = "[0-9\\- :T+]";
+
+        /// A `YYYY-MM-DD HH:MM:SS` text whose fields are often out of
+        /// range: Feb 29 of any year, month 00 and 13, hour 24, second 60,
+        /// years 0000 and 9999.
+        fn layout() -> impl Strategy<Value = String> {
+            let year =
+                prop_oneof!["0000", "9999", "1900", "2000", "2015", "2016", "2100", "[0-9]{4}"];
+            let month = prop_oneof!["00", "02", "12", "13", "[0-1][0-9]", "[0-9]{2}"];
+            let day = prop_oneof!["00", "28", "29", "30", "31", "32", "[0-3][0-9]"];
+            let hour = prop_oneof!["00", "23", "24", "[0-2][0-9]", "[0-9]{2}"];
+            let minute = prop_oneof!["59", "60", "[0-6][0-9]"];
+            let second = prop_oneof!["59", "60", "61", "[0-6][0-9]", "[0-9]{2}"];
+            let separator = prop_oneof![" ", " ", "T", ALPHABET];
+            ((year, month, day), separator, (hour, minute, second))
+                .prop_map(|((y, mo, d), sep, (h, mi, s))| format!("{y}-{mo}-{d}{sep}{h}:{mi}:{s}"))
+        }
+
+        /// 19-byte strings: any text over the alphabet, a layout text, or
+        /// a layout text with one to three bytes replaced from the alphabet.
+        fn nineteen_bytes() -> impl Strategy<Value = String> {
+            let mutated = (
+                layout(),
+                proptest::collection::vec((0usize..19, ALPHABET), 1..4),
+            )
+                .prop_map(|(text, edits)| {
+                    let mut bytes = text.into_bytes();
+                    for (at, with) in edits {
+                        bytes[at] = with.as_bytes()[0];
+                    }
+                    String::from_utf8(bytes).unwrap()
+                });
+            prop_oneof!["[0-9\\- :T+]{19}", layout(), mutated]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// `parse` with its fixed-layout path returns exactly what the
+            /// general parser returns, value or error.
+            #[test]
+            fn parse_matches_the_general_parser(s in nineteen_bytes()) {
+                prop_assert_eq!(s.len(), 19);
+                prop_assert_eq!(Timestamp::parse(&s), Timestamp::parse_general(&s), "{:?}", s);
+            }
+        }
     }
 
     #[test]

@@ -194,9 +194,9 @@ pub fn restore_dataset(data: &Json) -> Result<RestoredDataset, ApiError> {
             .get("lon")
             .and_then(|l| l.as_f64())
             .ok_or_else(|| corrupt("sensor missing lon"))?;
-        let idx = builder
-            .add_sensor(id, attribute, GeoPoint::new_unchecked(lat, lon))
-            .map_err(|e| corrupt(&format!("sensor {id:?}: {e}")))?;
+        // Checked before `add_sensor`, which allocates a series of the
+        // grid's length: a corrupt `grid.len` must be an error, not an
+        // allocation of that size.
         let values = entry
             .get("values")
             .and_then(|v| v.as_array())
@@ -207,6 +207,9 @@ pub fn restore_dataset(data: &Json) -> Result<RestoredDataset, ApiError> {
                 values.len()
             )));
         }
+        let idx = builder
+            .add_sensor(id, attribute, GeoPoint::new_unchecked(lat, lon))
+            .map_err(|e| corrupt(&format!("sensor {id:?}: {e}")))?;
         let options: Vec<Option<f64>> = values.iter().map(|v| v.as_f64()).collect();
         builder
             .set_series(idx, TimeSeries::from_options(&options))
@@ -380,14 +383,17 @@ pub fn parse_op(record: &Json) -> Result<WalOp, ApiError> {
             })
         }
         "chunk" => {
-            let index = record
-                .get("index")
-                .and_then(|i| i.as_i64())
-                .ok_or_else(|| bad("chunk missing index"))? as usize;
-            let total = record
-                .get("total")
-                .and_then(|t| t.as_i64())
-                .ok_or_else(|| bad("chunk missing total"))? as usize;
+            // Never negative in a record this process wrote; rejecting
+            // one also keeps `index + 1` below from overflowing.
+            let count = |name: &str| {
+                record
+                    .get(name)
+                    .and_then(|v| v.as_i64())
+                    .and_then(|v| usize::try_from(v).ok())
+                    .ok_or_else(|| bad(&format!("chunk {name} missing or negative")))
+            };
+            let index = count("index")?;
+            let total = count("total")?;
             let content = record
                 .get("content")
                 .and_then(|c| c.as_str())
@@ -809,5 +815,32 @@ mod tests {
             ])),
             Err(ApiError::Internal(_))
         ));
+        // A grid length no sensor's values match is an error before any
+        // series of that length is allocated.
+        let mut huge_grid = snapshot_data(&awkward_dataset(), 1, 0, &[]);
+        huge_grid.set(
+            "grid",
+            Json::from_pairs([
+                ("start", Json::from(0i64)),
+                ("interval", Json::from(60i64)),
+                ("len", Json::Number(1e300)),
+            ]),
+        );
+        assert!(matches!(
+            restore_dataset(&huge_grid),
+            Err(ApiError::Internal(_))
+        ));
+        // A negative chunk index or total is corrupt, not a huge count (an
+        // index of -1 would overflow the `index + 1` sequence fallback).
+        for field in ["index", "total"] {
+            let empty = Chunk {
+                index: 0,
+                total: 1,
+                content: String::new(),
+            };
+            let mut chunk = chunk_record(1, 1, &empty);
+            chunk.set(field, Json::from(-1i64));
+            assert!(matches!(parse_op(&chunk), Err(ApiError::Internal(_))));
+        }
     }
 }

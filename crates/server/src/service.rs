@@ -988,6 +988,22 @@ impl MiscelaService {
         }
     }
 
+    /// Drops a dataset's keyed sweep bodies ([`ReplayOutcome::Sweep`]) and
+    /// their keys from its tenant's replayed-response cache; a delete calls
+    /// it. The bodies describe content that is gone, so they leave with it:
+    /// a sweep retried after the delete gets the same typed 404 as an
+    /// unkeyed one. Every other keyed outcome stays replayable.
+    fn forget_sweeps(&self, scope: &Scope) {
+        let tenant = self.store.tenant_state(&scope.tenant);
+        let mut p = tenant.protocol.lock();
+        let p = &mut *p;
+        p.entries.retain(|_, entry| {
+            entry.dataset != scope.name || !matches!(entry.outcome, ReplayOutcome::Sweep { .. })
+        });
+        let entries = &p.entries;
+        p.order.retain(|key| entries.contains_key(key));
+    }
+
     /// One dataset's slice of its tenant's replayed-response cache, oldest
     /// first, bounded to the most recent [`SNAPSHOT_REPLAY_LIMIT`] — this
     /// is what snapshots persist so keyed replay survives a crash. Sweep
@@ -1579,6 +1595,7 @@ impl MiscelaService {
             .db
             .delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
         self.store.cache.invalidate_dataset(&scope.key);
+        self.forget_sweeps(&scope);
         if existed {
             // Wake parked watchers: they re-read the registry, find the
             // dataset gone, and return the typed `NotFound` close instead
@@ -3616,6 +3633,88 @@ mod tests {
         // reads round-trip.
         assert_eq!(svc.quota("capped").unwrap().max_datasets, Some(1));
         assert_eq!(svc.quota(DEFAULT_TENANT).unwrap(), TenantQuota::default());
+    }
+
+    #[test]
+    fn delete_drops_sweep_bodies_and_keeps_every_other_key_replayable() {
+        let full = small_dataset();
+        let writer = DatasetWriter::new();
+        let n = full.timestamp_count();
+        let split_t = full.grid().at(n - 24).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let svc = MiscelaService::new();
+        let (t, d) = ("acme", "santander");
+        svc.begin_upload_keyed_in(
+            t,
+            d,
+            &writer.location_csv(&prefix),
+            &writer.attribute_csv(&prefix),
+            Some("up-begin"),
+        )
+        .unwrap();
+        for chunk in miscela_csv::split_into_chunks(&writer.data_csv(&prefix), 5_000) {
+            svc.upload_chunk_in(t, d, &chunk).unwrap();
+        }
+        let (registered, _, _) = svc.finish_upload_keyed_in(t, d, Some("up-finish")).unwrap();
+        let begun = svc.begin_append_keyed_in(t, d, Some("ap-begin")).unwrap();
+        for chunk in miscela_csv::split_into_chunks(&writer.data_csv(&tail), 5_000) {
+            svc.append_chunk_in(t, d, &chunk).unwrap();
+        }
+        let (appended, _, _) = svc.finish_append_keyed_in(t, d, Some("ap-finish")).unwrap();
+        let (retained, _) = svc
+            .set_retention_keyed_in(t, d, RetentionPolicy::unbounded(), Some("retain"))
+            .unwrap();
+        let points = [quick_params(), quick_params().with_psi(30)];
+        for key in ["sweep-1", "sweep-2"] {
+            let served = svc
+                .mine_sweep_in(t, d, &points, None, &CancelToken::never(), Some(key))
+                .unwrap();
+            assert!(matches!(served, SweepServed::Fresh(_)));
+            svc.remember_sweep_in(t, d, Some(key), format!("{{\"body\":{key:?}}}"));
+        }
+        assert!(matches!(
+            svc.mine_sweep_in(t, d, &points, None, &CancelToken::never(), Some("sweep-1")),
+            Ok(SweepServed::Replayed(_))
+        ));
+        assert_eq!(svc.protocol_stats_in(t).unwrap().cached_keys, 7);
+
+        assert!(!svc.delete_dataset_keyed_in(t, d, Some("delete")).unwrap());
+        // The sweep bodies and their keys are gone, with no ghost keys
+        // left in the eviction order.
+        {
+            let tenant = svc.store.tenant_state(t);
+            let p = tenant.protocol.lock();
+            assert_eq!(p.entries.len(), 6);
+            assert_eq!(p.order.len(), 6);
+            assert!(p.order.iter().all(|key| p.entries.contains_key(key)));
+            assert!(!p.order.iter().any(|key| key.starts_with("sweep")));
+        }
+        // A keyed sweep retried after the delete fails like an unkeyed one.
+        let unkeyed = svc.mine_sweep_in(t, d, &points, None, &CancelToken::never(), None);
+        let retried =
+            svc.mine_sweep_in(t, d, &points, None, &CancelToken::never(), Some("sweep-1"));
+        assert!(matches!(unkeyed, Err(ApiError::NotFound(_))), "{unkeyed:?}");
+        assert_eq!(retried.err(), unkeyed.err());
+        // Every other keyed outcome still replays.
+        assert!(svc.delete_dataset_keyed_in(t, d, Some("delete")).unwrap());
+        assert!(svc
+            .begin_upload_keyed_in(t, d, "", "", Some("up-begin"))
+            .unwrap());
+        let (summary, _, replayed) = svc.finish_upload_keyed_in(t, d, Some("up-finish")).unwrap();
+        assert!(replayed);
+        assert_eq!(summary, registered);
+        let again = svc.begin_append_keyed_in(t, d, Some("ap-begin")).unwrap();
+        assert!(again.replayed);
+        assert_eq!(again.session, begun.session);
+        let (summary, _, replayed) = svc.finish_append_keyed_in(t, d, Some("ap-finish")).unwrap();
+        assert!(replayed);
+        assert_eq!(summary, appended);
+        let (summary, replayed) = svc
+            .set_retention_keyed_in(t, d, RetentionPolicy::unbounded(), Some("retain"))
+            .unwrap();
+        assert!(replayed);
+        assert_eq!(summary, retained);
     }
 
     #[test]

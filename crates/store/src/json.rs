@@ -14,6 +14,13 @@
 //! which `f64` holds exactly, without `str::parse::<f64>`. Both give the
 //! same bytes and bits as the general path.
 //!
+//! Strings are copied in runs. The writer and the parser find the next
+//! byte that ends a run (`"`, `\`, and for the writer a control byte) eight
+//! bytes at a time, with `u64` arithmetic on each word, and copy the run
+//! whole; long strings such as `data.csv` chunk bodies stop only at their
+//! line breaks. The bytes written and the strings parsed are those of a
+//! byte-at-a-time loop.
+//!
 //! [`Json::Raw`] holds compact text that this process wrote itself, such as
 //! a cached CAP set's encoding, so it can be embedded in a response or a
 //! stored document without rebuilding a tree. Both serializers copy it
@@ -351,13 +358,13 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     // Copy unescaped runs whole: only `"`, `\` and control bytes (all ASCII,
     // so never inside a multi-byte character) end a run.
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        run = i + 1;
+    loop {
+        let end = run_end(bytes, run, true);
+        out.push_str(&s[run..end]);
+        let Some(&b) = bytes.get(end) else { break };
+        run = end + 1;
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
@@ -367,8 +374,53 @@ fn write_escaped(out: &mut String, s: &str) {
             _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
-    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// The low seven bits of every byte of a word.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+/// The high bit of every byte of a word.
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of each byte of `word` that equals `b`, and no other bit.
+/// Exact: adding to the low seven bits of a byte never carries into the
+/// next byte.
+fn bytes_equal(word: u64, b: u8) -> u64 {
+    let diff = word ^ (ONES * u64::from(b));
+    !(((diff & LOW7) + LOW7) | diff) & HIGH
+}
+
+/// The high bit of each byte of `word` below 0x20, and no other bit.
+fn bytes_below_space(word: u64) -> u64 {
+    !(((word & LOW7) + ONES * 0x60) | word) & HIGH
+}
+
+/// The end of the run of plain string bytes starting at `from`: the offset
+/// of the next `"` or `\`, or, when `controls`, of the next byte below
+/// 0x20; `bytes.len()` if there is none. Tests eight bytes per step as one
+/// `u64`. Every byte it stops at is ASCII, so a run starts and ends on
+/// character boundaries.
+#[inline]
+fn run_end(bytes: &[u8], from: usize, controls: bool) -> usize {
+    let rest = bytes.get(from..).unwrap_or_default();
+    let (words, tail) = rest.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let word = u64::from_le_bytes(*word);
+        let mut stops = bytes_equal(word, b'"') | bytes_equal(word, b'\\');
+        if controls {
+            stops |= bytes_below_space(word);
+        }
+        if stops != 0 {
+            // Little-endian load: the lowest flagged byte comes first.
+            return from + i * 8 + (stops.trailing_zeros() / 8) as usize;
+        }
+    }
+    let tail_start = bytes.len() - tail.len();
+    tail.iter()
+        .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+        .map_or(bytes.len(), |i| tail_start + i)
 }
 
 /// A JSON parse error with byte position.
@@ -505,12 +557,10 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash whole. Both are
-            // ASCII, so the run starts and ends on character boundaries.
+            // Copy the run up to the next quote or backslash whole; raw
+            // control bytes are accepted as they are.
             let run = self.pos;
-            while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
-                self.pos += 1;
-            }
+            self.pos = run_end(self.bytes, run, false);
             out.push_str(&self.input[run..self.pos]);
             match self.peek() {
                 None => return Err(JsonError::new(self.pos, "unterminated string")),
@@ -636,9 +686,177 @@ impl Parser<'_> {
     }
 }
 
+/// The byte-at-a-time string loops the word scans replaced, retained
+/// verbatim as the equivalence oracle. Only compiled into test builds.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// The original escaper: tests every byte for a run end.
+    pub(crate) fn write_escaped(out: &mut String, s: &str) {
+        out.reserve(s.len() + 2);
+        out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b != b'"' && b != b'\\' && b >= 0x20 {
+                continue;
+            }
+            out.push_str(&s[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => out.push_str(&format!("\\u{b:04x}")),
+            }
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
+
+    /// The original string parser, advancing one byte at a time: reads
+    /// the string literal at the start of `input` and returns it with the
+    /// offset after its closing quote.
+    pub(crate) fn parse_string(input: &str) -> Result<(String, usize), JsonError> {
+        let mut p = Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let run = p.pos;
+            while !matches!(p.peek(), None | Some(b'"') | Some(b'\\')) {
+                p.pos += 1;
+            }
+            out.push_str(&p.input[run..p.pos]);
+            match p.peek() {
+                None => return Err(JsonError::new(p.pos, "unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok((out, p.pos));
+                }
+                _ => {
+                    p.pos += 1;
+                    p.parse_escape(&mut out)?;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Parser::parse_string` on the string literal at the start of
+    /// `input`, with the offset after it, in the reference's shape.
+    fn parse_string(input: &str) -> Result<(String, usize), JsonError> {
+        let mut p = Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        let s = p.parse_string()?;
+        Ok((s, p.pos))
+    }
+
+    /// Holds the word scans to the byte loops on `s`: the writer's bytes,
+    /// the round trip, and the parser on `s` escaped and raw, closed and
+    /// unterminated (same value, end offset or error position).
+    fn assert_matches_reference(s: &str) {
+        let mut written = String::new();
+        write_escaped(&mut written, s);
+        let mut expected = String::new();
+        reference::write_escaped(&mut expected, s);
+        assert_eq!(written, expected, "writer on {s:?}");
+        assert_eq!(Json::parse(&written), Ok(Json::String(s.to_string())));
+        let unterminated = &written[..written.len() - 1];
+        for input in [
+            written.clone(),
+            unterminated.to_string(),
+            format!("\"{s}\""),
+            format!("\"{s}"),
+        ] {
+            assert_eq!(
+                parse_string(&input),
+                reference::parse_string(&input),
+                "parser on {input:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_scans_match_the_byte_loops_at_every_offset() {
+        let specials: Vec<char> = (0u8..0x20).chain([b'"', b'\\']).map(char::from).collect();
+        for &special in &specials {
+            for pad in ['a', 'é', '大', '𝄞'] {
+                for offset in 0..24 {
+                    // Multi-byte padding first or last, so a character
+                    // both straddles word boundaries and sits right
+                    // before the special byte.
+                    let ascii = offset % pad.len_utf8();
+                    let wide = String::from(pad).repeat(offset / pad.len_utf8());
+                    let fill = "x".repeat(ascii);
+                    for prefix in [format!("{wide}{fill}"), format!("{fill}{wide}")] {
+                        assert_eq!(prefix.len(), offset);
+                        for suffix in [0, 1, 7, 8, 9, 17] {
+                            let mut s = prefix.clone();
+                            s.push(special);
+                            s.extend(std::iter::repeat_n(pad, suffix));
+                            assert_matches_reference(&s);
+                        }
+                    }
+                }
+            }
+        }
+        // Two special bytes at any pair of offsets.
+        let pairs = ['"', '\\', '\n', '\u{0}', '\u{1f}'];
+        for first in pairs {
+            for second in pairs {
+                for i in 0..24 {
+                    for j in i + 1..24 {
+                        let mut s: Vec<char> = std::iter::repeat_n('a', 26).collect();
+                        s[i] = first;
+                        s[j] = second;
+                        assert_matches_reference(&s.into_iter().collect::<String>());
+                    }
+                }
+            }
+        }
+        for s in ["", "a", "\u{7f}", "é", "0123456789abcdef", "01234567\\"] {
+            assert_matches_reference(s);
+        }
+        // Near misses never end a run: 0x20 and the bytes beside `"` and
+        // `\`, and multi-byte characters holding a special byte's value
+        // with the high bit set (`¢` holds 0xa2, U+071C 0xdc, U+0085 0x85).
+        for near in [' ', '!', '#', '[', ']', '\u{7f}', '\u{85}', '¢', '\u{71c}'] {
+            for offset in 0..24 {
+                let mut s = "a".repeat(offset);
+                s.push(near);
+                s.push_str("0123456789");
+                assert_matches_reference(&s);
+                s.push('"');
+                assert_matches_reference(&s);
+            }
+        }
+    }
+
+    #[test]
+    fn unterminated_strings_fail_at_the_end() {
+        for input in ["\"", "\"abc", "\"0123456789abcdef", "\"a\\\"", "\"é\\n大"] {
+            let err = parse_string(input).unwrap_err();
+            assert_eq!(err.position, input.len(), "{input:?}");
+            assert_eq!(Err(err), reference::parse_string(input));
+        }
+        // A raw control byte does not end a string.
+        assert_eq!(parse_string("\"a\nb\tc\"x"), Ok(("a\nb\tc".to_string(), 7)));
+    }
 
     #[test]
     fn parse_scalars() {

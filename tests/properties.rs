@@ -7,6 +7,7 @@ use miscela_v::miscela_csv::{CsvError, CsvReader};
 use miscela_v::miscela_model::{
     AppendRowRef, GeoPoint, ModelError, SensorId, TimeSeries, Timestamp,
 };
+use miscela_v::miscela_server::ApiError;
 use miscela_v::miscela_store::Json;
 use proptest::prelude::*;
 
@@ -353,6 +354,329 @@ proptest! {
             Err(e) => prop_assert!(e.position <= input.len(), "{} in {:?}", e, input),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// durable records and upload documents: typed errors, never a panic
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A WAL record of any shape decodes or is a typed error.
+    #[test]
+    fn wal_record_parse_never_panics(record in durable_doc_strategy(WAL_FIELDS, WAL_OPS)) {
+        use miscela_v::miscela_server::durability::parse_op;
+        if let Err(e) = parse_op(&record) {
+            prop_assert!(matches!(e, ApiError::Internal(_)), "{:?} for {}", e, record);
+        }
+    }
+
+    /// A snapshot's idempotency entry of any shape decodes or is a typed
+    /// error.
+    #[test]
+    fn replay_entry_parse_never_panics(
+        entry in durable_doc_strategy(REPLAY_FIELDS, REPLAY_KINDS),
+    ) {
+        use miscela_v::miscela_server::durability::parse_replay_entry;
+        if let Err(e) = parse_replay_entry(&entry) {
+            prop_assert!(matches!(e, ApiError::Internal(_)), "{:?} for {}", e, entry);
+        }
+    }
+
+    /// A snapshot with any of its fields replaced, removed or retyped, or
+    /// any JSON at all, restores or is a typed error.
+    #[test]
+    fn snapshot_restore_never_panics(
+        edits in proptest::collection::vec(
+            (0usize..SNAPSHOT_PATHS.len(), proptest::option::of(durable_value_strategy())),
+            0..4,
+        ),
+        other in json_strategy(),
+        use_other in 0u8..8,
+    ) {
+        use miscela_v::miscela_server::durability::restore_dataset;
+        let snapshot = if use_other == 0 {
+            other
+        } else {
+            let mut doc = snapshot_fixture().clone();
+            for (path, value) in edits {
+                set_path(&mut doc, SNAPSHOT_PATHS[path], value);
+            }
+            doc
+        };
+        if let Err(e) = restore_dataset(&snapshot) {
+            prop_assert!(matches!(e, ApiError::Internal(_)), "{:?} for {}", e, snapshot);
+        }
+    }
+
+    /// `location.csv` and `attribute.csv` of arbitrary bytes parse or are
+    /// typed errors; what parses is valid.
+    #[test]
+    fn upload_documents_parse_never_panics(doc in upload_document_strategy()) {
+        use miscela_v::miscela_csv::{attribute_csv, location_csv};
+        if let Ok(rows) = location_csv::parse_document(&doc) {
+            prop_assert!(!rows.is_empty());
+            for row in rows {
+                prop_assert!((-90.0..=90.0).contains(&row.location.lat), "{:?}", row);
+                prop_assert!((-180.0..=180.0).contains(&row.location.lon), "{:?}", row);
+            }
+        }
+        if let Ok(names) = attribute_csv::parse_document(&doc) {
+            prop_assert!(!names.is_empty());
+            prop_assert!(names.iter().all(|n| !n.is_empty() && n.trim() == n), "{:?}", names);
+        }
+    }
+}
+
+/// Every field a WAL record can carry.
+const WAL_FIELDS: &[&str] = &[
+    "op",
+    "session",
+    "key",
+    "seq",
+    "index",
+    "total",
+    "content",
+    "revision",
+    "elapsed_ns",
+    "new_timestamps",
+    "measurements",
+    "trimmed_timestamps",
+    "timestamps",
+];
+const WAL_OPS: &[&str] = &["begin", "chunk", "commit"];
+
+/// Every field an idempotency entry can carry.
+const REPLAY_FIELDS: &[&str] = &[
+    "kind",
+    "key",
+    "name",
+    "session",
+    "new_timestamps",
+    "measurements",
+    "trimmed_timestamps",
+    "trimmed_total",
+    "timestamps",
+    "revision",
+    "elapsed_ns",
+    "sensors",
+    "records",
+    "attributes",
+];
+const REPLAY_KINDS: &[&str] = &[
+    "upload_begin",
+    "begin",
+    "finish",
+    "retention",
+    "register",
+    "delete",
+];
+
+/// Fields of the snapshot fixture to replace or remove, as dotted paths
+/// through objects and array indexes.
+const SNAPSHOT_PATHS: &[&str] = &[
+    "name",
+    "revision",
+    "applied_session",
+    "grid",
+    "grid.start",
+    "grid.interval",
+    "grid.len",
+    "attributes",
+    "attributes.0",
+    "retention",
+    "retention.max_timestamps",
+    "retention.max_age",
+    "idempotency",
+    "idempotency.0.kind",
+    "idempotency.0.session",
+    "sensors",
+    "sensors.0",
+    "sensors.0.id",
+    "sensors.0.attribute",
+    "sensors.0.lat",
+    "sensors.0.lon",
+    "sensors.0.values",
+    "sensors.0.values.1",
+    "sensors.1.id",
+    "sensors.1.values",
+];
+
+/// A well-formed record (the first of `fields` set to one of `names`, every
+/// other field an in-range number, `key`/`name`/`content` strings) with
+/// up to seven fields replaced, removed or retyped; or any JSON at all.
+fn durable_doc_strategy(
+    fields: &'static [&'static str],
+    names: &'static [&'static str],
+) -> impl Strategy<Value = Json> {
+    let edited = (
+        0..names.len(),
+        proptest::collection::vec(
+            (
+                0..fields.len(),
+                proptest::option::of(durable_value_strategy()),
+            ),
+            0..8,
+        ),
+    )
+        .prop_map(move |(name, edits)| {
+            let mut doc = Json::from_pairs(fields.iter().map(|&field| {
+                let value = match field {
+                    "key" | "name" => Json::from("k"),
+                    "content" => Json::from("s1,temperature,2016-03-01 00:00:00,1.5\n"),
+                    "attributes" => Json::from(vec!["temperature"]),
+                    _ => Json::from(1i64),
+                };
+                (field, value)
+            }));
+            doc.set(fields[0], Json::from(names[name]));
+            for (field, value) in edits {
+                set_path(&mut doc, fields[field], value);
+            }
+            doc
+        });
+    (0u8..4, edited, json_strategy())
+        .prop_map(|(pick, edited, any)| if pick == 0 { any } else { edited })
+}
+
+/// Values a corrupt durable file may hold where a number, string or array
+/// belongs: extreme and fractional numbers (non-finite ones too, as a
+/// tree built in memory may hold them), negative counts, names of other
+/// operations, and nested JSON.
+fn durable_value_strategy() -> impl Strategy<Value = Json> {
+    let extreme = prop_oneof![
+        Just(-1.0),
+        Just(-0.5),
+        Just(0.5),
+        Just(i64::MAX as f64),
+        Just(i64::MIN as f64),
+        Just(u64::MAX as f64),
+        Just(9_007_199_254_740_993.0),
+        Just(1e300),
+        Just(-1e300),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ];
+    prop_oneof![
+        extreme.prop_map(Json::Number),
+        (-3i64..8).prop_map(Json::from),
+        (-1i64..2).prop_map(Json::from),
+        prop_oneof![
+            "begin",
+            "chunk",
+            "commit",
+            "finish",
+            "register",
+            "delete",
+            "[a-z]{0,6}"
+        ]
+        .prop_map(Json::from),
+        proptest::collection::vec((-2i64..5).prop_map(Json::from), 0..5).prop_map(Json::Array),
+        json_strategy(),
+    ]
+}
+
+/// Replaces (`Some`) or removes (`None`) the value at a dotted path of
+/// object keys and array indexes; a path that does not resolve is left
+/// alone.
+fn set_path(doc: &mut Json, path: &str, value: Option<Json>) {
+    let (parent, last) = match path.rsplit_once('.') {
+        Some((parent, last)) => (Some(parent), last),
+        None => (None, path),
+    };
+    let mut node = doc;
+    for part in parent.into_iter().flat_map(|p| p.split('.')) {
+        node = match node {
+            Json::Object(map) => match map.get_mut(part) {
+                Some(next) => next,
+                None => return,
+            },
+            Json::Array(items) => match part.parse::<usize>().ok().and_then(|i| items.get_mut(i)) {
+                Some(next) => next,
+                None => return,
+            },
+            _ => return,
+        };
+    }
+    match (node, value) {
+        (Json::Object(map), Some(value)) => {
+            map.insert(last.to_string(), value);
+        }
+        (Json::Object(map), None) => {
+            map.remove(last);
+        }
+        (Json::Array(items), value) => {
+            if let Some(i) = last.parse::<usize>().ok().filter(|&i| i < items.len()) {
+                match value {
+                    Some(value) => items[i] = value,
+                    None => {
+                        items.remove(i);
+                    }
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The snapshot of a two-sensor, three-point dataset with a retention
+/// policy and one idempotency entry.
+fn snapshot_fixture() -> &'static Json {
+    use miscela_v::miscela_model::{DatasetBuilder, Duration, RetentionPolicy, TimeGrid};
+    use miscela_v::miscela_server::durability::snapshot_data;
+    use miscela_v::miscela_server::service::ReplayOutcome;
+    static FIXTURE: std::sync::OnceLock<Json> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let mut b = DatasetBuilder::new("fixture");
+        let start = Timestamp::parse("2016-03-01 00:00:00").unwrap();
+        b.set_grid(TimeGrid::new(start, Duration::hours(1), 3).unwrap());
+        for (id, attribute) in [("s1", "temperature"), ("s2", "traffic")] {
+            let idx = b
+                .add_sensor(id, attribute, GeoPoint::new_unchecked(43.46, -3.80))
+                .unwrap();
+            b.set_series(
+                idx,
+                TimeSeries::from_options(&[Some(1.5), None, Some(-2.0)]),
+            )
+            .unwrap();
+        }
+        b.set_retention(RetentionPolicy::keep_last(2));
+        let ds = b.build().unwrap();
+        snapshot_data(
+            &ds,
+            3,
+            1,
+            &[("k".to_string(), ReplayOutcome::Begin { session: 1 })],
+        )
+    })
+}
+
+/// `location.csv`/`attribute.csv`-like text: arbitrary bytes, CSV
+/// structure, number-like runs and the documents' own words.
+fn upload_document_strategy() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..8)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        "[,\"\r\n ]{1,3}",
+        "[0-9.eE+\\-]{1,8}",
+        prop_oneof![
+            "id,attribute,lat,lon",
+            "ID,Attribute,LAT,lon",
+            "attribute",
+            "temperature",
+            "NaN",
+            "inf",
+            "-inf",
+            "1e999",
+            "90.0000001",
+            "-180",
+            "43.46,-3.80",
+            "\"a,\"\"b\""
+        ],
+    ];
+    proptest::collection::vec(piece, 0..12).prop_map(|pieces| pieces.concat())
 }
 
 /// Any `f64`: every bit pattern, integers around 2^53 and from 1e15 to

@@ -149,6 +149,12 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
     let watcher_mine_polls = AtomicU64::new(0);
     let watch_bumps = AtomicU64::new(0);
     let typed_closes = AtomicU64::new(0);
+    // Watchers that have seen at least one revision. A watcher counts a
+    // close only after a revision, so the deletes wait for every watcher
+    // to get here: a dataset whose writer finishes last may otherwise be
+    // deleted before its watcher ever polled it.
+    let primed_watchers = AtomicU64::new(0);
+    let watchers = (TENANTS.len() * DATASETS_PER_TENANT) as u64;
 
     std::thread::scope(|s| {
         // One watcher per (tenant, dataset): a pure watch loop that must
@@ -160,6 +166,7 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
                 let done = &done;
                 let watch_bumps = &watch_bumps;
                 let typed_closes = &typed_closes;
+                let primed_watchers = &primed_watchers;
                 let name = plan.name.clone();
                 s.spawn(move || {
                     let mut last = 0u64;
@@ -174,6 +181,9 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
                                          {tenant}/{name}",
                                         out.revision
                                     );
+                                    if last == 0 {
+                                        primed_watchers.fetch_add(1, Ordering::Relaxed);
+                                    }
                                     last = out.revision;
                                     watch_bumps.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -243,13 +253,32 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
         for w in writers {
             w.join().unwrap();
         }
-        // All writers done: delete every tenant's last dataset while its
-        // watcher is parked, then let the remaining watchers drain.
+        // Waits for `reached` with a deadline. On a timeout it releases the
+        // watcher and miner threads first, so the scope can join them and
+        // the test fails with the message instead of hanging.
+        let wait_until = |what: &str, reached: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !reached() {
+                if Instant::now() >= deadline {
+                    done.store(true, Ordering::Relaxed);
+                    panic!("timed out after 30 s waiting for {what}");
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // All writers done: once every watcher has seen a revision, delete
+        // every tenant's last dataset while its watcher is parked, then
+        // wait for those watchers' typed closes.
+        wait_until("every watcher to see a revision", &|| {
+            primed_watchers.load(Ordering::Relaxed) == watchers
+        });
         for (t, tenant) in TENANTS.iter().enumerate() {
             svc.delete_dataset_keyed_in(tenant, &plans[t][DATASETS_PER_TENANT - 1].name, None)
                 .unwrap();
         }
-        std::thread::sleep(Duration::from_millis(100));
+        wait_until("every deleted dataset's watcher to close", &|| {
+            typed_closes.load(Ordering::Relaxed) == TENANTS.len() as u64
+        });
         done.store(true, Ordering::Relaxed);
     });
 
