@@ -246,7 +246,7 @@ impl EvolvingCache for ReadOnlyExtractionCache<'_> {
     fn get_state(&self, key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
         self.0.get_state(key)
     }
-    fn put_state(&self, _key: ExtractionKey, _state: &ExtractionState) {}
+    fn put_state(&self, _key: ExtractionKey, _state: std::sync::Arc<ExtractionState>) {}
 }
 
 /// The default mining parameters used across benches for the Santander data.

@@ -91,11 +91,13 @@ pub struct EvolvingSetsCache {
     inner: Mutex<Inner>,
 }
 
-// Entries are `Arc`ed so the critical section of a hit is one reference
-// bump: the deep bitset clone the `EvolvingCache` contract requires happens
-// outside the lock, keeping the parallel warm-extraction path from
-// serializing on the mutex. Each entry carries the generation stamp of its
-// last touch for the revision GC.
+// Entries are the `Arc`s the miner publishes, never copies: one state
+// cached under both its content and origin keys is one allocation, and its
+// segment runs are shared with the states of neighbouring revisions. The
+// critical section of a hit is one reference bump: the set clone `get`
+// returns happens outside the lock, keeping the parallel warm-extraction
+// path from serializing on the mutex. Each entry carries the generation
+// stamp of its last touch for the revision GC.
 #[derive(Debug, Default)]
 struct Inner {
     entries: HashMap<ExtractionKey, (Arc<ExtractionState>, u64)>,
@@ -228,8 +230,8 @@ impl EvolvingCache for EvolvingSetsCache {
         self.lookup(key, true)
     }
 
-    fn put_state(&self, key: ExtractionKey, state: &ExtractionState) {
-        self.store(key, Arc::new(state.clone()));
+    fn put_state(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
+        self.store(key, state);
     }
 }
 
@@ -272,7 +274,7 @@ mod tests {
         let prefix = full.window(0, 120);
         let pkey = ExtractionKey::new(&prefix, 0.5, true, 0.05);
         let state = extract_state(&prefix, 0.5, true, 0.05);
-        cache.put_state(pkey, &state);
+        cache.put_state(pkey, Arc::new(state.clone()));
         // The appended series' prefix key is the prefix's own key.
         assert_eq!(pkey, ExtractionKey::for_prefix(&full, 120, 0.5, true, 0.05));
         let recovered = cache.get_state(&pkey).unwrap();

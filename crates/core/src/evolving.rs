@@ -213,29 +213,33 @@ fn scan_series_from(
             up_words[wi] = u;
             down_words[wi] = d;
         }
-        carry = *chunk.last().expect("series chunks are never empty");
+        // Series chunks are never empty, so the carry always advances.
+        carry = chunk.last().copied().unwrap_or(carry);
         g = end;
     }
 }
 
-/// Word-level delta scan over one contiguous slice restricted to words at
-/// index `first_word` and beyond — the slice twin of
-/// [`scan_series_from`], used where the resume path has already
-/// materialized a contiguous smoothed-value window; the
-/// earlier words are left untouched. This is the in-place word extension of
-/// the tail-resume path: bits strictly below the first recomputed word are
-/// carried over from the previous extraction, and the (possibly partial)
-/// boundary word is recomputed in full from values that are unchanged below
-/// the append point — producing the identical word.
+/// Word-level delta scan over one contiguous value window restricted to
+/// words at index `first_word` and beyond — the slice twin of
+/// [`scan_series_from`], used where the resume and trim paths have already
+/// reconstructed a smoothed-value window; the earlier words are left
+/// untouched. `values[k]` holds grid index `base + k`, and `base` must not
+/// exceed the first value the scan reads (`(first_word * 64).max(1) - 1`).
+/// This is the in-place word extension of the tail-resume path: bits
+/// strictly below the first recomputed word are carried over from the
+/// previous extraction, and the (possibly partial) boundary word is
+/// recomputed in full from values that are unchanged below the append
+/// point — producing the identical word.
 #[inline(always)]
 fn scan_words_from(
     values: &[f64],
+    base: usize,
     up_words: &mut [u64],
     down_words: &mut [u64],
     first_word: usize,
     classify: impl Fn(f64) -> (bool, bool),
 ) {
-    let n = values.len();
+    let n = base + values.len();
     for (wi, (uw, dw)) in up_words
         .iter_mut()
         .zip(down_words.iter_mut())
@@ -249,7 +253,7 @@ fn scan_words_from(
         // `windows(2)` over the block (plus the preceding point) keeps the
         // inner loop free of bounds checks; the pair window also reuses the
         // previous load as the next subtrahend.
-        for (k, pair) in values[first - 1..last].windows(2).enumerate() {
+        for (k, pair) in values[first - 1 - base..last - base].windows(2).enumerate() {
             let delta = pair[1] - pair[0];
             let (is_up, is_down) = classify(delta);
             let bit = (first + k) & 63;
@@ -338,7 +342,8 @@ pub fn extract_state(
 /// last unstable segment boundary (falling back to a full recompute when
 /// the resume conditions of [`segmentation::segment_series_tail`] do not
 /// hold), and the evolving bitsets are extended word-in-place: only words
-/// at or beyond the first changed smoothed value are rescanned.
+/// at or beyond the first changed smoothed value are reconstructed and
+/// rescanned, so a resume costs O(tail) rather than O(series).
 pub fn extract_resume(
     series: &TimeSeries,
     epsilon: f64,
@@ -366,19 +371,8 @@ pub fn extract_resume(
         let first_word = changed_from / 64;
         let lo = (first_word * 64).max(1) - 1;
         let raw = series.copy_range(lo, n);
-        let mut values = vec![f64::NAN; n];
-        for s in &seg.segments {
-            if s.end < lo {
-                continue;
-            }
-            let from = s.start.max(lo);
-            for (i, slot) in values.iter_mut().enumerate().take(s.end + 1).skip(from) {
-                if !raw[i - lo].is_nan() {
-                    *slot = s.value_at(i);
-                }
-            }
-        }
-        let sets = resume_scan(&values, &prev.sets, changed_from, epsilon);
+        let values = seg.reconstruct_from(lo, &raw);
+        let sets = resume_scan(&values, lo, &prev.sets, changed_from, epsilon);
         ExtractionState {
             sets,
             segmentation: Some(seg),
@@ -460,7 +454,7 @@ pub fn derive_trimmed(
         let vlen = (w_cut * 64).min(n);
         let raw = series.copy_range(0, vlen);
         let mut values = vec![f64::NAN; vlen];
-        for s in &seg.segments {
+        for s in seg.segments() {
             if s.start >= vlen {
                 break;
             }
@@ -479,6 +473,7 @@ pub fn derive_trimmed(
         if epsilon > 0.0 {
             scan_words_from(
                 &values,
+                0,
                 &mut up_words[..w_cut],
                 &mut down_words[..w_cut],
                 0,
@@ -487,6 +482,7 @@ pub fn derive_trimmed(
         } else {
             scan_words_from(
                 &values,
+                0,
                 &mut up_words[..w_cut],
                 &mut down_words[..w_cut],
                 0,
@@ -532,17 +528,19 @@ fn resume_scan_series(
 
 /// Rebuilds the evolving sets of a lengthened series: words whose 64 bits
 /// all lie below `changed_from` are copied from `prev`; every word at or
-/// beyond it is recomputed from `values`. Bit `t` depends only on
-/// `values[t-1]` and `values[t]`, so bits below `changed_from` are
-/// unchanged by construction and the recomputed boundary word comes out
-/// identical in its unchanged low bits.
+/// beyond it is recomputed from `values`, the smoothed values of grid
+/// indices `[base, n)` with `base` at most one point before the first
+/// recomputed word. Bit `t` depends only on values `t-1` and `t`, so bits
+/// below `changed_from` are unchanged by construction and the recomputed
+/// boundary word comes out identical in its unchanged low bits.
 fn resume_scan(
     values: &[f64],
+    base: usize,
     prev: &EvolvingSets,
     changed_from: usize,
     epsilon: f64,
 ) -> EvolvingSets {
-    let n = values.len();
+    let n = base + values.len();
     let mut sets = EvolvingSets::new(n);
     if n >= 2 {
         let first_word = (changed_from / 64).min(prev.half());
@@ -550,11 +548,11 @@ fn resume_scan(
         up_words[..first_word].copy_from_slice(&prev.up().words()[..first_word]);
         down_words[..first_word].copy_from_slice(&prev.down().words()[..first_word]);
         if epsilon > 0.0 {
-            scan_words_from(values, up_words, down_words, first_word, |delta| {
+            scan_words_from(values, base, up_words, down_words, first_word, |delta| {
                 (delta >= epsilon, -delta >= epsilon)
             });
         } else {
-            scan_words_from(values, up_words, down_words, first_word, |delta| {
+            scan_words_from(values, base, up_words, down_words, first_word, |delta| {
                 (delta > 0.0, delta < 0.0)
             });
         }
@@ -611,20 +609,14 @@ impl ExtractionKey {
         segmentation_enabled: bool,
         segmentation_error: f64,
     ) -> Self {
-        let mut fp = SeriesFingerprinter::new();
-        let mut remaining = prefix_len.min(series.len());
-        for chunk in series.chunks() {
-            let take = remaining.min(chunk.len());
-            for &v in &chunk[..take] {
-                fp.push(v);
-            }
-            remaining -= take;
-            if remaining == 0 {
-                break;
-            }
-        }
+        // One end in, one fingerprint out; the fallback is the same value
+        // computed over a copied prefix.
+        let fingerprint = series
+            .prefix_fingerprints(&[prefix_len])
+            .first()
+            .map_or_else(|| series.window(0, prefix_len).fingerprint(), |p| p.content);
         Self::from_fingerprint(
-            fp.checkpoint(),
+            fingerprint,
             epsilon,
             segmentation_enabled,
             segmentation_error,
@@ -632,7 +624,8 @@ impl ExtractionKey {
     }
 
     /// Builds a key from an already-computed content fingerprint (e.g. a
-    /// rolling [`SeriesFingerprinter`] checkpoint).
+    /// [`miscela_model::PrefixFingerprint::content`] or a rolling
+    /// [`SeriesFingerprinter`] checkpoint).
     pub fn from_fingerprint(
         fingerprint: u128,
         epsilon: f64,
@@ -665,10 +658,10 @@ impl ExtractionKey {
 
     /// Builds the **origin-anchored** key for a front-trimmed series.
     ///
-    /// `fingerprint` must be a checkpoint of a rolling fingerprinter seeded
-    /// from [`miscela_model::TimeSeries::front_digest`] (i.e. it hashes the
-    /// dropped front *and* the values streamed after it), so it identifies a
-    /// prefix of the series' full untrimmed history. States cached under
+    /// `fingerprint` must be an origin-anchored fingerprint
+    /// ([`miscela_model::PrefixFingerprint::origin`]: it covers the dropped
+    /// front *and* the values after it), so it identifies a prefix of the
+    /// series' full untrimmed history. States cached under
     /// origin keys are retrieved by later, deeper-trimmed windows of the
     /// same stream and converted via [`derive_trimmed`].
     pub fn from_origin_fingerprint(
@@ -693,15 +686,11 @@ impl ExtractionKey {
 pub use miscela_model::SeriesFingerprinter;
 
 /// 128-bit content fingerprint over a series' length and raw value bit
-/// patterns: the final [`SeriesFingerprinter`] checkpoint.
+/// patterns: the [`SeriesFingerprinter`] checkpoint of all its values,
+/// computed from cached block digests plus the tail
+/// ([`TimeSeries::fingerprint`]).
 pub fn series_fingerprint(series: &TimeSeries) -> u128 {
-    let mut fp = SeriesFingerprinter::new();
-    for chunk in series.chunks() {
-        for &v in chunk {
-            fp.push(v);
-        }
-    }
-    fp.checkpoint()
+    series.fingerprint()
 }
 
 /// A cache of per-series extraction results, consulted by
@@ -722,9 +711,12 @@ pub trait EvolvingCache: Sync {
     fn get_state(&self, _key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
         None
     }
-    /// Stores the full extraction state for a key. The default forwards the
-    /// sets to [`EvolvingCache::put`], so set-only caches keep working.
-    fn put_state(&self, key: ExtractionKey, state: &ExtractionState) {
+    /// Stores the full extraction state for a key. The miner publishes one
+    /// `Arc` under several keys (content and origin-anchored), so a cache
+    /// that retains states keeps the `Arc` rather than a copy. The default
+    /// forwards the sets to [`EvolvingCache::put`], so set-only caches keep
+    /// working.
+    fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
         self.put(key, &state.sets);
     }
 }
@@ -962,6 +954,29 @@ mod tests {
                     assert_resume_chain(series, eps, 0.05, &splits);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn resume_over_many_segment_runs_matches_full() {
+        // Long enough for several sealed segment runs, with gaps; splits
+        // straddle word and block boundaries far from the start, where the
+        // resume reconstructs and rescans only the changed window.
+        let series = TimeSeries::from_options(
+            &(0..3000)
+                .map(|i| {
+                    ((i * 7 + 3) % 29 != 0)
+                        .then_some((i as f64 * 0.37).sin() * 3.0 + ((i * 7919) % 13) as f64 * 0.4)
+                })
+                .collect::<Vec<_>>(),
+        );
+        for eps in [0.0, 0.5, 2.0] {
+            assert_resume_chain(
+                &series,
+                eps,
+                0.02,
+                &[1500, 1516, 1532, 1535, 2047, 2048, 2600],
+            );
         }
     }
 

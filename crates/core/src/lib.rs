@@ -63,6 +63,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A mine over any dataset ends in a result or a typed `MiningError`; only
+// a worker's own panic is propagated (`resume_unwind`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod baseline;
 pub mod bitset;

@@ -12,7 +12,9 @@
 //! estimated cost where costs are known, claimed through a shared atomic
 //! cursor, and reassembled in unit order, so one giant component — the
 //! realistic city-scale shape — no longer gates wall-clock time and the
-//! output never depends on thread timing. Each search worker owns one
+//! output never depends on thread timing. Each phase fans out only when
+//! its estimated work passes the scheduler's one threshold
+//! ([`scheduler::workers_for`]). Each search worker owns one
 //! reusable [`SearchScratch`], keeping the hot path allocation-free across
 //! all the units it processes.
 //!
@@ -26,17 +28,18 @@ use crate::delayed::{mine_delayed, DelayedCap};
 use crate::error::MiningError;
 use crate::evolving::{
     derive_trimmed, extract_resume, extract_state, extract_with_segmentation, EvolvingCache,
-    EvolvingSets, ExtractionKey, ExtractionState, SeriesFingerprinter,
+    EvolvingSets, ExtractionKey, ExtractionState,
 };
 use crate::params::MiningParams;
 use crate::pattern::{Cap, CapSet};
 use crate::scheduler;
 use crate::search::{SearchContext, SearchScratch};
 use crate::spatial::ProximityGraph;
-use miscela_model::{AttributeId, Dataset, SensorIndex};
+use miscela_model::{AttributeId, Dataset, PrefixFingerprint, SensorIndex, TimeSeries};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-step timings and intermediate sizes of one mining run.
@@ -207,23 +210,20 @@ impl Miner {
         let mut report = MiningReport::default();
 
         // Steps (1) + (2): segmentation and evolving-timestamp extraction,
-        // parallelized over series by the shared scheduler once the dataset
-        // is large enough for the thread fan-out to pay for itself.
+        // parallelized over series by the shared scheduler once the work
+        // the cache leaves is large enough for the thread fan-out to pay.
         let t0 = Instant::now();
-        let series: Vec<&miscela_model::TimeSeries> = dataset.iter().map(|ss| ss.series).collect();
-        let cells = series.len() * dataset.timestamp_count();
-        let workers = if cells >= PARALLEL_EXTRACTION_CELLS {
-            scheduler::available_workers()
-        } else {
-            1
-        };
+        let items: Vec<(&Miner, &TimeSeries)> =
+            dataset.iter().map(|ss| (self, ss.series)).collect();
         let tallies = ExtractionTallies::default();
-        let append_bases = dataset.append_bases();
         cancel.check()?;
-        let evolving: Vec<EvolvingSets> =
-            scheduler::parallel_map_cancellable(&series, workers, cancel, |&s| {
-                Ok(self.extract_series(s, append_bases, extraction_cache, &tallies))
-            })?;
+        let evolving = extract_all(
+            &items,
+            dataset.append_bases(),
+            extraction_cache,
+            cancel,
+            &tallies,
+        )?;
         let attributes: Vec<AttributeId> = dataset.iter().map(|ss| ss.sensor.attribute).collect();
         report.extraction_time = t0.elapsed();
         report.extraction_cache_hits = tallies.cache_hits.into_inner();
@@ -256,7 +256,8 @@ impl Miner {
             params: &self.params,
         };
         let components: Vec<&Vec<SensorIndex>> = graph.components_at_least(2).collect();
-        let caps = search_components_parallel(&ctx, &components, cancel)?;
+        let words = dataset.timestamp_count().div_ceil(64);
+        let caps = search_components_parallel(&ctx, &components, words, cancel)?;
         report.search_time = t2.elapsed();
 
         let caps = CapSet::from_caps(caps);
@@ -382,24 +383,21 @@ impl Miner {
 
         // Steps (1)+(2): one scheduler batch over class × series.
         let t0 = Instant::now();
-        let series: Vec<&miscela_model::TimeSeries> = dataset.iter().map(|ss| ss.series).collect();
+        let series: Vec<&TimeSeries> = dataset.iter().map(|ss| ss.series).collect();
         let n_series = series.len();
-        let cells = classes.len() * n_series * dataset.timestamp_count();
-        let workers = if cells >= PARALLEL_EXTRACTION_CELLS {
-            scheduler::available_workers()
-        } else {
-            1
-        };
         let tallies = ExtractionTallies::default();
-        let append_bases = dataset.append_bases();
-        let items: Vec<(usize, &miscela_model::TimeSeries)> = (0..classes.len())
-            .flat_map(|ci| series.iter().map(move |&s| (ci, s)))
+        let items: Vec<(&Miner, &TimeSeries)> = classes
+            .iter()
+            .flat_map(|class| series.iter().map(move |&s| (class, s)))
             .collect();
         cancel.check()?;
-        let flat: Vec<EvolvingSets> =
-            scheduler::parallel_map_cancellable(&items, workers, cancel, |&(ci, s)| {
-                Ok(classes[ci].extract_series(s, append_bases, extraction_cache, &tallies))
-            })?;
+        let flat = extract_all(
+            &items,
+            dataset.append_bases(),
+            extraction_cache,
+            cancel,
+            &tallies,
+        )?;
         let attributes: Vec<AttributeId> = dataset.iter().map(|ss| ss.sensor.attribute).collect();
         let extraction_time = t0.elapsed();
 
@@ -501,9 +499,15 @@ impl Miner {
             }
         }
         units.sort_by_key(|u| std::cmp::Reverse(u.0));
+        let words = dataset.timestamp_count().div_ceil(64);
+        let work: usize = ctxs
+            .iter()
+            .flat_map(|ctx| ctx.graph.components_at_least(2))
+            .map(|comp| comp.len() * words)
+            .sum();
         let tagged: Vec<(usize, Cap)> = scheduler::run_units_cancellable(
             &units,
-            scheduler::available_workers(),
+            scheduler::workers_for(work),
             cancel,
             || (SearchScratch::new(), Vec::new()),
             |&(_, gi, ref unit), (scratch, tmp), out| {
@@ -606,84 +610,93 @@ impl Miner {
         })
     }
 
-    /// Steps (1)+(2) for one series: the shared per-series extraction unit
-    /// of [`Miner::mine_cancellable`] and [`Miner::mine_sweep`].
+    /// The cache keys of one series under this miner's parameters.
     ///
-    /// With a cache, one rolling-fingerprint pass yields the full-content
-    /// key, the checkpoint at every recorded pre-append length, and — when
-    /// the series has a trimmed-away front — the origin-anchored
-    /// checkpoints at the same positions. The probe order is: full content,
-    /// then a content prefix to resume over the appended tail, then an
-    /// origin state to derive the trimmed window from. The fresh state is
-    /// published under both its content key and its origin-anchored key.
-    fn extract_series(
+    /// The series' prefix fingerprints (block digests folded, only partial
+    /// groups hashed) give the full-content key, the checkpoint at every
+    /// recorded pre-append length, and the origin-anchored checkpoints at
+    /// the same positions.
+    fn keys(&self, s: &TimeSeries, append_bases: &[usize]) -> SeriesKeys {
+        let n = s.len();
+        let mut ends: Vec<usize> = append_bases
+            .iter()
+            .copied()
+            .filter(|&b| b > 0 && b < n)
+            .collect();
+        ends.push(n);
+        let prints = s.prefix_fingerprints(&ends);
+        // One fingerprint per end, so the last one is the whole series'.
+        let whole = prints[prints.len() - 1];
+        SeriesKeys {
+            key: self.key(whole.content),
+            origin_key: self.origin_key(whole.origin),
+            prints,
+        }
+    }
+
+    /// The cache probe of steps (1)+(2) for one series: full content, then
+    /// a content prefix to resume over the appended tail, then an origin
+    /// state to derive the trimmed window from.
+    fn probe(
         &self,
-        s: &miscela_model::TimeSeries,
-        append_bases: &[usize],
-        extraction_cache: Option<&dyn EvolvingCache>,
+        keys: &SeriesKeys,
+        cache: &dyn EvolvingCache,
+        tallies: &ExtractionTallies,
+    ) -> Probe {
+        if let Some(sets) = cache.get(&keys.key) {
+            tallies.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Probe::Hit(sets);
+        }
+        let prefixes = &keys.prints[..keys.prints.len() - 1];
+        Probe::Extract(
+            if let Some(prev) = self.lookup_prefix_state(cache, prefixes) {
+                Plan::Resume(prev)
+            } else if let Some((origin, at)) = self.lookup_origin_state(cache, &keys.prints) {
+                Plan::Trim { origin, at }
+            } else {
+                Plan::Cold
+            },
+        )
+    }
+
+    /// Runs `plan` for one series and publishes the fresh state under its
+    /// content key and its origin-anchored key (full history, salted
+    /// domain), so later deeper-trimmed windows of this stream can derive
+    /// from it. One `Arc` goes under both keys: the cache shares the state,
+    /// it never copies it.
+    fn extract_and_publish(
+        &self,
+        s: &TimeSeries,
+        plan: &Plan,
+        keys: &SeriesKeys,
+        cache: &dyn EvolvingCache,
         tallies: &ExtractionTallies,
     ) -> EvolvingSets {
-        let Some(cache) = extraction_cache else {
-            return extract_with_segmentation(
-                s,
-                self.params.epsilon,
-                self.params.segmentation,
-                self.params.segmentation_error,
-            );
-        };
-        let keys = fingerprint_with_checkpoints(s, append_bases);
-        let key = ExtractionKey::from_fingerprint(
-            keys.fingerprint,
+        let state = Arc::new(self.run_plan(s, plan, tallies));
+        cache.put_state(keys.key, Arc::clone(&state));
+        cache.put_state(keys.origin_key, Arc::clone(&state));
+        state.sets.clone()
+    }
+
+    /// The content key of a fingerprint under this miner's parameters.
+    fn key(&self, fingerprint: u128) -> ExtractionKey {
+        ExtractionKey::from_fingerprint(
+            fingerprint,
             self.params.epsilon,
             self.params.segmentation,
             self.params.segmentation_error,
-        );
-        if let Some(sets) = cache.get(&key) {
-            tallies.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return sets;
-        }
-        let state = if let Some(prev) = self.lookup_prefix_state(cache, &keys.checkpoints) {
-            tallies.prefix_hits.fetch_add(1, Ordering::Relaxed);
-            extract_resume(
-                s,
-                self.params.epsilon,
-                self.params.segmentation,
-                self.params.segmentation_error,
-                &prev,
-            )
-        } else if let Some(state) = self.lookup_trimmed_state(
-            cache,
-            s,
-            &keys.origin_checkpoints,
-            &tallies.trim_hits,
-            &tallies.trim_fallbacks,
-        ) {
-            state
-        } else {
-            extract_state(
-                s,
-                self.params.epsilon,
-                self.params.segmentation,
-                self.params.segmentation_error,
-            )
-        };
-        cache.put_state(key, &state);
-        // Also publish under the origin-anchored key (full history, salted
-        // domain) so later deeper-trimmed windows of this stream can derive
-        // from the state just computed.
-        if let Some(&(pos, origin_fp)) = keys.origin_checkpoints.last() {
-            debug_assert_eq!(pos, s.len());
-            cache.put_state(
-                ExtractionKey::from_origin_fingerprint(
-                    origin_fp,
-                    self.params.epsilon,
-                    self.params.segmentation,
-                    self.params.segmentation_error,
-                ),
-                &state,
-            );
-        }
-        state.sets
+        )
+    }
+
+    /// The origin-anchored key of a fingerprint under this miner's
+    /// parameters.
+    fn origin_key(&self, fingerprint: u128) -> ExtractionKey {
+        ExtractionKey::from_origin_fingerprint(
+            fingerprint,
+            self.params.epsilon,
+            self.params.segmentation,
+            self.params.segmentation_error,
+        )
     }
 
     /// Probes the extraction cache with prefix-fingerprint checkpoints,
@@ -691,17 +704,11 @@ impl Miner {
     fn lookup_prefix_state(
         &self,
         cache: &dyn EvolvingCache,
-        checkpoints: &[(usize, u128)],
-    ) -> Option<std::sync::Arc<ExtractionState>> {
-        for &(len, fingerprint) in checkpoints.iter().rev() {
-            let key = ExtractionKey::from_fingerprint(
-                fingerprint,
-                self.params.epsilon,
-                self.params.segmentation,
-                self.params.segmentation_error,
-            );
-            if let Some(state) = cache.get_state(&key) {
-                if state.len() == len {
+        prefixes: &[PrefixFingerprint],
+    ) -> Option<Arc<ExtractionState>> {
+        for p in prefixes.iter().rev() {
+            if let Some(state) = cache.get_state(&self.key(p.content)) {
+                if state.len() == p.end {
                     return Some(state);
                 }
             }
@@ -710,151 +717,214 @@ impl Miner {
     }
 
     /// Probes the extraction cache with origin-anchored checkpoints, newest
-    /// first, for the state of this series' untrimmed origin and derives the
-    /// window state from it ([`derive_trimmed`]). A checkpoint below the
-    /// full length yields a prefix state which is then resumed over the
-    /// appended tail (the trim-then-append case). Returns `None` on a clean
-    /// miss; a found-but-underivable origin counts a fallback and also
-    /// returns `None` (the caller extracts cold).
-    fn lookup_trimmed_state(
+    /// first, for the state of this series' untrimmed origin: one longer
+    /// than the checkpoint's window position `at`, so `at` values of the
+    /// window end where its last `origin.len() - at` were dropped.
+    fn lookup_origin_state(
         &self,
         cache: &dyn EvolvingCache,
-        series: &miscela_model::TimeSeries,
-        origin_checkpoints: &[(usize, u128)],
-        trim_hits: &AtomicUsize,
-        trim_fallbacks: &AtomicUsize,
-    ) -> Option<ExtractionState> {
-        let n = series.len();
-        for &(p, fingerprint) in origin_checkpoints.iter().rev() {
-            let key = ExtractionKey::from_origin_fingerprint(
-                fingerprint,
-                self.params.epsilon,
-                self.params.segmentation,
-                self.params.segmentation_error,
-            );
-            let Some(origin) = cache.get_state(&key) else {
+        prints: &[PrefixFingerprint],
+    ) -> Option<(Arc<ExtractionState>, usize)> {
+        for p in prints.iter().rev() {
+            let Some(origin) = cache.get_state(&self.origin_key(p.origin)) else {
                 continue;
             };
-            if origin.len() <= p {
-                // Equal length means identical content to our prefix — the
-                // content-keyed probes already cover that; shorter cannot
-                // seed a derivation.
-                continue;
+            // Equal length means identical content to our prefix — the
+            // content-keyed probes already cover that; shorter cannot seed
+            // a derivation.
+            if origin.len() > p.end {
+                return Some((origin, p.end));
             }
-            let dropped = origin.len() - p;
-            let derived = if p == n {
-                derive_trimmed(
-                    series,
-                    self.params.epsilon,
-                    self.params.segmentation,
-                    self.params.segmentation_error,
-                    &origin,
-                    dropped,
-                )
-            } else {
-                let prefix = series.window(0, p);
-                derive_trimmed(
-                    &prefix,
-                    self.params.epsilon,
-                    self.params.segmentation,
-                    self.params.segmentation_error,
-                    &origin,
-                    dropped,
-                )
-                .map(|st| {
-                    extract_resume(
-                        series,
-                        self.params.epsilon,
-                        self.params.segmentation,
-                        self.params.segmentation_error,
-                        &st,
-                    )
-                })
-            };
-            return match derived {
-                Some(state) => {
-                    trim_hits.fetch_add(1, Ordering::Relaxed);
-                    Some(state)
-                }
-                None => {
-                    trim_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            };
         }
         None
     }
-}
 
-/// The fingerprints one rolling pass yields for a series: its full-content
-/// key plus the checkpoints the prefix-resume and trim-derivation probes
-/// use.
-struct SeriesKeys {
-    /// Fingerprint of the full window content.
-    fingerprint: u128,
-    /// Content checkpoints `(window_len, fingerprint)` at each recorded
-    /// pre-append length.
-    checkpoints: Vec<(usize, u128)>,
-    /// Origin-anchored checkpoints `(window_pos, fingerprint)` at each
-    /// pre-append length *and* the full length: each fingerprint covers the
-    /// trimmed-away front plus the window values up to `window_pos`, i.e. a
-    /// prefix of the series' full untrimmed history. These index the salted
-    /// [`ExtractionKey::from_origin_fingerprint`] domain.
-    origin_checkpoints: Vec<(usize, u128)>,
-}
-
-/// One pass over a series' raw values computing the full-content
-/// fingerprint together with the rolling checkpoints at each length in
-/// `bases` (ascending; lengths at or beyond the series length are ignored,
-/// as is the empty prefix). The origin-anchored fingerprinter is seeded
-/// from the series' streamed front digest and advanced in the same pass;
-/// for a never-trimmed series it coincides with the content fingerprinter
-/// and is not run twice.
-fn fingerprint_with_checkpoints(series: &miscela_model::TimeSeries, bases: &[usize]) -> SeriesKeys {
-    let mut fp = SeriesFingerprinter::new();
-    let mut origin: Option<SeriesFingerprinter> =
-        (series.dropped_front() > 0).then(|| series.front_digest());
-    let mut checkpoints: Vec<(usize, u128)> = Vec::with_capacity(bases.len());
-    let mut origin_checkpoints: Vec<(usize, u128)> = Vec::with_capacity(bases.len() + 1);
-    let mut bi = 0usize;
-    let mut i = 0usize;
-    // Stream the shared storage blocks in place — the rolling pass never
-    // materializes a contiguous copy of the series.
-    for chunk in series.chunks() {
-        for &v in chunk {
-            if bi < bases.len() {
-                while bi < bases.len() && bases[bi] == i {
-                    if i > 0 {
-                        checkpoints.push((i, fp.checkpoint()));
-                        if let Some(ofp) = &origin {
-                            origin_checkpoints.push((i, ofp.checkpoint()));
-                        }
+    /// Runs what the probe left: a tail resume, a trim derivation (a
+    /// checkpoint below the full length yields a prefix state which is then
+    /// resumed over the appended tail — the trim-then-append case) or a
+    /// cold extraction. A found-but-underivable origin counts a fallback
+    /// and extracts cold.
+    fn run_plan(
+        &self,
+        s: &TimeSeries,
+        plan: &Plan,
+        tallies: &ExtractionTallies,
+    ) -> ExtractionState {
+        let (epsilon, seg_on, seg_error) = (
+            self.params.epsilon,
+            self.params.segmentation,
+            self.params.segmentation_error,
+        );
+        match plan {
+            Plan::Cold => extract_state(s, epsilon, seg_on, seg_error),
+            Plan::Resume(prev) => {
+                tallies.prefix_hits.fetch_add(1, Ordering::Relaxed);
+                extract_resume(s, epsilon, seg_on, seg_error, prev)
+            }
+            Plan::Trim { origin, at } => {
+                let dropped = origin.len() - at;
+                let derived = if *at == s.len() {
+                    derive_trimmed(s, epsilon, seg_on, seg_error, origin, dropped)
+                } else {
+                    derive_trimmed(
+                        &s.window(0, *at),
+                        epsilon,
+                        seg_on,
+                        seg_error,
+                        origin,
+                        dropped,
+                    )
+                    .map(|st| extract_resume(s, epsilon, seg_on, seg_error, &st))
+                };
+                match derived {
+                    Some(state) => {
+                        tallies.trim_hits.fetch_add(1, Ordering::Relaxed);
+                        state
                     }
-                    bi += 1;
+                    None => {
+                        tallies.trim_fallbacks.fetch_add(1, Ordering::Relaxed);
+                        extract_state(s, epsilon, seg_on, seg_error)
+                    }
                 }
             }
-            fp.push(v);
-            if let Some(ofp) = &mut origin {
-                ofp.push(v);
+        }
+    }
+}
+
+/// The cache keys of one series under one miner ([`Miner::keys`]).
+struct SeriesKeys {
+    /// Fingerprints at each recorded pre-append length below the series
+    /// length, then at the length itself.
+    prints: Vec<PrefixFingerprint>,
+    /// Content key of the whole series.
+    key: ExtractionKey,
+    /// Origin-anchored key of the whole series.
+    origin_key: ExtractionKey,
+}
+
+/// What the cache probe left to do for one series.
+enum Probe {
+    /// Served whole from the cache.
+    Hit(EvolvingSets),
+    /// Left to extract.
+    Extract(Plan),
+}
+
+/// How a series the cache did not serve whole gets extracted.
+enum Plan {
+    /// From scratch.
+    Cold,
+    /// Resumed over the appended tail from a cached prefix state.
+    Resume(Arc<ExtractionState>),
+    /// Derived from the cached state of the untrimmed origin, whose first
+    /// `at` surviving values end the window prefix it covers.
+    Trim {
+        origin: Arc<ExtractionState>,
+        at: usize,
+    },
+}
+
+impl Plan {
+    /// Whether the plan costs O(series) rather than O(tail).
+    fn is_whole_series(&self) -> bool {
+        !matches!(self, Plan::Resume(_))
+    }
+}
+
+/// Steps (1)+(2) for every `(miner, series)` item — the extraction phase
+/// of [`Miner::mine_cancellable`] (one miner) and [`Miner::mine_sweep`]
+/// (one per extraction class). The cache is probed for every item first;
+/// the items left then run on [`scheduler::workers_for`] workers of their
+/// estimated work, counting only series that need a cold extraction or a
+/// trim derivation (a resume is O(tail)). Without a cache every series is
+/// extracted cold and nothing is retained.
+fn extract_all(
+    items: &[(&Miner, &TimeSeries)],
+    append_bases: &[usize],
+    cache: Option<&dyn EvolvingCache>,
+    cancel: &CancelToken,
+    tallies: &ExtractionTallies,
+) -> Result<Vec<EvolvingSets>, MiningError> {
+    let grid_words = |&(_, s): &(&Miner, &TimeSeries)| s.len().div_ceil(64);
+    let Some(cache) = cache else {
+        let work = items.iter().map(grid_words).sum();
+        return scheduler::parallel_map_cancellable(
+            items,
+            scheduler::workers_for(work),
+            cancel,
+            |&(miner, s)| {
+                let p = &miner.params;
+                Ok(extract_with_segmentation(
+                    s,
+                    p.epsilon,
+                    p.segmentation,
+                    p.segmentation_error,
+                ))
+            },
+        );
+    };
+    let keys: Vec<SeriesKeys> = items
+        .iter()
+        .map(|&(miner, s)| miner.keys(s, append_bases))
+        .collect();
+    // Probe in item order. An item repeating the content of one still
+    // pending in this batch (`None`) is probed only after the batch has
+    // published that state — where a serial extraction would have probed
+    // it — so it hits instead of extracting the same content twice.
+    let mut pending_keys: std::collections::HashSet<ExtractionKey> = Default::default();
+    let probes: Vec<Option<Probe>> = items
+        .iter()
+        .zip(&keys)
+        .map(|(&(miner, _), k)| {
+            if pending_keys.contains(&k.key) {
+                return None;
             }
-            i += 1;
-        }
+            let probe = miner.probe(k, cache, tallies);
+            if matches!(probe, Probe::Extract(_)) {
+                pending_keys.insert(k.key);
+            }
+            Some(probe)
+        })
+        .collect();
+    let pending: Vec<(usize, &Plan)> = probes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, probe)| match probe {
+            Some(Probe::Extract(plan)) => Some((i, plan)),
+            _ => None,
+        })
+        .collect();
+    let work: usize = pending
+        .iter()
+        .filter(|(_, plan)| plan.is_whole_series())
+        .map(|&(i, _)| grid_words(&items[i]))
+        .sum();
+    let mut extracted = scheduler::parallel_map_cancellable(
+        &pending,
+        scheduler::workers_for(work),
+        cancel,
+        |&(i, plan)| {
+            let (miner, s) = items[i];
+            Ok(miner.extract_and_publish(s, plan, &keys[i], cache, tallies))
+        },
+    )?
+    .into_iter();
+    let mut out = Vec::with_capacity(items.len());
+    for (i, probe) in probes.into_iter().enumerate() {
+        let (miner, s) = items[i];
+        out.push(match probe {
+            Some(Probe::Hit(sets)) => sets,
+            Some(Probe::Extract(_)) => extracted.next().unwrap_or_else(|| EvolvingSets::new(0)),
+            None => match miner.probe(&keys[i], cache, tallies) {
+                Probe::Hit(sets) => sets,
+                // Evicted in the meantime: extract it here.
+                Probe::Extract(plan) => {
+                    miner.extract_and_publish(s, &plan, &keys[i], cache, tallies)
+                }
+            },
+        });
     }
-    let fingerprint = fp.checkpoint();
-    match origin {
-        Some(ofp) => origin_checkpoints.push((i, ofp.checkpoint())),
-        None => {
-            // Never trimmed: the origin history *is* the window content, so
-            // the content checkpoints double as origin checkpoints.
-            origin_checkpoints = checkpoints.clone();
-            origin_checkpoints.push((i, fingerprint));
-        }
-    }
-    SeriesKeys {
-        fingerprint,
-        checkpoints,
-        origin_checkpoints,
-    }
+    Ok(out)
 }
 
 /// Components at or above this many sensors are split into one work unit
@@ -862,11 +932,6 @@ fn fingerprint_with_checkpoints(series: &miscela_model::TimeSeries, bases: &[usi
 /// by many workers concurrently. ESU uniqueness makes the per-seed searches
 /// independent: their union is exactly the per-component result.
 const SPLIT_COMPONENT_SIZE: usize = 32;
-
-/// Minimum dataset size (sensors × timestamps) before the extraction map
-/// fans out to threads; below this the per-series work is so small that
-/// thread spawn overhead would dominate, so it runs on the caller's thread.
-const PARALLEL_EXTRACTION_CELLS: usize = 1 << 16;
 
 /// One claimable unit of CAP-search work.
 enum WorkUnit<'c> {
@@ -882,10 +947,12 @@ enum WorkUnit<'c> {
 /// claimed through a shared atomic cursor, so fast workers steal the
 /// remaining tail instead of idling behind a static assignment. Results are
 /// re-assembled in unit order, which makes the output deterministic
-/// regardless of thread timing.
+/// regardless of thread timing. The fan-out follows the estimated work,
+/// component size × `words` (grid words per series).
 fn search_components_parallel(
     ctx: &SearchContext<'_>,
     components: &[&Vec<SensorIndex>],
+    words: usize,
     cancel: &CancelToken,
 ) -> Result<Vec<Cap>, MiningError> {
     let mut units: Vec<(usize, WorkUnit<'_>)> = Vec::new();
@@ -914,10 +981,11 @@ fn search_components_parallel(
     // Largest units first: the expensive subtrees start immediately and the
     // cheap tail backfills idle workers.
     units.sort_by_key(|u| std::cmp::Reverse(u.0));
+    let work: usize = components.iter().map(|comp| comp.len() * words).sum();
 
     scheduler::run_units_cancellable(
         &units,
-        scheduler::available_workers(),
+        scheduler::workers_for(work),
         cancel,
         SearchScratch::new,
         |(_, unit), scratch, out| match *unit {
@@ -1217,8 +1285,8 @@ mod tests {
                 .cloned()
                 .map(std::sync::Arc::new)
         }
-        fn put_state(&self, key: ExtractionKey, state: &ExtractionState) {
-            self.0.lock().unwrap().insert(key, state.clone());
+        fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
+            self.0.lock().unwrap().insert(key, (*state).clone());
         }
     }
 
@@ -1454,7 +1522,7 @@ mod tests {
             fn get_state(&self, key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
                 self.inner.get_state(key)
             }
-            fn put_state(&self, key: ExtractionKey, state: &ExtractionState) {
+            fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
                 if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {
                     self.token.cancel();
                 }
@@ -1619,7 +1687,7 @@ mod tests {
             fn get_state(&self, key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
                 self.inner.get_state(key)
             }
-            fn put_state(&self, key: ExtractionKey, state: &ExtractionState) {
+            fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
                 if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {
                     self.token.cancel();
                 }

@@ -20,6 +20,7 @@
 
 use crate::cancel::CancelToken;
 use crate::error::MiningError;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Number of workers the host offers (`available_parallelism`, 1 on error).
@@ -27,6 +28,25 @@ pub fn available_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Estimated work, in 64-point grid words, below which a phase runs on the
+/// caller's thread: spawning and joining scoped workers costs tens of
+/// microseconds each, more than such a phase saves by splitting.
+pub const PARALLEL_WORK_WORDS: usize = 1 << 12;
+
+/// The fan-out rule both mining phases share: every available worker once
+/// a phase's estimated work reaches [`PARALLEL_WORK_WORDS`], otherwise one
+/// (no thread is spawned). Extraction estimates the grid words of the
+/// series that need a cold extraction or a trim derivation after the cache
+/// probe; the search estimates component size × grid words. Either way
+/// the output is the same: units are reassembled in unit order.
+pub fn workers_for(work_words: usize) -> usize {
+    if work_words >= PARALLEL_WORK_WORDS {
+        available_workers()
+    } else {
+        1
+    }
 }
 
 /// Cancellation-aware form of [`run_units`]: the token is polled at every
@@ -49,6 +69,28 @@ where
     NS: Fn() -> S + Sync,
     RU: Fn(&U, &mut S, &mut Vec<R>) -> Result<(), MiningError> + Sync,
 {
+    run_batch(units, workers, new_scratch, |unit, scratch, out| {
+        cancel.check()?;
+        run(unit, scratch, out)
+    })
+}
+
+/// The shared batch runner: work-stealing claims through an atomic
+/// cursor, the first error poisons the batch, results in unit order. A
+/// worker's panic is propagated to the caller unchanged.
+fn run_batch<U, S, R, E, NS, RU>(
+    units: &[U],
+    workers: usize,
+    new_scratch: NS,
+    run: RU,
+) -> Result<Vec<R>, E>
+where
+    U: Sync,
+    R: Send,
+    E: Send,
+    NS: Fn() -> S + Sync,
+    RU: Fn(&U, &mut S, &mut Vec<R>) -> Result<(), E> + Sync,
+{
     if units.is_empty() {
         return Ok(Vec::new());
     }
@@ -57,7 +99,6 @@ where
         let mut scratch = new_scratch();
         let mut out = Vec::new();
         for unit in units {
-            cancel.check()?;
             run(unit, &mut scratch, &mut out)?;
         }
         return Ok(out);
@@ -68,7 +109,7 @@ where
     // their next unit boundary and stop claiming work.
     let poisoned = AtomicBool::new(false);
     let mut indexed: Vec<(usize, Vec<R>)> = Vec::with_capacity(units.len());
-    let mut first_error: Option<MiningError> = None;
+    let mut first_error: Option<E> = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..workers {
@@ -78,10 +119,6 @@ where
                 loop {
                     if poisoned.load(Ordering::Acquire) {
                         break;
-                    }
-                    if let Err(e) = cancel.check() {
-                        poisoned.store(true, Ordering::Release);
-                        return Err(e);
                     }
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= units.len() {
@@ -98,11 +135,12 @@ where
             }));
         }
         for h in handles {
-            match h.join().expect("scheduler worker panicked") {
-                Ok(local) => indexed.extend(local),
-                Err(e) => {
+            match h.join() {
+                Ok(Ok(local)) => indexed.extend(local),
+                Ok(Err(e)) => {
                     first_error.get_or_insert(e);
                 }
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     });
@@ -128,14 +166,15 @@ where
     NS: Fn() -> S + Sync,
     RU: Fn(&U, &mut S, &mut Vec<R>) + Sync,
 {
-    run_units_cancellable(units, workers, &CancelToken::never(), new_scratch, {
-        let run = &run;
-        move |unit: &U, scratch: &mut S, out: &mut Vec<R>| {
+    let done: Result<Vec<R>, Infallible> =
+        run_batch(units, workers, new_scratch, |unit, scratch, out| {
             run(unit, scratch, out);
             Ok(())
-        }
-    })
-    .expect("a never-token batch of infallible units cannot fail")
+        });
+    match done {
+        Ok(out) => out,
+        Err(never) => match never {},
+    }
 }
 
 /// Cancellation-aware form of [`parallel_map`]: the token is polled before
@@ -295,6 +334,13 @@ mod tests {
                     .expect("no failures injected");
             assert_eq!(cancellable, parallel_map(&items, workers, |&i| i * 7));
         }
+    }
+
+    #[test]
+    fn fan_out_follows_the_work_estimate() {
+        assert_eq!(workers_for(0), 1);
+        assert_eq!(workers_for(PARALLEL_WORK_WORDS - 1), 1);
+        assert_eq!(workers_for(PARALLEL_WORK_WORDS), available_workers());
     }
 
     #[test]

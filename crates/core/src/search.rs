@@ -206,29 +206,25 @@ impl<'a> SearchContext<'a> {
     /// Mines all CAPs inside one spatially connected component.
     ///
     /// Convenience wrapper that allocates a fresh [`SearchScratch`]; batch
-    /// callers (the parallel miner) should hold one scratch per worker and
-    /// use [`SearchContext::search_component_into`] instead.
+    /// callers (the parallel miner) hold one scratch per worker and call
+    /// [`SearchContext::search_component_cancellable`] instead.
     pub fn search_component(&self, component: &[SensorIndex]) -> Vec<Cap> {
         let mut scratch = SearchScratch::new();
         let mut out = Vec::new();
-        self.search_component_into(component, &mut scratch, &mut out);
-        out
+        match self.search_component_cancellable(
+            component,
+            &mut scratch,
+            &mut out,
+            &CancelToken::never(),
+        ) {
+            Ok(()) => out,
+            // A never-token cannot fire, so this arm is never taken.
+            Err(_) => Vec::new(),
+        }
     }
 
     /// Mines all CAPs inside one component, reusing `scratch` and appending
-    /// results to `out`.
-    pub fn search_component_into(
-        &self,
-        component: &[SensorIndex],
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Cap>,
-    ) {
-        self.search_component_cancellable(component, scratch, out, &CancelToken::never())
-            .expect("a never-token search cannot be cancelled")
-    }
-
-    /// Cancellation-aware form of
-    /// [`search_component_into`](SearchContext::search_component_into): the
+    /// results to `out`. The
     /// token is polled every [`CANCEL_CHECK_STRIDE`] ESU expansion steps, so
     /// an abort lands within a bounded stride of work. On `Err`, `out` may
     /// hold CAPs from already-completed seeds and must be discarded;
@@ -250,25 +246,13 @@ impl<'a> SearchContext<'a> {
         Ok(())
     }
 
-    /// Runs the ESU pattern-tree search rooted at one seed sensor.
+    /// Runs the ESU pattern-tree search rooted at one seed sensor; see
+    /// [`search_component_cancellable`](SearchContext::search_component_cancellable)
+    /// for the abort contract.
     ///
     /// ESU uniqueness means the union over all seeds of a component equals
     /// [`SearchContext::search_component`]; the work-stealing scheduler uses
     /// this to split oversized components into independent per-seed units.
-    pub fn search_seed_into(
-        &self,
-        seed: SensorIndex,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Cap>,
-    ) {
-        self.search_seed_cancellable(seed, scratch, out, &CancelToken::never())
-            .expect("a never-token search cannot be cancelled")
-    }
-
-    /// Cancellation-aware form of
-    /// [`search_seed_into`](SearchContext::search_seed_into); see
-    /// [`search_component_cancellable`](SearchContext::search_component_cancellable)
-    /// for the abort contract.
     pub fn search_seed_cancellable(
         &self,
         seed: SensorIndex,
@@ -338,21 +322,22 @@ impl<'a> SearchContext<'a> {
             if steps.is_multiple_of(CANCEL_CHECK_STRIDE) {
                 cancel.check()?;
             }
-            let top = sc.frames.len() - 1;
+            let Some(top) = sc.frames.len().checked_sub(1) else {
+                return Ok(()); // Every frame popped: this seed is done.
+            };
             if sc.frames[top].ext_cursor == sc.frames[top].ext_start {
                 // Frame exhausted: undo its arena growth and pop it.
-                let fr = sc.frames.pop().expect("frame stack underflow");
+                let Some(fr) = sc.frames.pop() else {
+                    return Ok(());
+                };
                 if sc.frames.is_empty() {
                     return Ok(()); // Root popped: this seed is done.
                 }
                 sc.subset.pop();
                 if let Some(a) = fr.added_attr {
-                    let pos = sc
-                        .attrs
-                        .iter()
-                        .position(|&x| x == a)
-                        .expect("attribute undo missing");
-                    sc.attrs.remove(pos);
+                    if let Some(pos) = sc.attrs.iter().position(|&x| x == a) {
+                        sc.attrs.remove(pos);
+                    }
                 }
                 for &ui in &sc.closed_log[fr.closed_log_start..] {
                     sc.closed_stamp[ui as usize] = 0;
@@ -971,7 +956,13 @@ mod tests {
         assert_eq!(result, Err(MiningError::Cancelled));
         assert!(out.is_empty());
         // The scratch remains reusable for a later uncancelled search.
-        ctx.search_component_into(&graph.components()[0], &mut scratch, &mut out);
+        ctx.search_component_cancellable(
+            &graph.components()[0],
+            &mut scratch,
+            &mut out,
+            &CancelToken::never(),
+        )
+        .unwrap();
         assert!(!out.is_empty());
     }
 
@@ -1048,7 +1039,13 @@ mod tests {
             let optimized = CapSet::from_caps(ctx.search_component(comp));
             // Reused-scratch path must agree with the fresh-scratch path.
             let mut reused = Vec::new();
-            ctx.search_component_into(comp, &mut scratch, &mut reused);
+            ctx.search_component_cancellable(
+                comp,
+                &mut scratch,
+                &mut reused,
+                &CancelToken::never(),
+            )
+            .unwrap();
             assert_eq!(CapSet::from_caps(reused), optimized);
             // And both must equal the recursive reference exactly: same
             // sensor sets, same supports, same direction assignments, same

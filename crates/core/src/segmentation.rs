@@ -28,8 +28,24 @@
 //! `#[cfg(test)]` ([`reference`]) as the equivalence oracle; fixture and
 //! property tests assert both produce identical segmentations and identical
 //! evolving sets downstream.
+//!
+//! # Shared segment runs
+//!
+//! A [`Segmentation`] keeps its segments in `Arc`-shared runs of
+//! [`SEGMENT_RUN_LEN`], sealed once full, plus one open run holding the
+//! rest (the last segment included), and it records the value range of
+//! the series it covers. A tail resume ([`segment_series_tail`]) only ever
+//! replaces the last segment, so it shares every sealed run of its
+//! predecessor, copies at most the open run, and reads the stored range
+//! instead of rescanning the prefix: O(tail), not O(series). Cached
+//! extraction states of successive revisions share all but their open
+//! runs.
 
 use miscela_model::TimeSeries;
+use std::sync::Arc;
+
+/// Segments per sealed run of a [`Segmentation`].
+pub const SEGMENT_RUN_LEN: usize = 128;
 
 /// One linear segment over grid indices `[start, end]` (inclusive).
 #[derive(Debug, Clone, PartialEq)]
@@ -76,10 +92,17 @@ impl Segment {
 }
 
 /// Result of segmenting one series.
+///
+/// Segments live in sealed `Arc`-shared runs of exactly
+/// [`SEGMENT_RUN_LEN`] plus one open run that holds the remaining ones and
+/// always ends with the last segment (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Segmentation {
-    /// The segments, in order, covering every present index range.
-    pub segments: Vec<Segment>,
+    /// Sealed runs of exactly [`SEGMENT_RUN_LEN`] segments.
+    runs: Vec<Arc<[Segment]>>,
+    /// The open run: between 1 and [`SEGMENT_RUN_LEN`] segments, empty only
+    /// when there are no segments at all.
+    open: Vec<Segment>,
     /// Length of the original series.
     pub len: usize,
     /// Absolute deviation tolerance the segments were fitted against
@@ -88,15 +111,127 @@ pub struct Segmentation {
     /// ([`segment_series_trimmed`]); excluded from equality because it is
     /// derived from the same inputs as the segments.
     pub tolerance: f64,
+    /// `(min, max)` of the series' present values, `None` when none is
+    /// present. Excluded from equality like `tolerance`.
+    range: Option<(f64, f64)>,
 }
 
 impl PartialEq for Segmentation {
     fn eq(&self, other: &Self) -> bool {
-        self.segments == other.segments && self.len == other.len
+        self.len == other.len
+            && self.segment_count() == other.segment_count()
+            && self.segments().eq(other.segments())
     }
 }
 
 impl Segmentation {
+    /// An empty segmentation of a series of `len` points.
+    fn empty(len: usize, tolerance: f64, range: Option<(f64, f64)>) -> Self {
+        Segmentation {
+            runs: Vec::new(),
+            open: Vec::with_capacity(SEGMENT_RUN_LEN),
+            len,
+            tolerance,
+            range,
+        }
+    }
+
+    /// A segmentation holding `segments` in order (oracle and test
+    /// fixtures).
+    #[cfg(test)]
+    pub(crate) fn from_segments(segments: Vec<Segment>, len: usize, tolerance: f64) -> Self {
+        let mut seg = Segmentation::empty(len, tolerance, None);
+        for s in segments {
+            seg.push(s);
+        }
+        seg.finish()
+    }
+
+    /// Appends one segment, sealing the open run first when it is full.
+    fn push(&mut self, segment: Segment) {
+        if self.open.len() == SEGMENT_RUN_LEN {
+            let full = std::mem::replace(&mut self.open, Vec::with_capacity(SEGMENT_RUN_LEN));
+            self.runs.push(Arc::from(full));
+        }
+        self.open.push(segment);
+    }
+
+    /// Drops the open run's spare capacity: a finished segmentation may
+    /// live for many revisions in the extraction cache.
+    fn finish(mut self) -> Self {
+        self.open.shrink_to_fit();
+        self
+    }
+
+    /// The segments, in order.
+    pub fn segments(&self) -> impl DoubleEndedIterator<Item = &Segment> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|run| run.iter())
+            .chain(self.open.iter())
+    }
+
+    /// The segments from the first one covering grid index `i` (or lying
+    /// past it) onwards; O(log runs + one run) to find.
+    fn segments_covering_from(&self, i: usize) -> impl Iterator<Item = &Segment> + '_ {
+        let first = self
+            .runs
+            .partition_point(|run| run.last().is_some_and(|s| s.end < i));
+        self.runs[first..]
+            .iter()
+            .flat_map(|run| run.iter())
+            .chain(self.open.iter())
+            .skip_while(move |s| s.end < i)
+    }
+
+    /// The position of the segment starting at grid index `start`, if one
+    /// does.
+    fn position_of_start(&self, start: usize) -> Option<usize> {
+        let run = self
+            .runs
+            .partition_point(|run| run.last().is_some_and(|s| s.start < start));
+        let (segments, base) = match self.runs.get(run) {
+            Some(sealed) => (&sealed[..], run * SEGMENT_RUN_LEN),
+            None => (&self.open[..], self.runs.len() * SEGMENT_RUN_LEN),
+        };
+        segments
+            .binary_search_by(|s| s.start.cmp(&start))
+            .ok()
+            .map(|pos| base + pos)
+    }
+
+    /// The segments from position `pos` onwards.
+    fn segments_from_position(&self, pos: usize) -> impl Iterator<Item = &Segment> + '_ {
+        let run = (pos / SEGMENT_RUN_LEN).min(self.runs.len());
+        let skip = pos - run * SEGMENT_RUN_LEN;
+        self.runs[run..]
+            .iter()
+            .flat_map(|run| run.iter())
+            .chain(self.open.iter())
+            .skip(skip)
+    }
+
+    /// The last segment, if any.
+    pub(crate) fn last_segment(&self) -> Option<&Segment> {
+        self.open.last()
+    }
+
+    /// Number of sealed runs.
+    pub fn sealed_runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// How many leading sealed runs `self` and `other` share *by pointer*
+    /// (`Arc::ptr_eq`): after a tail resume, every sealed run of the
+    /// predecessor is still the same allocation.
+    pub fn shares_runs_with(&self, other: &Segmentation) -> usize {
+        self.runs
+            .iter()
+            .zip(other.runs.iter())
+            .take_while(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+
     /// Reconstructs the smoothed series from the segments. Indices that were
     /// missing in the original series stay missing.
     ///
@@ -111,7 +246,7 @@ impl Segmentation {
         // plain array read/write instead of a per-index block lookup.
         let orig = original.contiguous();
         let mut out = vec![f64::NAN; self.len];
-        for seg in &self.segments {
+        for seg in self.segments() {
             for i in seg.start..=seg.end {
                 if i < orig.len() && !orig[i].is_nan() {
                     out[i] = seg.value_at(i);
@@ -121,9 +256,25 @@ impl Segmentation {
         TimeSeries::from_values(out)
     }
 
+    /// Reconstructs the smoothed values of grid indices `[lo, len)` into a
+    /// fresh buffer (`out[i - lo]`), reading `raw` (the original values of
+    /// the same range) for missingness. The tail twin of
+    /// [`Segmentation::reconstruct`], with the same per-point arithmetic.
+    pub(crate) fn reconstruct_from(&self, lo: usize, raw: &[f64]) -> Vec<f64> {
+        let mut out = vec![f64::NAN; self.len.saturating_sub(lo)];
+        for seg in self.segments_covering_from(lo) {
+            for i in seg.start.max(lo)..=seg.end.min(self.len.saturating_sub(1)) {
+                if raw.get(i - lo).is_some_and(|v| !v.is_nan()) {
+                    out[i - lo] = seg.value_at(i);
+                }
+            }
+        }
+        out
+    }
+
     /// Number of segments.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.runs.len() * SEGMENT_RUN_LEN + self.open.len()
     }
 }
 
@@ -137,11 +288,7 @@ impl Segmentation {
 pub fn segment_series(series: &TimeSeries, error_fraction: f64) -> Segmentation {
     let n = series.len();
     if n == 0 {
-        return Segmentation {
-            segments: Vec::new(),
-            len: 0,
-            tolerance: 0.0,
-        };
+        return Segmentation::empty(0, 0.0, None).finish();
     }
     // One pass over the storage chunks: value range (interpolation never
     // leaves the range of the present values) and missingness.
@@ -160,11 +307,7 @@ pub fn segment_series(series: &TimeSeries, error_fraction: f64) -> Segmentation 
     }
     if missing == n {
         // Entirely missing series: nothing to segment.
-        return Segmentation {
-            segments: Vec::new(),
-            len: n,
-            tolerance: 0.0,
-        };
+        return Segmentation::empty(n, 0.0, None).finish();
     }
     // The cone loop wants one contiguous slice: fully-present single-chunk
     // series borrow it straight from storage; multi-block or gappy series
@@ -179,27 +322,18 @@ pub fn segment_series(series: &TimeSeries, error_fraction: f64) -> Segmentation 
     let values: &[f64] = &storage;
     let tolerance = error_fraction.max(0.0) * (max - min).max(1e-12);
 
-    let mut segments = Vec::new();
+    let mut seg = Segmentation::empty(n, tolerance, Some((min, max)));
     if n == 1 {
-        segments.push(Segment {
+        seg.push(Segment {
             start: 0,
             end: 0,
             start_value: values[0],
             end_value: values[0],
         });
-        return Segmentation {
-            segments,
-            len: n,
-            tolerance,
-        };
+    } else {
+        segment_values(values, tolerance, 0, 0, &mut seg);
     }
-    segment_values(values, tolerance, 0, 0, &mut segments);
-
-    Segmentation {
-        segments,
-        len: n,
-        tolerance,
-    }
+    seg.finish()
 }
 
 /// Runs the greedy feasible-slope-cone loop over `values[from..]`, pushing
@@ -213,11 +347,11 @@ fn segment_values(
     tolerance: f64,
     base: usize,
     from: usize,
-    segments: &mut Vec<Segment>,
+    segments: &mut Segmentation,
 ) {
     let n = values.len();
     let mut start = from;
-    while start < n - 1 {
+    while start + 1 < n {
         let end = greedy_end(values, tolerance, start);
         segments.push(Segment {
             start: base + start,
@@ -287,6 +421,10 @@ fn greedy_end(values: &[f64], tolerance: f64, start: usize) -> usize {
 /// may differ from `prev`'s (`0` when the resume conditions do not hold and
 /// a full recompute ran; `series.len()` when nothing was appended).
 ///
+/// The work is O(last segment + appended tail): the prefix's value range
+/// comes from `prev`, every sealed segment run of `prev` is shared, and only
+/// the open run is copied.
+///
 /// The greedy cone segmenter is left-to-right deterministic, so every
 /// segment that closed on a failed extension test is final — only the last
 /// segment (which closed by running out of data) can change. Resuming is
@@ -314,44 +452,17 @@ pub fn segment_series_tail(
     if n == old_len {
         return (prev.clone(), n);
     }
-    // Prefix value range: the tolerance of the cold run on the prefix.
-    // Branchless select — a NaN comparison is false, so missing values
-    // never update either bound and the scan needs no `is_nan` branch.
-    // The scan walks the shared storage blocks in place.
-    let mut pmin = f64::INFINITY;
-    let mut pmax = f64::NEG_INFINITY;
-    let mut remaining = old_len;
-    for chunk in series.chunks() {
-        let take = remaining.min(chunk.len());
-        for &v in &chunk[..take] {
-            pmin = if v < pmin { v } else { pmin };
-            pmax = if v > pmax { v } else { pmax };
-        }
-        remaining -= take;
-        if remaining == 0 {
-            break;
-        }
-    }
-    if pmin > pmax || series.raw(old_len - 1).is_nan() {
-        // All-missing prefix, or a trailing gap whose interpolation the
-        // append changes retroactively.
+    // The prefix value range sets the tolerance of the cold run on the
+    // prefix; `None` means an all-missing prefix.
+    let Some((pmin, pmax)) = prev.range else {
+        return full();
+    };
+    if series.raw(old_len - 1).is_nan() {
+        // A trailing gap whose interpolation the append changes
+        // retroactively.
         return full();
     }
-    // Appended values outside the prefix range change the tolerance
-    // (NaN compares false on both sides, so missing appends never do).
-    // Chunk-level iteration: the appended range lives in the last chunks.
-    let mut g = 0usize;
-    for chunk in series.chunks() {
-        let end = g + chunk.len();
-        if end > old_len {
-            let from = old_len.saturating_sub(g);
-            if chunk[from..].iter().any(|&v| v < pmin || v > pmax) {
-                return full();
-            }
-        }
-        g = end;
-    }
-    let Some(last) = prev.segments.last() else {
+    let Some(last) = prev.last_segment() else {
         return full();
     };
     if last.end + 1 != old_len {
@@ -366,21 +477,29 @@ pub fn segment_series_tail(
     // Materialize only the re-segmented window `[wstart, n)` — O(last
     // segment + appended tail), not O(series).
     let mut window = series.copy_range(wstart, n);
+    // Appended values outside the prefix range change the tolerance (NaN
+    // compares false on both sides, so missing appends never do).
+    if window[old_len - wstart..]
+        .iter()
+        .any(|&v| v < pmin || v > pmax)
+    {
+        return full();
+    }
     if window.iter().any(|v| v.is_nan()) {
         miscela_model::interpolate_in_place(&mut window);
     }
-    let values: &[f64] = &window;
     let tolerance = error_fraction.max(0.0) * (pmax - pmin).max(1e-12);
-    let mut segments = prev.segments[..prev.segments.len() - 1].to_vec();
-    segment_values(values, tolerance, wstart, resume - wstart, &mut segments);
-    (
-        Segmentation {
-            segments,
-            len: n,
-            tolerance,
-        },
-        resume,
-    )
+    let mut open = Vec::with_capacity(SEGMENT_RUN_LEN);
+    open.extend_from_slice(&prev.open[..prev.open.len() - 1]);
+    let mut seg = Segmentation {
+        runs: prev.runs.clone(),
+        open,
+        len: n,
+        tolerance,
+        range: prev.range,
+    };
+    segment_values(&window, tolerance, wstart, resume - wstart, &mut seg);
+    (seg.finish(), resume)
 }
 
 /// Derives the segmentation of a front-trimmed window from the segmentation
@@ -464,20 +583,17 @@ pub fn segment_series_trimmed(
     };
     let values: &[f64] = &storage;
 
-    let mut segments: Vec<Segment> = Vec::new();
+    let mut segments = Segmentation::empty(n, tolerance, Some((min, max)));
     let mut start = 0usize;
     let mut resync = n;
-    while start < n - 1 {
+    while start + 1 < n {
         // Resync test at the segment start: past the first present index the
         // window's (interpolated) values equal the origin's shifted by
         // `dropped`, so hitting an origin segment start means the rest of a
         // cold run is the origin's tail verbatim.
         if start >= first_present {
-            if let Ok(pos) = prev
-                .segments
-                .binary_search_by(|s| s.start.cmp(&(start + dropped)))
-            {
-                for s in &prev.segments[pos..] {
+            if let Some(pos) = prev.position_of_start(start + dropped) {
+                for s in prev.segments_from_position(pos) {
                     segments.push(Segment {
                         start: s.start - dropped,
                         end: s.end - dropped,
@@ -498,14 +614,7 @@ pub fn segment_series_trimmed(
         });
         start = end;
     }
-    Some((
-        Segmentation {
-            segments,
-            len: n,
-            tolerance,
-        },
-        resync,
-    ))
+    Some((segments.finish(), resync))
 }
 
 /// Convenience helper: smooths a series by segmentation and reconstruction.
@@ -550,19 +659,11 @@ pub(crate) mod reference {
     ) -> Segmentation {
         let n = series.len();
         if n == 0 {
-            return Segmentation {
-                segments: Vec::new(),
-                len: 0,
-                tolerance: 0.0,
-            };
+            return Segmentation::from_segments(Vec::new(), 0, 0.0);
         }
         let filled = series.interpolate_missing();
         if filled.present_count() == 0 {
-            return Segmentation {
-                segments: Vec::new(),
-                len: n,
-                tolerance: 0.0,
-            };
+            return Segmentation::from_segments(Vec::new(), n, 0.0);
         }
         let values: Vec<f64> = (0..n).map(|i| filled.get(i).unwrap_or(0.0)).collect();
         let range = {
@@ -602,11 +703,7 @@ pub(crate) mod reference {
             end = start + 1;
         }
 
-        Segmentation {
-            segments,
-            len: n,
-            tolerance,
-        }
+        Segmentation::from_segments(segments, n, tolerance)
     }
 }
 
@@ -708,8 +805,9 @@ mod tests {
         let single = TimeSeries::from_values(vec![5.0]);
         let seg = segment_series(&single, 0.1);
         assert_eq!(seg.segment_count(), 1);
-        assert_eq!(seg.segments[0].len(), 1);
-        assert_eq!(seg.segments[0].slope(), 0.0);
+        let only = seg.last_segment().unwrap();
+        assert_eq!(only.len(), 1);
+        assert_eq!(only.slope(), 0.0);
     }
 
     #[test]
@@ -926,11 +1024,7 @@ mod tests {
             TimeSeries::from_values((0..100).map(|i| (i as f64 * 0.05).sin() * 5.0).collect());
         let cold = segment_series(&series, 0.05);
         // A prev whose recorded length disagrees with old_len falls back.
-        let bogus = Segmentation {
-            segments: Vec::new(),
-            len: 7,
-            tolerance: 0.0,
-        };
+        let bogus = Segmentation::from_segments(Vec::new(), 7, 0.0);
         let (seg, changed_from) = segment_series_tail(&series, 0.05, &bogus, 50);
         assert_eq!(seg, cold);
         assert_eq!(changed_from, 0);
@@ -1015,6 +1109,55 @@ mod tests {
         assert!(segment_series_trimmed(&trimmed, 0.05, &origin, 9).is_none());
     }
 
+    /// A noisy series whose first two points span its whole value range,
+    /// so every append resumes instead of falling back, and which segments
+    /// into several sealed runs.
+    fn long_noisy(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i {
+                0 => -10.0,
+                1 => 10.0,
+                _ => (i as f64 * 0.37).sin() * 3.0 + ((i * 7919) % 13) as f64 * 0.4,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tail_resume_shares_every_sealed_run_with_its_predecessor() {
+        let full = TimeSeries::from_values(long_noisy(3000));
+        let mut len = 1500;
+        let mut prev = segment_series(&full.window(0, len), 0.02);
+        assert!(prev.sealed_runs() >= 2, "fixture must seal several runs");
+        for step in [16, 16, 1, 300, 16, 700] {
+            let series = full.window(0, len + step);
+            let (resumed, changed_from) = segment_series_tail(&series, 0.02, &prev, len);
+            assert!(changed_from > 0, "append of {step} fell back to a full run");
+            assert_eq!(resumed, segment_series(&series, 0.02));
+            assert_eq!(resumed.range, segment_series(&series, 0.02).range);
+            // Every sealed run of the predecessor is the same allocation;
+            // only the open run was copied.
+            assert_eq!(resumed.shares_runs_with(&prev), prev.sealed_runs());
+            assert!(resumed.sealed_runs() >= prev.sealed_runs());
+            prev = resumed;
+            len += step;
+        }
+    }
+
+    #[test]
+    fn trimmed_derivation_matches_cold_across_segment_runs() {
+        let vals = periodic_values(3000);
+        let series = TimeSeries::from_values(vals.clone());
+        let origin = segment_series(&series, 0.05);
+        assert!(origin.sealed_runs() >= 2, "fixture must seal several runs");
+        for d in [1usize, 156, 256, 1000, 1700] {
+            let trimmed = TimeSeries::from_values(vals[d..].to_vec());
+            let (derived, resync) = segment_series_trimmed(&trimmed, 0.05, &origin, d)
+                .unwrap_or_else(|| panic!("fell back for d={d}"));
+            assert_eq!(derived, segment_series(&trimmed, 0.05), "d={d}");
+            assert!(resync < trimmed.len(), "d={d} never resynced");
+        }
+    }
+
     mod tail_resume_proptest {
         use super::*;
         use proptest::prelude::*;
@@ -1048,9 +1191,10 @@ mod tests {
     fn segments_cover_whole_series_contiguously() {
         let s = TimeSeries::from_values((0..97).map(|i| ((i as f64) * 0.3).sin() * 5.0).collect());
         let seg = segment_series(&s, 0.05);
-        assert_eq!(seg.segments.first().unwrap().start, 0);
-        assert_eq!(seg.segments.last().unwrap().end, 96);
-        for w in seg.segments.windows(2) {
+        let segments: Vec<&Segment> = seg.segments().collect();
+        assert_eq!(segments.first().unwrap().start, 0);
+        assert_eq!(segments.last().unwrap().end, 96);
+        for w in segments.windows(2) {
             assert_eq!(w[0].end, w[1].start, "segments must share breakpoints");
         }
         // Reconstruction error bounded by the tolerance (5% of range=10).

@@ -200,8 +200,8 @@ impl ProximityGraph {
             return (0, 0.0, 0);
         }
         let degrees: Vec<usize> = self.adjacency.iter().map(|a| a.len()).collect();
-        let min = *degrees.iter().min().unwrap();
-        let max = *degrees.iter().max().unwrap();
+        let min = degrees.iter().copied().min().unwrap_or(0);
+        let max = degrees.iter().copied().max().unwrap_or(0);
         let mean = degrees.iter().sum::<usize>() as f64 / degrees.len() as f64;
         (min, mean, max)
     }

@@ -57,6 +57,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Nothing a dataset holds may panic the process: a failure is a typed
+// `ModelError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod attribute;
 pub mod dataset;
@@ -75,7 +81,7 @@ pub use dataset::{
     MAX_APPEND_TIMESTAMPS,
 };
 pub use error::ModelError;
-pub use fingerprint::SeriesFingerprinter;
+pub use fingerprint::{PrefixFingerprint, SeriesFingerprinter};
 pub use geo::{BoundingBox, GeoPoint};
 pub use retention::RetentionPolicy;
 pub use sensor::{Sensor, SensorId, SensorIndex};

@@ -37,15 +37,48 @@
 //! Sliding-window retention drops expired *whole blocks* from the front
 //! ([`TimeSeries::drop_front_blocks`]); freeing a block is one `Arc` drop,
 //! so trimming is O(blocks dropped) and never rewrites retained data.
+//!
+//! # Block digests
+//!
+//! Each sealed block carries a lazily computed content digest: the hash
+//! of its values that the rolling [`SeriesFingerprinter`] folds in for a
+//! whole block. It is computed on first use and then shared by every
+//! series revision holding the block. Any write into the block — in place
+//! when unshared, or into the copy that copy-on-write makes — resets it,
+//! so a digest never outlives the values it hashed. Fingerprints fold
+//! these digests and hash raw values only inside the partial last group
+//! ([`TimeSeries::prefix_fingerprints`]): O(blocks + tail), not O(len).
 
-use crate::fingerprint::SeriesFingerprinter;
+use crate::fingerprint::{block_digest, PrefixFingerprint, SeriesFingerprinter};
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of values per sealed block: 256 points (a multiple of 64, so
 /// blocks always cover whole bitset words downstream).
 pub const SERIES_BLOCK_LEN: usize = 256;
+
+/// One sealed block: exactly [`SERIES_BLOCK_LEN`] values and their
+/// lazily computed digest.
+#[derive(Clone)]
+struct Block {
+    values: Vec<f64>,
+    /// `block_digest(&values)` once computed; every write resets it.
+    digest: OnceLock<u128>,
+}
+
+impl Block {
+    fn sealed(values: Vec<f64>) -> Arc<Block> {
+        Arc::new(Block {
+            values,
+            digest: OnceLock::new(),
+        })
+    }
+
+    fn digest(&self) -> u128 {
+        *self.digest.get_or_init(|| block_digest(&self.values))
+    }
+}
 
 /// A fixed-length series of optionally-missing measurements aligned to a
 /// dataset-wide time grid, stored as `Arc`-shared blocks plus a mutable
@@ -53,11 +86,11 @@ pub const SERIES_BLOCK_LEN: usize = 256;
 #[derive(Clone, Default)]
 pub struct TimeSeries {
     /// Sealed blocks of exactly [`SERIES_BLOCK_LEN`] values each.
-    blocks: Vec<Arc<Vec<f64>>>,
+    blocks: Vec<Arc<Block>>,
     /// The mutable tail: fewer than [`SERIES_BLOCK_LEN`] values.
     tail: Vec<f64>, // NaN encodes "missing"
-    /// Rolling fingerprint of every value dropped from the front by
-    /// sliding-window trims, in drop order. Resuming this digest over the
+    /// Rolling fingerprint of the whole blocks dropped from the front by
+    /// sliding-window trims, in drop order. Continuing this digest over the
     /// retained values yields the fingerprint of the untrimmed *origin
     /// stream*, which is how a trimmed window stays addressable in
     /// content-keyed caches. Freshly built series (including windows and
@@ -147,7 +180,7 @@ impl TimeSeries {
         let tail = values.split_off(sealed);
         let blocks = values
             .chunks(SERIES_BLOCK_LEN)
-            .map(|c| Arc::new(c.to_vec()))
+            .map(|c| Block::sealed(c.to_vec()))
             .collect();
         TimeSeries {
             blocks,
@@ -199,7 +232,8 @@ impl TimeSeries {
     /// Drops the first `count` sealed blocks — the sliding-window trim.
     /// Indices shift down by `count * SERIES_BLOCK_LEN`; each dropped block
     /// is released with one `Arc` drop (other series revisions sharing it
-    /// keep it alive). Panics when fewer than `count` blocks exist.
+    /// keep it alive) after its digest is folded into the front digest.
+    /// Panics when fewer than `count` blocks exist.
     pub fn drop_front_blocks(&mut self, count: usize) {
         assert!(
             count <= self.blocks.len(),
@@ -207,9 +241,9 @@ impl TimeSeries {
             self.blocks.len()
         );
         for block in &self.blocks[..count] {
-            for &v in block.iter() {
-                self.front.push(v);
-            }
+            // The front only ever holds whole blocks, so it stays on a
+            // group boundary.
+            self.front.push_block(block.digest());
         }
         self.blocks.drain(..count);
     }
@@ -230,13 +264,87 @@ impl TimeSeries {
         self.front.clone()
     }
 
+    /// The content fingerprint of the whole series: equal for any two
+    /// series holding the same values, however they were built, trimmed or
+    /// written. O(blocks + tail) once the block digests are cached.
+    pub fn fingerprint(&self) -> u128 {
+        let mut fp = SeriesFingerprinter::new();
+        for block in &self.blocks {
+            fp.push_block(block.digest());
+        }
+        for &v in &self.tail {
+            fp.push(v);
+        }
+        fp.checkpoint()
+    }
+
+    /// The fingerprints of the prefixes `[0, end)` for each `end` in
+    /// `ends` (clamped to the length), plain and origin-anchored
+    /// ([`PrefixFingerprint`]). Whole blocks before a prefix's last group
+    /// fold their cached digests; only the values of that partial group
+    /// are hashed, and ascending ends inside one group share one pass over
+    /// them. Each prefix's `content` equals the fingerprint of that prefix
+    /// as a series of its own, and its `origin` the fingerprint of the
+    /// same extent of the untrimmed stream.
+    pub fn prefix_fingerprints(&self, ends: &[usize]) -> Vec<PrefixFingerprint> {
+        let trimmed = !self.front.is_empty();
+        let mut content = SeriesFingerprinter::new();
+        let mut origin = self.front.clone();
+        let mut folded = 0usize;
+        // The partial group being hashed: its index and the fingerprinter
+        // over its first values.
+        let mut partial: Option<(usize, SeriesFingerprinter)> = None;
+        let mut out = Vec::with_capacity(ends.len());
+        for &end in ends {
+            let end = end.min(self.len());
+            let group = end / SERIES_BLOCK_LEN;
+            if group < folded {
+                // Out of order: walk again from the start.
+                content = SeriesFingerprinter::new();
+                origin = self.front.clone();
+                folded = 0;
+            }
+            while folded < group {
+                let digest = self.blocks[folded].digest();
+                content.push_block(digest);
+                if trimmed {
+                    origin.push_block(digest);
+                }
+                folded += 1;
+            }
+            let start = group * SERIES_BLOCK_LEN;
+            let run = match &mut partial {
+                Some((g, run)) if *g == group && start + run.len() <= end => run,
+                slot => &mut slot.insert((group, SeriesFingerprinter::new())).1,
+            };
+            let values = match self.blocks.get(group) {
+                Some(block) => &block.values[..],
+                None => &self.tail[..],
+            };
+            for &v in &values[run.len()..end - start] {
+                run.push(v);
+            }
+            let plain = content.checkpoint_with(run);
+            out.push(PrefixFingerprint {
+                end,
+                content: plain,
+                origin: if trimmed {
+                    origin.checkpoint_with(run)
+                } else {
+                    plain
+                },
+            });
+        }
+        out
+    }
+
     /// The storage chunks in order: every sealed block, then the tail (if
     /// non-empty). Chunk boundaries fall on multiples of
     /// [`SERIES_BLOCK_LEN`], hence on 64-bit word boundaries.
     pub fn chunks(&self) -> impl Iterator<Item = &[f64]> {
         self.blocks
             .iter()
-            .map(|b| b.as_slice())
+            .map(|b| b.values.as_slice())
             .chain(std::iter::once(self.tail.as_slice()).filter(|t| !t.is_empty()))
     }
 
@@ -247,7 +355,7 @@ impl TimeSeries {
         if self.blocks.is_empty() {
             Cow::Borrowed(&self.tail)
         } else if self.blocks.len() == 1 && self.tail.is_empty() {
-            Cow::Borrowed(self.blocks[0].as_slice())
+            Cow::Borrowed(self.blocks[0].values.as_slice())
         } else {
             Cow::Owned(self.copy_range(0, self.len()))
         }
@@ -297,7 +405,7 @@ impl TimeSeries {
     pub fn raw(&self, i: usize) -> f64 {
         let sealed = self.sealed_len();
         if i < sealed {
-            self.blocks[i / SERIES_BLOCK_LEN][i % SERIES_BLOCK_LEN]
+            self.blocks[i / SERIES_BLOCK_LEN].values[i % SERIES_BLOCK_LEN]
         } else {
             self.tail[i - sealed]
         }
@@ -306,11 +414,14 @@ impl TimeSeries {
     /// Sets the value at index `i`. Panics when out of range. Writing into a
     /// sealed block copies that block first when it is shared with another
     /// series (copy-on-write, O([`SERIES_BLOCK_LEN`]) worst case); writes
-    /// into the tail or an unshared block are in place.
+    /// into the tail or an unshared block are in place. Either way the
+    /// written block's digest is reset.
     pub fn set(&mut self, i: usize, value: f64) {
         let sealed = self.sealed_len();
         if i < sealed {
-            Arc::make_mut(&mut self.blocks[i / SERIES_BLOCK_LEN])[i % SERIES_BLOCK_LEN] = value;
+            let block = Arc::make_mut(&mut self.blocks[i / SERIES_BLOCK_LEN]);
+            block.values[i % SERIES_BLOCK_LEN] = value;
+            block.digest = OnceLock::new();
         } else {
             self.tail[i - sealed] = value;
         }
@@ -448,7 +559,7 @@ impl TimeSeries {
         while self.tail.len() >= SERIES_BLOCK_LEN {
             let rest = self.tail.split_off(SERIES_BLOCK_LEN);
             let sealed = std::mem::replace(&mut self.tail, rest);
-            self.blocks.push(Arc::new(sealed));
+            self.blocks.push(Block::sealed(sealed));
         }
     }
 
@@ -660,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn drop_front_blocks_streams_the_front_digest() {
+    fn drop_front_blocks_folds_block_digests_into_the_front() {
         let full = long_series();
         let mut s = full.clone();
         assert_eq!(s.dropped_front(), 0);
@@ -668,7 +779,19 @@ mod tests {
         assert_eq!(s.dropped_front(), SERIES_BLOCK_LEN);
         s.drop_front_blocks(1);
         assert_eq!(s.dropped_front(), 2 * SERIES_BLOCK_LEN);
-        // Resuming the digest over the retained values reproduces the
+        // The front is the fold of the dropped blocks' digests, which is
+        // what streaming their values would have produced.
+        let mut folded = SeriesFingerprinter::new();
+        let mut streamed = SeriesFingerprinter::new();
+        for block in &full.blocks[..2] {
+            folded.push_block(block.digest());
+            for &v in &block.values {
+                streamed.push(v);
+            }
+        }
+        assert_eq!(s.front_digest(), folded);
+        assert_eq!(s.front_digest(), streamed);
+        // Continuing the front over the retained values reproduces the
         // origin-stream fingerprint: the trim is invisible to checkpoints.
         let mut resumed = s.front_digest();
         for chunk in s.chunks() {
@@ -676,18 +799,126 @@ mod tests {
                 resumed.push(v);
             }
         }
-        let mut origin = SeriesFingerprinter::new();
-        for chunk in full.chunks() {
-            for &v in chunk {
-                origin.push(v);
-            }
-        }
-        assert_eq!(resumed.checkpoint(), origin.checkpoint());
+        assert_eq!(resumed.checkpoint(), full.fingerprint());
+        let at_end = s.prefix_fingerprints(&[s.len()]);
+        assert_eq!(at_end[0].origin, full.fingerprint());
+        assert_eq!(at_end[0].content, s.fingerprint());
         // Fresh constructions (windows included) reset lineage.
         assert_eq!(s.window(0, 10).dropped_front(), 0);
         assert_eq!(TimeSeries::from_values(s.copy_values()).dropped_front(), 0);
         // Equality ignores the digest.
         assert_eq!(s, TimeSeries::from_values(s.copy_values()));
+    }
+
+    #[test]
+    fn writes_reset_the_block_digest() {
+        let fresh = |s: &TimeSeries| TimeSeries::from_values(s.copy_values()).fingerprint();
+        // In place: the block is unshared, so the write lands in it.
+        let mut s = long_series();
+        let before = s.fingerprint(); // caches every block digest
+        let ptr = Arc::as_ptr(&s.blocks[1]);
+        s.set(SERIES_BLOCK_LEN + 7, 123.5);
+        assert_eq!(Arc::as_ptr(&s.blocks[1]), ptr, "write was not in place");
+        assert_ne!(s.fingerprint(), before);
+        assert_eq!(s.fingerprint(), fresh(&s));
+        // Copy-on-write: the block is shared with a clone whose digest is
+        // cached; the copy must not inherit it.
+        let shared = s.clone();
+        let shared_fp = shared.fingerprint();
+        s.clear(3);
+        assert!(!Arc::ptr_eq(&s.blocks[0], &shared.blocks[0]));
+        assert_eq!(s.fingerprint(), fresh(&s));
+        assert_eq!(shared.fingerprint(), shared_fp);
+        assert_eq!(shared.fingerprint(), fresh(&shared));
+        // Restoring the value restores the fingerprint.
+        s.set(3, shared.raw(3));
+        assert_eq!(s.fingerprint(), shared_fp);
+    }
+
+    #[test]
+    fn prefix_fingerprints_match_prefixes_as_series() {
+        let s = long_series();
+        let ends = [
+            0,
+            1,
+            100,
+            SERIES_BLOCK_LEN,
+            SERIES_BLOCK_LEN + 1,
+            400,
+            s.len(),
+        ];
+        let got = s.prefix_fingerprints(&ends);
+        for (p, &end) in got.iter().zip(&ends) {
+            assert_eq!(p.end, end);
+            assert_eq!(p.content, s.window(0, end).fingerprint(), "end {end}");
+            assert_eq!(p.origin, p.content);
+        }
+        // Unordered and out-of-range ends still answer correctly.
+        let got = s.prefix_fingerprints(&[400, 5, s.len() + 9]);
+        assert_eq!(got[0].content, s.window(0, 400).fingerprint());
+        assert_eq!(got[1].content, s.window(0, 5).fingerprint());
+        assert_eq!(got[2].end, s.len());
+        assert_eq!(got[2].content, s.fingerprint());
+    }
+
+    mod fold_proptest {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Series grown by appends of random sizes, block-aligned
+            /// trims and single-value writes: the folded fingerprints equal
+            /// those of fresh copies — the whole series, every prefix, and
+            /// the untrimmed origin stream.
+            #[test]
+            fn folded_fingerprints_match_fresh_copies(
+                ops in proptest::collection::vec((0usize..4, 0usize..600, -5.0f64..5.0), 1..24),
+                ends_ppm in proptest::collection::vec(0u32..1_000_000, 0..6),
+            ) {
+                let mut s = TimeSeries::default();
+                // Every value the series ever held, trimmed ones included.
+                let mut history: Vec<f64> = Vec::new();
+                for &(kind, size, value) in &ops {
+                    let front = s.dropped_front();
+                    match kind {
+                        0 | 1 => {
+                            let old = s.len();
+                            s.extend_missing(size);
+                            history.extend(std::iter::repeat_n(f64::NAN, size));
+                            for i in (old..s.len()).step_by(3) {
+                                let v = value + i as f64 * 0.01;
+                                s.set(i, v);
+                                history[front + i] = v;
+                            }
+                        }
+                        2 => s.drop_front_blocks(size % (s.block_count() + 1)),
+                        _ if !s.is_empty() => {
+                            let i = size % s.len();
+                            s.set(i, value);
+                            history[front + i] = value;
+                        }
+                        _ => {}
+                    }
+                }
+                let copy = TimeSeries::from_values(s.copy_values());
+                prop_assert_eq!(s.fingerprint(), copy.fingerprint());
+                let n = s.len();
+                let mut ends: Vec<usize> = ends_ppm
+                    .iter()
+                    .map(|&ppm| (n as u64 * ppm as u64 / 1_000_000) as usize)
+                    .collect();
+                ends.sort_unstable();
+                ends.push(n);
+                let front = s.dropped_front();
+                for p in s.prefix_fingerprints(&ends) {
+                    prop_assert_eq!(p.content, s.window(0, p.end).fingerprint());
+                    let origin = TimeSeries::from_values(history[..front + p.end].to_vec());
+                    prop_assert_eq!(p.origin, origin.fingerprint());
+                }
+            }
+        }
     }
 
     #[test]

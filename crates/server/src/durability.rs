@@ -260,9 +260,15 @@ pub enum WalOp {
     Chunk {
         /// Session the chunk belongs to.
         session: u64,
-        /// The chunk's per-session sequence number — the acked-sequence
-        /// watermark recovery restores is the highest `seq` replayed.
+        /// The chunk's per-session sequence number (for an unsequenced
+        /// chunk, its position in the session).
         seq: u64,
+        /// Whether the client sent the chunk with a sequence number. Only
+        /// sequenced chunks advance the acked-sequence watermark, so
+        /// recovery rebuilds it from these alone. Records written before
+        /// the field existed read as sequenced, which is how such logs
+        /// always recovered.
+        sequenced: bool,
         /// The raw chunk, exactly as the client sent it.
         chunk: Chunk,
     },
@@ -294,12 +300,14 @@ pub fn begin_record(session: u64, key: Option<&str>) -> Json {
     doc
 }
 
-/// Builds the WAL record for one acknowledged `append_chunk`.
-pub fn chunk_record(session: u64, seq: u64, chunk: &Chunk) -> Json {
+/// Builds the WAL record for one acknowledged `append_chunk`; `sequenced`
+/// says whether the client sent it with a sequence number.
+pub fn chunk_record(session: u64, seq: u64, sequenced: bool, chunk: &Chunk) -> Json {
     Json::from_pairs([
         ("op", Json::from("chunk")),
         ("session", Json::from(session as i64)),
         ("seq", Json::from(seq as i64)),
+        ("sequenced", Json::from(sequenced)),
         ("index", Json::from(chunk.index)),
         ("total", Json::from(chunk.total)),
         ("content", Json::from(chunk.content.as_str())),
@@ -408,9 +416,14 @@ pub fn parse_op(record: &Json) -> Result<WalOp, ApiError> {
                 .and_then(|s| s.as_i64())
                 .map(|s| s.max(0) as u64)
                 .unwrap_or(index as u64 + 1);
+            let sequenced = record
+                .get("sequenced")
+                .and_then(|s| s.as_bool())
+                .unwrap_or(true);
             Ok(WalOp::Chunk {
                 session,
                 seq,
+                sequenced,
                 chunk: Chunk {
                     index,
                     total,
@@ -760,33 +773,38 @@ mod tests {
             content: "id,attribute,time,value\ns1,temperature,2016-03-01 00:00:00,9.5\n"
                 .to_string(),
         };
-        let parsed = parse_op(&chunk_record(4, 3, &chunk)).unwrap();
+        let parsed = parse_op(&chunk_record(4, 3, true, &chunk)).unwrap();
         assert_eq!(
             parsed,
             WalOp::Chunk {
                 session: 4,
                 seq: 3,
+                sequenced: true,
                 chunk: chunk.clone()
             }
         );
         // And through the on-disk serialization.
-        let reparsed = Json::parse(&chunk_record(4, 3, &chunk).to_string_compact()).unwrap();
+        let reparsed = Json::parse(&chunk_record(4, 3, false, &chunk).to_string_compact()).unwrap();
         assert_eq!(
             parse_op(&reparsed).unwrap(),
             WalOp::Chunk {
                 session: 4,
                 seq: 3,
+                sequenced: false,
                 chunk: chunk.clone()
             }
         );
-        // Pre-sequence-number chunk records fall back to index + 1.
-        let mut legacy = chunk_record(4, 3, &chunk);
+        // Pre-sequence-number chunk records fall back to index + 1, and
+        // records without the `sequenced` field read as sequenced.
+        let mut legacy = chunk_record(4, 3, false, &chunk);
         legacy.set("seq", Json::Null);
+        legacy.set("sequenced", Json::Null);
         assert_eq!(
             parse_op(&legacy).unwrap(),
             WalOp::Chunk {
                 session: 4,
                 seq: 3,
+                sequenced: true,
                 chunk
             }
         );
@@ -838,7 +856,7 @@ mod tests {
                 total: 1,
                 content: String::new(),
             };
-            let mut chunk = chunk_record(1, 1, &empty);
+            let mut chunk = chunk_record(1, 1, true, &empty);
             chunk.set(field, Json::from(-1i64));
             assert!(matches!(parse_op(&chunk), Err(ApiError::Internal(_))));
         }

@@ -554,10 +554,10 @@ impl MiscelaService {
                 let mut replayed_commits = 0u64;
                 let mut replayed_trim = false;
                 // The in-flight (begun, not committed) session, with its
-                // raw chunks. A begin for a session at or below the
-                // snapshot's watermark is stale — its outcome is already in
-                // the snapshot.
-                let mut outstanding: Option<(u64, Vec<Chunk>)> = None;
+                // raw chunks and whether each was sequenced. A begin for a
+                // session at or below the snapshot's watermark is stale —
+                // its outcome is already in the snapshot.
+                let mut outstanding: Option<(u64, Vec<(Chunk, bool)>)> = None;
                 let mut outstanding_key: Option<String> = None;
                 for record in log.take_replay() {
                     match durability::parse_op(&record)? {
@@ -571,15 +571,21 @@ impl MiscelaService {
                                 self.remember(Some(k), &scope, ReplayOutcome::Begin { session });
                             }
                         }
-                        WalOp::Chunk { session, chunk, .. } => {
+                        WalOp::Chunk {
+                            session,
+                            chunk,
+                            sequenced,
+                            ..
+                        } => {
                             if let Some((current, chunks)) = &mut outstanding {
                                 if *current == session {
                                     // A chunk re-accepted after a failed ack
                                     // is logged twice; the later record
-                                    // wins, as on the live path.
-                                    match chunks.iter_mut().find(|c| c.index == chunk.index) {
-                                        Some(slot) => *slot = chunk,
-                                        None => chunks.push(chunk),
+                                    // wins, as on the live path, and either
+                                    // delivery being sequenced acked it.
+                                    match chunks.iter_mut().find(|(c, _)| c.index == chunk.index) {
+                                        Some(slot) => *slot = (chunk, slot.1 || sequenced),
+                                        None => chunks.push((chunk, sequenced)),
                                     }
                                 }
                             }
@@ -599,7 +605,7 @@ impl MiscelaService {
                                 continue;
                             }
                             let mut uploader = ChunkedUploader::new();
-                            for chunk in &chunks {
+                            for (chunk, _) in &chunks {
                                 uploader.accept(chunk).map_err(|e| replay_err(&e))?;
                             }
                             let batches = uploader.finish().map_err(|e| replay_err(&e))?;
@@ -639,15 +645,21 @@ impl MiscelaService {
                         self.age_extraction(&scope);
                     }
                 }
-                if let Some((session, chunks)) = outstanding {
+                if let Some((session, logged)) = outstanding {
                     let mut uploader = ChunkedUploader::new();
-                    let mut acks = Vec::with_capacity(chunks.len());
-                    for chunk in &chunks {
-                        uploader.accept(chunk).map_err(|e| replay_err(&e))?;
+                    let mut acks = Vec::with_capacity(logged.len());
+                    let mut chunks = Vec::with_capacity(logged.len());
+                    for (chunk, sequenced) in logged {
+                        uploader.accept(&chunk).map_err(|e| replay_err(&e))?;
                         // Rebuild the per-sequence acks exactly as the live
-                        // path produced them, so duplicates retried across
-                        // the crash still replay identical acknowledgments.
-                        acks.push((chunk.index, uploader.missing().len()));
+                        // path produced them — sequenced chunks only — so
+                        // the watermark reads as it did live and duplicates
+                        // retried across the crash replay identical
+                        // acknowledgments.
+                        if sequenced {
+                            acks.push((chunk.index, uploader.missing().len()));
+                        }
+                        chunks.push(chunk);
                     }
                     let acked_seq = acks.len() as u64;
                     self.store.shard(&scope.key).appends.lock().insert(
@@ -751,9 +763,9 @@ impl MiscelaService {
             let appends = self.store.shard(&scope.key).appends.lock();
             appends
                 .get(&scope.key)
-                .map(|s| (s.session, s.key.clone(), s.chunks.clone()))
+                .map(|s| (s.session, s.key.clone(), s.chunks.clone(), s.acks.clone()))
         };
-        let Some((session, key, chunks)) = inflight else {
+        let Some((session, key, chunks, acks)) = inflight else {
             return Ok(());
         };
         state
@@ -761,10 +773,13 @@ impl MiscelaService {
             .log(&durability::begin_record(session, key.as_deref()))
             .map_err(wal_err)?;
         for (i, chunk) in chunks.iter().enumerate() {
-            state
-                .log
-                .log(&durability::chunk_record(session, i as u64 + 1, chunk))
-                .map_err(wal_err)?;
+            // A chunk with an ack was sequenced; it keeps its sequence
+            // number so recovery rebuilds the same watermark.
+            let record = match acks.iter().position(|&(index, _)| index == chunk.index) {
+                Some(seq) => durability::chunk_record(session, seq as u64 + 1, true, chunk),
+                None => durability::chunk_record(session, i as u64 + 1, false, chunk),
+            };
+            state.log.log(&record).map_err(wal_err)?;
         }
         state.log.commit().map_err(wal_err)
     }
@@ -1958,7 +1973,12 @@ impl MiscelaService {
         self.durable(scope, |state| {
             state
                 .log
-                .log(&durability::chunk_record(session_id, record_seq, chunk))
+                .log(&durability::chunk_record(
+                    session_id,
+                    record_seq,
+                    seq.is_some(),
+                    chunk,
+                ))
                 .map_err(wal_err)?;
             state.log.commit().map_err(wal_err)
         })
@@ -3112,6 +3132,97 @@ mod tests {
             (live.received, live.missing)
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn acked_seq_reads_the_same_before_and_after_a_restart() {
+        use miscela_model::RetentionPolicy;
+
+        // Only sequenced chunks advance `acked_seq`. Recovery must rebuild
+        // it from those alone — across a mid-session snapshot that re-logs
+        // the session — and a recovered sequenced session must still replay
+        // duplicate acks.
+        let full = small_dataset();
+        let n = full.timestamp_count();
+        let split_t = full.grid().at(n - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let writer = DatasetWriter::new();
+        let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 40);
+        assert!(chunks.len() > 3, "fixture must leave chunks missing");
+
+        for sequenced in [false, true] {
+            let dir = durable_dir(&format!("acked-seq-{sequenced}"));
+            let (live, live_ack) = {
+                let svc = MiscelaService::with_durability(&dir).unwrap();
+                svc.upload_documents_in(
+                    DEFAULT_TENANT,
+                    "santander",
+                    &writer.data_csv(&prefix),
+                    &writer.location_csv(&prefix),
+                    &writer.attribute_csv(&prefix),
+                    10_000,
+                )
+                .unwrap();
+                let session = svc
+                    .begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+                    .unwrap()
+                    .session;
+                let send = |seq: u64| match sequenced {
+                    true => Some(
+                        svc.append_chunk_seq_in(
+                            DEFAULT_TENANT,
+                            "santander",
+                            session,
+                            seq,
+                            &chunks[seq as usize - 1],
+                        )
+                        .unwrap(),
+                    ),
+                    false => {
+                        svc.append_chunk_in(DEFAULT_TENANT, "santander", &chunks[seq as usize - 1])
+                            .unwrap();
+                        None
+                    }
+                };
+                send(1);
+                let second = send(2);
+                // A retention snapshot resets the WAL and re-logs the
+                // in-flight session.
+                svc.set_retention_keyed_in(
+                    DEFAULT_TENANT,
+                    "santander",
+                    RetentionPolicy::keep_last(n),
+                    None,
+                )
+                .unwrap();
+                send(3);
+                let status = svc
+                    .append_status_in(DEFAULT_TENANT, "santander")
+                    .unwrap()
+                    .unwrap();
+                (status, second)
+            };
+            assert_eq!(live.acked_seq, if sequenced { 3 } else { 0 });
+            let svc = MiscelaService::with_durability(&dir).unwrap();
+            let restarted = svc
+                .append_status_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .unwrap();
+            assert_eq!(restarted, live, "sequenced={sequenced}");
+            if let Some(live_ack) = live_ack {
+                let replayed = svc
+                    .append_chunk_seq_in(DEFAULT_TENANT, "santander", live.session, 2, &chunks[1])
+                    .unwrap();
+                assert!(replayed.replayed);
+                assert_eq!(
+                    (replayed.accepted, replayed.missing),
+                    (live_ack.accepted, live_ack.missing)
+                );
+                assert_eq!(replayed.acked_seq, 3);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
