@@ -19,6 +19,9 @@ cargo build --release
 step "cargo test (workspace: unit + integration + property + doc tests)"
 cargo test --workspace -q
 
+step "cargo test --release (miner oracles in the optimized build: no debug assertions, wrapping overflow)"
+cargo test --release -q -p miscela-core
+
 step "cargo doc --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

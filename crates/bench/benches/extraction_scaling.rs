@@ -12,7 +12,7 @@
 //! segmentation was O(n·s²)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use miscela_core::evolving::extract_with_segmentation;
+use miscela_core::evolving::extract_state;
 use miscela_model::TimeSeries;
 use std::time::Duration;
 
@@ -51,7 +51,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 series
                     .iter()
-                    .map(|s| extract_with_segmentation(s, 0.4, false, 0.0).total())
+                    .map(|s| extract_state(s, 0.4, false, 0.0).sets.total())
                     .sum::<usize>()
             });
         });
@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     series
                         .iter()
-                        .map(|s| extract_with_segmentation(s, 0.4, false, 0.0).total())
+                        .map(|s| extract_state(s, 0.4, false, 0.0).sets.total())
                         .sum::<usize>()
                 });
             },
@@ -74,7 +74,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     series
                         .iter()
-                        .map(|s| extract_with_segmentation(s, 0.4, true, 0.05).total())
+                        .map(|s| extract_state(s, 0.4, true, 0.05).sets.total())
                         .sum::<usize>()
                 });
             },

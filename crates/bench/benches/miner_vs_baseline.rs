@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use miscela_bench::{santander_bench, santander_params};
 use miscela_core::baseline::NaiveMiner;
-use miscela_core::evolving::extract_with_segmentation;
+use miscela_core::evolving::extract_state;
 use miscela_core::{Miner, ProximityGraph};
 use miscela_model::AttributeId;
 use std::time::Duration;
@@ -42,12 +42,13 @@ fn bench(c: &mut Criterion) {
                 let evolving: Vec<_> = ds
                     .iter()
                     .map(|ss| {
-                        extract_with_segmentation(
+                        extract_state(
                             ss.series,
                             params.epsilon,
                             params.segmentation,
                             params.segmentation_error,
                         )
+                        .sets
                     })
                     .collect();
                 let attributes: Vec<AttributeId> =

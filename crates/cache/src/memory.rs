@@ -53,8 +53,9 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe in-memory cache from [`CacheKey`] to [`CachedCaps`], with
-/// an optional capacity bound evicting the least recently inserted entry.
+/// A thread-safe, unbounded in-memory cache from [`CacheKey`] to
+/// [`CachedCaps`]. Entries leave only when their dataset is invalidated or
+/// their revision is superseded.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     inner: Mutex<Inner>,
@@ -63,8 +64,6 @@ pub struct ResultCache {
 #[derive(Debug, Default)]
 struct Inner {
     entries: HashMap<CacheKey, CachedCaps>,
-    insertion_order: Vec<CacheKey>,
-    capacity: Option<usize>,
     hits: usize,
     misses: usize,
     evicted: usize,
@@ -76,30 +75,22 @@ impl ResultCache {
         Self::default()
     }
 
-    /// Creates a cache that keeps at most `capacity` entries (oldest-in
-    /// evicted first).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ResultCache {
-            inner: Mutex::new(Inner {
-                capacity: Some(capacity.max(1)),
-                ..Inner::default()
-            }),
-        }
-    }
-
     /// Looks up a key, recording a hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<CachedCaps> {
         let mut inner = self.inner.lock();
-        match inner.entries.get(key).cloned() {
-            Some(v) => {
-                inner.hits += 1;
-                Some(v)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let found = inner.entries.get(key).cloned();
+        if found.is_some() {
+            inner.hits += 1;
+        } else {
+            inner.misses += 1;
         }
+        found
+    }
+
+    /// Looks up a key without recording a hit or miss: the second look of
+    /// a lookup that already counted.
+    pub(crate) fn peek(&self, key: &CacheKey) -> Option<CachedCaps> {
+        self.inner.lock().entries.get(key).cloned()
     }
 
     /// Whether a key is cached (does not affect statistics).
@@ -109,17 +100,7 @@ impl ResultCache {
 
     /// Inserts (or replaces) an entry.
     pub fn put(&self, key: CacheKey, cached: CachedCaps) {
-        let mut inner = self.inner.lock();
-        if !inner.entries.contains_key(&key) {
-            inner.insertion_order.push(key.clone());
-        }
-        inner.entries.insert(key, cached);
-        if let Some(cap) = inner.capacity {
-            while inner.entries.len() > cap {
-                let oldest = inner.insertion_order.remove(0);
-                inner.entries.remove(&oldest);
-            }
-        }
+        self.inner.lock().entries.insert(key, cached);
     }
 
     /// Removes every cached entry for a dataset (used when a dataset is
@@ -128,7 +109,6 @@ impl ResultCache {
         let mut inner = self.inner.lock();
         let before = inner.entries.len();
         inner.entries.retain(|k, _| k.dataset != dataset);
-        inner.insertion_order.retain(|k| k.dataset != dataset);
         before - inner.entries.len()
     }
 
@@ -143,9 +123,6 @@ impl ResultCache {
         inner
             .entries
             .retain(|k, _| k.dataset != dataset || k.revision >= current_revision);
-        inner
-            .insertion_order
-            .retain(|k| k.dataset != dataset || k.revision >= current_revision);
         let removed = before - inner.entries.len();
         inner.evicted += removed;
         removed
@@ -160,9 +137,7 @@ impl ResultCache {
 
     /// Clears the cache (statistics are kept).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.insertion_order.clear();
+        self.inner.lock().entries.clear();
     }
 
     /// Current statistics.
@@ -198,23 +173,14 @@ mod tests {
         cache.put(k.clone(), empty());
         assert!(cache.get(&k).is_some());
         assert!(cache.contains(&k));
+        // A peek finds the entry but counts nothing.
+        assert!(cache.peek(&k).is_some());
+        assert!(cache.peek(&key("santander", 11)).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn capacity_evicts_oldest() {
-        let cache = ResultCache::with_capacity(2);
-        cache.put(key("a", 1), empty());
-        cache.put(key("b", 1), empty());
-        cache.put(key("c", 1), empty());
-        assert!(!cache.contains(&key("a", 1)));
-        assert!(cache.contains(&key("b", 1)));
-        assert!(cache.contains(&key("c", 1)));
-        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

@@ -43,11 +43,22 @@ impl PersistentCache {
         }
     }
 
-    /// Looks up a cached result, first in memory, then in the store.
+    /// Looks up a cached result, first in memory, then in the store. The
+    /// memory tier counts the lookup as a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<CachedCaps> {
-        if let Some(hit) = self.memory.get(key) {
-            return Some(hit);
-        }
+        self.memory.get(key).or_else(|| self.load(key))
+    }
+
+    /// Looks up a cached result like [`PersistentCache::get`] without
+    /// counting a hit or a miss: the second look of a lookup that already
+    /// counted.
+    pub fn peek(&self, key: &CacheKey) -> Option<CachedCaps> {
+        self.memory.peek(key).or_else(|| self.load(key))
+    }
+
+    /// Reads a result from the store tier and promotes it to the memory
+    /// tier.
+    fn load(&self, key: &CacheKey) -> Option<CachedCaps> {
         let doc = self.db.find_one(RESULTS_COLLECTION, &key_filter(key))?;
         let cached = match doc.get("caps")? {
             // Written by `put`: keep sharing its text.

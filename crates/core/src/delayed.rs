@@ -11,8 +11,11 @@
 //! pair of sensors with distinct attributes it finds the delay δ ∈
 //! `0..=max_delay` and direction combination maximizing the number of
 //! aligned evolving timestamps, and reports the pair when that count reaches
-//! ψ.
+//! ψ. Delays of a whole grid or more align nothing, so the scan stops at
+//! the grid's last step whatever `max_delay` asks for.
 
+use crate::cancel::CancelToken;
+use crate::error::MiningError;
 use crate::evolving::{Direction, EvolvingSets};
 use crate::params::MiningParams;
 use crate::spatial::ProximityGraph;
@@ -48,12 +51,16 @@ impl DelayedCap {
 /// (a leads / b leads) and all delays `0..=params.max_delay` are scored; the
 /// best (delay, directions) combination is reported when its support reaches
 /// ψ. With `max_delay == 0` this degenerates to simultaneous pairwise CAPs.
+///
+/// The token is polled once per proximity edge, so a deadline bounds the
+/// extension the way it bounds the search.
 pub fn mine_delayed(
     evolving: &[EvolvingSets],
     attributes: &[AttributeId],
     graph: &ProximityGraph,
     params: &MiningParams,
-) -> Vec<DelayedCap> {
+    cancel: &CancelToken,
+) -> Result<Vec<DelayedCap>, MiningError> {
     let mut out = Vec::new();
     let n = graph.sensor_count();
     for i in 0..n {
@@ -62,6 +69,7 @@ pub fn mine_delayed(
             if sj <= si {
                 continue;
             }
+            cancel.check()?;
             if params.min_attributes >= 2 && attributes[si.index()] == attributes[sj.index()] {
                 continue;
             }
@@ -71,10 +79,14 @@ pub fn mine_delayed(
         }
     }
     out.sort_by(|a, b| b.support.cmp(&a.support).then(a.leader.cmp(&b.leader)));
-    out
+    Ok(out)
 }
 
 /// Finds the best delayed alignment for one pair, in either leading order.
+///
+/// Delays run up to `max_delay` or the series' last grid step, whichever
+/// is smaller: a follower shifted by its whole length or more aligns no
+/// timestamp, and ψ ≥ 1, so longer delays could never report.
 pub fn best_delayed_pair(
     evolving: &[EvolvingSets],
     a: SensorIndex,
@@ -82,8 +94,12 @@ pub fn best_delayed_pair(
     params: &MiningParams,
 ) -> Option<DelayedCap> {
     let mut best: Option<DelayedCap> = None;
+    let last_step = evolving[a.index()]
+        .len()
+        .max(evolving[b.index()].len())
+        .saturating_sub(1);
     for (leader, follower) in [(a, b), (b, a)] {
-        for delay in 0..=params.max_delay {
+        for delay in 0..=params.max_delay.min(last_step) {
             for &ld in &Direction::BOTH {
                 for &fd in &Direction::BOTH {
                     let lead_bits = evolving[leader.index()].for_direction(ld);
@@ -159,6 +175,16 @@ mod tests {
         (evolving, attributes, graph)
     }
 
+    /// [`mine_delayed`] with a token that never fires.
+    fn mine(
+        evolving: &[EvolvingSets],
+        attributes: &[AttributeId],
+        graph: &ProximityGraph,
+        params: &MiningParams,
+    ) -> Vec<DelayedCap> {
+        mine_delayed(evolving, attributes, graph, params, &CancelToken::never()).unwrap()
+    }
+
     #[test]
     fn detects_known_delay() {
         let n = 200;
@@ -170,7 +196,7 @@ mod tests {
         // Sensor 1 repeats sensor 0's pulses 3 steps later.
         let series = vec![pulse_series(n, 20, 0), pulse_series(n, 20, 3)];
         let (evolving, attrs, graph) = setup(&series, &[0, 1], &params);
-        let caps = mine_delayed(&evolving, &attrs, &graph, &params);
+        let caps = mine(&evolving, &attrs, &graph, &params);
         assert!(!caps.is_empty());
         let best = &caps[0];
         assert_eq!(best.delay, 3);
@@ -191,11 +217,11 @@ mod tests {
             .with_segmentation(false);
         let delayed_series = vec![pulse_series(n, 20, 0), pulse_series(n, 20, 3)];
         let (evolving, attrs, graph) = setup(&delayed_series, &[0, 1], &params);
-        assert!(mine_delayed(&evolving, &attrs, &graph, &params).is_empty());
+        assert!(mine(&evolving, &attrs, &graph, &params).is_empty());
 
         let simultaneous = vec![pulse_series(n, 20, 0), pulse_series(n, 20, 0)];
         let (evolving, attrs, graph) = setup(&simultaneous, &[0, 1], &params);
-        let caps = mine_delayed(&evolving, &attrs, &graph, &params);
+        let caps = mine(&evolving, &attrs, &graph, &params);
         assert_eq!(caps.len(), 1);
         assert!(caps[0].is_simultaneous());
     }
@@ -210,9 +236,9 @@ mod tests {
             .with_segmentation(false);
         let series = vec![pulse_series(n, 10, 0), pulse_series(n, 10, 0)];
         let (evolving, attrs, graph) = setup(&series, &[0, 0], &params);
-        assert!(mine_delayed(&evolving, &attrs, &graph, &params).is_empty());
+        assert!(mine(&evolving, &attrs, &graph, &params).is_empty());
         let relaxed = params.clone().with_min_attributes(1);
-        assert!(!mine_delayed(&evolving, &attrs, &graph, &relaxed).is_empty());
+        assert!(!mine(&evolving, &attrs, &graph, &relaxed).is_empty());
     }
 
     #[test]
@@ -228,6 +254,46 @@ mod tests {
         // Points are ~110 m apart (0.001 deg of longitude at lat 31), which is
         // farther than eta = 10 m.
         let (evolving, attrs, graph) = setup(&series, &[0, 1], &params);
-        assert!(mine_delayed(&evolving, &attrs, &graph, &params).is_empty());
+        assert!(mine(&evolving, &attrs, &graph, &params).is_empty());
+    }
+
+    #[test]
+    fn delays_past_the_grid_change_nothing() {
+        let n = 120;
+        let series = vec![
+            pulse_series(n, 20, 0),
+            pulse_series(n, 20, 3),
+            pulse_series(n, 15, 7),
+        ];
+        let mine_at = |max_delay: usize| {
+            let params = MiningParams::new()
+                .with_epsilon(1.0)
+                .with_psi(2)
+                .with_max_delay(max_delay)
+                .with_segmentation(false);
+            let (evolving, attrs, graph) = setup(&series, &[0, 1, 2], &params);
+            mine(&evolving, &attrs, &graph, &params)
+        };
+        let at_grid = mine_at(n - 1);
+        assert!(!at_grid.is_empty());
+        assert_eq!(mine_at(10 * n), at_grid);
+        assert_eq!(mine_at(usize::MAX), at_grid);
+    }
+
+    #[test]
+    fn cancelled_token_stops_the_extension() {
+        let params = MiningParams::new()
+            .with_epsilon(1.0)
+            .with_psi(5)
+            .with_max_delay(usize::MAX)
+            .with_segmentation(false);
+        let series = vec![pulse_series(200, 20, 0), pulse_series(200, 20, 3)];
+        let (evolving, attrs, graph) = setup(&series, &[0, 1], &params);
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            mine_delayed(&evolving, &attrs, &graph, &params, &token),
+            Err(MiningError::Cancelled)
+        );
     }
 }

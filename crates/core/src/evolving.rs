@@ -265,22 +265,6 @@ fn scan_words_from(
     }
 }
 
-/// Applies steps (1) and (2) of the pipeline to one series: optional linear
-/// segmentation followed by evolving-timestamp extraction.
-pub fn extract_with_segmentation(
-    series: &TimeSeries,
-    epsilon: f64,
-    segmentation_enabled: bool,
-    segmentation_error: f64,
-) -> EvolvingSets {
-    if segmentation_enabled && segmentation_error > 0.0 {
-        let smoothed = segmentation::smooth(series, segmentation_error);
-        extract_evolving(&smoothed, epsilon)
-    } else {
-        extract_evolving(series, epsilon)
-    }
-}
-
 /// The full front-end state of one series: the evolving sets plus the
 /// segmentation they were derived from. Retaining the segmentation is what
 /// makes extraction *resumable* — when the series is later appended to,
@@ -308,9 +292,11 @@ impl ExtractionState {
     }
 }
 
-/// Steps (1)+(2) for one series, retaining the segmentation so the result
-/// can later seed [`extract_resume`]. The `sets` are identical to what
-/// [`extract_with_segmentation`] produces for the same inputs.
+/// Steps (1)+(2) for one series: optional linear segmentation (when
+/// enabled with a positive error tolerance) followed by evolving-timestamp
+/// extraction over the smoothed series. The segmentation is retained so
+/// the result can later seed [`extract_resume`]; callers that only need
+/// the evolving sets take `.sets`.
 pub fn extract_state(
     series: &TimeSeries,
     epsilon: f64,
@@ -576,8 +562,7 @@ pub struct ExtractionKey {
     /// `epsilon.to_bits()`.
     pub epsilon_bits: u64,
     /// Whether segmentation is effectively applied (`segmentation` flag AND
-    /// a positive error tolerance, mirroring
-    /// [`extract_with_segmentation`]).
+    /// a positive error tolerance, mirroring [`extract_state`]).
     pub segmentation: bool,
     /// `segmentation_error.to_bits()` when segmentation is effective, else
     /// `0` (a disabled tolerance must not split the key space).
@@ -694,10 +679,10 @@ pub fn series_fingerprint(series: &TimeSeries) -> u128 {
 }
 
 /// A cache of per-series extraction results, consulted by
-/// [`crate::Miner::mine_with_cache`] so repeated mining of unchanged series
-/// skips steps (1)+(2) entirely. Implemented by `miscela-cache`'s
-/// `EvolvingSetsCache`; `Sync` because lookups happen from the parallel
-/// extraction map's worker threads.
+/// [`crate::Miner::mine_sweep`] (and so by every mine) so repeated mining
+/// of unchanged series skips steps (1)+(2) entirely. Implemented by
+/// `miscela-cache`'s `EvolvingSetsCache`; `Sync` because lookups happen
+/// from the parallel extraction map's worker threads.
 pub trait EvolvingCache: Sync {
     /// Returns the cached sets for a key, if present.
     fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets>;
@@ -828,8 +813,8 @@ mod tests {
                 .map(|i| i as f64 * 0.1 + if i % 2 == 0 { 0.3 } else { -0.3 })
                 .collect(),
         );
-        let raw = extract_with_segmentation(&s, 0.2, false, 0.05);
-        let smoothed = extract_with_segmentation(&s, 0.2, true, 0.05);
+        let raw = extract_state(&s, 0.2, false, 0.05).sets;
+        let smoothed = extract_state(&s, 0.2, true, 0.05).sets;
         assert!(raw.down().count() > 50);
         assert!(
             smoothed.down().count() < raw.down().count() / 4,

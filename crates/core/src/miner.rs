@@ -6,6 +6,11 @@
 //! the [`CapSet`] with a [`MiningReport`] of per-step timings and sizes —
 //! the report is what the Figure-2 pipeline experiment prints.
 //!
+//! The pipeline has one implementation, [`Miner::mine_sweep`], which plans
+//! a whole parameter grid; a single mine ([`Miner::mine_cancellable`] and
+//! its wrappers) is a one-point sweep whose result is moved out by
+//! [`SweepOutput::into_mine`].
+//!
 //! Both parallel phases — the per-series extraction map of steps (1)+(2)
 //! and the per-component CAP search of step (4) — run on the shared
 //! work-stealing scheduler ([`crate::scheduler`]): work units are sorted by
@@ -18,17 +23,17 @@
 //! reusable [`SearchScratch`], keeping the hot path allocation-free across
 //! all the units it processes.
 //!
-//! [`Miner::mine_with_cache`] additionally consults an
-//! [`EvolvingCache`] keyed by series fingerprint and extraction parameters,
-//! so interactive re-mining with tweaked ψ/η/μ skips steps (1)+(2)
-//! entirely on unchanged series.
+//! With an [`EvolvingCache`] ([`Miner::mine_with_cache`], or any sweep
+//! given one), per-series extraction states are keyed by series
+//! fingerprint and extraction parameters, so interactive re-mining with
+//! tweaked ψ/η/μ skips steps (1)+(2) entirely on unchanged series.
 
 use crate::cancel::CancelToken;
 use crate::delayed::{mine_delayed, DelayedCap};
 use crate::error::MiningError;
 use crate::evolving::{
-    derive_trimmed, extract_resume, extract_state, extract_with_segmentation, EvolvingCache,
-    EvolvingSets, ExtractionKey, ExtractionState,
+    derive_trimmed, extract_resume, extract_state, EvolvingCache, EvolvingSets, ExtractionKey,
+    ExtractionState,
 };
 use crate::params::MiningParams;
 use crate::pattern::{Cap, CapSet};
@@ -90,7 +95,7 @@ impl MiningReport {
 }
 
 /// The result of one mining run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MiningResult {
     /// The discovered CAPs.
     pub caps: CapSet,
@@ -133,12 +138,28 @@ pub struct SweepStats {
 /// one [`MiningResult`] per requested grid point (in request order,
 /// duplicates sharing their unique point's result) plus the planner
 /// statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOutput {
     /// Per-point results; `results[i]` corresponds to `points[i]`.
     pub results: Vec<MiningResult>,
     /// What the planner shared across the grid.
     pub stats: SweepStats,
+}
+
+impl SweepOutput {
+    /// The result of a one-point sweep as a solo mine reports it: moved out
+    /// of the sweep, with the sweep-wide extraction tallies copied into its
+    /// report (a sweep's per-point reports carry zeros for them). A sweep
+    /// of no points yields an empty result.
+    pub fn into_mine(self) -> MiningResult {
+        let mut result = self.results.into_iter().next().unwrap_or_default();
+        let report = &mut result.report;
+        report.extraction_cache_hits = self.stats.extraction_cache_hits;
+        report.extraction_prefix_hits = self.stats.extraction_prefix_hits;
+        report.extraction_trim_hits = self.stats.extraction_trim_hits;
+        report.extraction_trim_fallbacks = self.stats.extraction_trim_fallbacks;
+        result
+    }
 }
 
 /// Extraction cache counters shared across the scheduler workers of one
@@ -188,11 +209,13 @@ impl Miner {
         self.mine_cancellable(dataset, extraction_cache, &CancelToken::never())
     }
 
-    /// Cancellation-aware form of [`Miner::mine_with_cache`]: the token is
-    /// polled between pipeline phases, at every scheduler unit boundary, and
-    /// every [`crate::CANCEL_CHECK_STRIDE`] ESU expansion steps inside the
-    /// search, so an in-flight mine aborts within a bounded stride and
-    /// returns [`MiningError::Cancelled`] / [`MiningError::DeadlineExceeded`].
+    /// Cancellation-aware form of [`Miner::mine_with_cache`]: a one-point
+    /// [`Miner::mine_sweep`]. The token is polled between pipeline phases,
+    /// at every scheduler unit boundary, every [`crate::CANCEL_CHECK_STRIDE`]
+    /// ESU expansion steps inside the search and once per proximity edge of
+    /// the delayed extension, so an in-flight mine aborts within a bounded
+    /// stride and returns [`MiningError::Cancelled`] /
+    /// [`MiningError::DeadlineExceeded`].
     ///
     /// An aborted mine never produces a partial [`MiningResult`]; the only
     /// externally visible residue is extraction states already written to
@@ -204,78 +227,13 @@ impl Miner {
         extraction_cache: Option<&dyn EvolvingCache>,
         cancel: &CancelToken,
     ) -> Result<MiningResult, MiningError> {
-        if dataset.timestamp_count() < 2 {
-            return Err(MiningError::DatasetTooSmall(dataset.timestamp_count()));
-        }
-        let mut report = MiningReport::default();
-
-        // Steps (1) + (2): segmentation and evolving-timestamp extraction,
-        // parallelized over series by the shared scheduler once the work
-        // the cache leaves is large enough for the thread fan-out to pay.
-        let t0 = Instant::now();
-        let items: Vec<(&Miner, &TimeSeries)> =
-            dataset.iter().map(|ss| (self, ss.series)).collect();
-        let tallies = ExtractionTallies::default();
-        cancel.check()?;
-        let evolving = extract_all(
-            &items,
-            dataset.append_bases(),
+        Miner::mine_sweep(
+            dataset,
+            std::slice::from_ref(&self.params),
             extraction_cache,
             cancel,
-            &tallies,
-        )?;
-        let attributes: Vec<AttributeId> = dataset.iter().map(|ss| ss.sensor.attribute).collect();
-        report.extraction_time = t0.elapsed();
-        report.extraction_cache_hits = tallies.cache_hits.into_inner();
-        report.extraction_prefix_hits = tallies.prefix_hits.into_inner();
-        report.extraction_trim_hits = tallies.trim_hits.into_inner();
-        report.extraction_trim_fallbacks = tallies.trim_fallbacks.into_inner();
-        report.evolving_events = evolving.iter().map(|e| e.total()).sum();
-
-        // Step (3): proximity graph and connected components.
-        cancel.check()?;
-        let t1 = Instant::now();
-        let graph = ProximityGraph::build(dataset, self.params.eta_km);
-        report.spatial_time = t1.elapsed();
-        report.proximity_edges = graph.edge_count();
-        report.searchable_components = graph.components_at_least(2).count();
-        report.largest_component = graph
-            .components()
-            .iter()
-            .map(|c| c.len())
-            .max()
-            .unwrap_or(0);
-
-        // Step (4): CAP search per component, in parallel.
-        cancel.check()?;
-        let t2 = Instant::now();
-        let ctx = SearchContext {
-            evolving: &evolving,
-            attributes: &attributes,
-            graph: &graph,
-            params: &self.params,
-        };
-        let components: Vec<&Vec<SensorIndex>> = graph.components_at_least(2).collect();
-        let words = dataset.timestamp_count().div_ceil(64);
-        let caps = search_components_parallel(&ctx, &components, words, cancel)?;
-        report.search_time = t2.elapsed();
-
-        let caps = CapSet::from_caps(caps);
-        report.cap_count = caps.len();
-
-        // Optional time-delayed extension.
-        let delayed = if self.params.max_delay > 0 {
-            cancel.check()?;
-            mine_delayed(&evolving, &attributes, &graph, &self.params)
-        } else {
-            Vec::new()
-        };
-
-        Ok(MiningResult {
-            caps,
-            delayed,
-            report,
-        })
+        )
+        .map(SweepOutput::into_mine)
     }
 
     /// Mines an entire parameter grid over one dataset as a single
@@ -289,8 +247,9 @@ impl Miner {
     ///   (ε, segmentation, segmentation error), normalized exactly like
     ///   [`ExtractionKey`]; each class extracts once, and all class×series
     ///   extractions fan through the shared scheduler as one
-    ///   work-stealing batch (with the same cache probe chain as
-    ///   [`Miner::mine_with_cache`]);
+    ///   work-stealing batch, probing the extraction cache (when given)
+    ///   for each series: full content, then a pre-append prefix to
+    ///   resume from, then a pre-trim origin to derive from;
     /// * **one proximity graph per distinct η** — step (3) ignores every
     ///   other parameter;
     /// * **search groups** — distinct points that differ only in ψ share
@@ -311,11 +270,13 @@ impl Miner {
     /// otherwise idle behind an expensive point.
     ///
     /// Duplicate grid points are deduplicated and share one result;
-    /// `results[i]` always corresponds to `points[i]`. Per-point reports
-    /// carry the sweep's *shared* phase timings (each point paid them once,
-    /// together) and zero cache counters — the sweep-wide cache counters
-    /// live in [`SweepStats`]. The token is polled exactly like
-    /// [`Miner::mine_cancellable`]; an aborted sweep leaves at most
+    /// `results[i]` always corresponds to `points[i]`. Each distinct
+    /// point's result is moved out of its group's superset when it is the
+    /// group's last member, so a one-point sweep copies no CAP. Per-point
+    /// reports carry the sweep's *shared* phase timings (each point paid
+    /// them once, together) and zero cache counters — the sweep-wide cache
+    /// counters live in [`SweepStats`]. The token is polled as described
+    /// on [`Miner::mine_cancellable`]; an aborted sweep leaves at most
     /// content-keyed extraction states in the cache, which remain correct
     /// for any later mine.
     pub fn mine_sweep(
@@ -484,6 +445,11 @@ impl Miner {
         for (gi, ctx) in ctxs.iter().enumerate() {
             for comp in ctx.graph.components_at_least(2) {
                 if comp.len() >= SPLIT_COMPONENT_SIZE {
+                    // The ESU subtree rooted at a seed only explores sensors
+                    // beyond it, so cost a seed as the suffix cost of its
+                    // (ascending-sorted) component: the lowest seed, which
+                    // owns the largest subtree, ranks like the whole
+                    // component and starts first.
                     let mut suffix = 0usize;
                     for &seed in comp.iter().rev() {
                         suffix += ctx.graph.degree(seed) + 1;
@@ -498,6 +464,8 @@ impl Miner {
                 }
             }
         }
+        // Largest units first: the expensive subtrees start immediately and
+        // the cheap tail backfills idle workers.
         units.sort_by_key(|u| std::cmp::Reverse(u.0));
         let words = dataset.timestamp_count().div_ceil(64);
         let work: usize = ctxs
@@ -533,36 +501,33 @@ impl Miner {
         // Delayed extension once per group at ψ_min.
         let mut group_delayed: Vec<Vec<DelayedCap>> = Vec::with_capacity(groups.len());
         for (gi, g) in groups.iter().enumerate() {
-            if g.params.max_delay > 0 {
-                cancel.check()?;
-                group_delayed.push(mine_delayed(
+            group_delayed.push(if g.params.max_delay > 0 {
+                mine_delayed(
                     ctxs[gi].evolving,
                     &attributes,
                     &graphs[g.graph],
                     &g.params,
-                ));
+                    cancel,
+                )?
             } else {
-                group_delayed.push(Vec::new());
-            }
+                Vec::new()
+            });
         }
 
         // Per-point results: the ψ-filter of the owning group's superset.
+        let mut members_left = vec![0usize; groups.len()];
+        for &gi in &group_of {
+            members_left[gi] += 1;
+        }
         let mut unique_results: Vec<MiningResult> = Vec::with_capacity(unique.len());
         for (ui, p) in unique.iter().enumerate() {
             let gi = group_of[ui];
             let g = &groups[gi];
-            let caps = CapSet::from_caps(
-                group_caps[gi]
-                    .iter()
-                    .filter(|c| c.support >= p.psi)
-                    .cloned()
-                    .collect(),
-            );
-            let delayed: Vec<DelayedCap> = group_delayed[gi]
-                .iter()
-                .filter(|d| d.support >= p.psi)
-                .cloned()
-                .collect();
+            members_left[gi] -= 1;
+            let last = members_left[gi] == 0;
+            let caps =
+                CapSet::from_caps(at_least(&mut group_caps[gi], last, |c| c.support >= p.psi));
+            let delayed = at_least(&mut group_delayed[gi], last, |d| d.support >= p.psi);
             let class_sets = &flat[g.class * n_series..(g.class + 1) * n_series];
             let graph = &graphs[g.graph];
             let report = MiningReport {
@@ -590,10 +555,15 @@ impl Miner {
                 report,
             });
         }
-        let results: Vec<MiningResult> = point_of
-            .iter()
-            .map(|&ui| unique_results[ui].clone())
-            .collect();
+        // Request order: the distinct order itself unless a point repeats.
+        let results = if unique.len() == points.len() {
+            unique_results
+        } else {
+            point_of
+                .iter()
+                .map(|&ui| unique_results[ui].clone())
+                .collect()
+        };
         Ok(SweepOutput {
             results,
             stats: SweepStats {
@@ -832,11 +802,11 @@ impl Plan {
 }
 
 /// Steps (1)+(2) for every `(miner, series)` item — the extraction phase
-/// of [`Miner::mine_cancellable`] (one miner) and [`Miner::mine_sweep`]
-/// (one per extraction class). The cache is probed for every item first;
-/// the items left then run on [`scheduler::workers_for`] workers of their
-/// estimated work, counting only series that need a cold extraction or a
-/// trim derivation (a resume is O(tail)). Without a cache every series is
+/// of [`Miner::mine_sweep`], one miner per extraction class. The cache is
+/// probed for every item first; the items left then run on
+/// [`scheduler::workers_for`] workers of their estimated work, counting
+/// only series that need a cold extraction or a trim derivation (a resume
+/// is O(tail)). Without a cache every series is
 /// extracted cold and nothing is retained.
 fn extract_all(
     items: &[(&Miner, &TimeSeries)],
@@ -854,12 +824,7 @@ fn extract_all(
             cancel,
             |&(miner, s)| {
                 let p = &miner.params;
-                Ok(extract_with_segmentation(
-                    s,
-                    p.epsilon,
-                    p.segmentation,
-                    p.segmentation_error,
-                ))
+                Ok(extract_state(s, p.epsilon, p.segmentation, p.segmentation_error).sets)
             },
         );
     };
@@ -941,60 +906,17 @@ enum WorkUnit<'c> {
     Seed(SensorIndex),
 }
 
-/// Searches components in parallel with a work-stealing scheduler.
-///
-/// Work units are sorted by estimated search cost (largest first) and
-/// claimed through a shared atomic cursor, so fast workers steal the
-/// remaining tail instead of idling behind a static assignment. Results are
-/// re-assembled in unit order, which makes the output deterministic
-/// regardless of thread timing. The fan-out follows the estimated work,
-/// component size × `words` (grid words per series).
-fn search_components_parallel(
-    ctx: &SearchContext<'_>,
-    components: &[&Vec<SensorIndex>],
-    words: usize,
-    cancel: &CancelToken,
-) -> Result<Vec<Cap>, MiningError> {
-    let mut units: Vec<(usize, WorkUnit<'_>)> = Vec::new();
-    for comp in components {
-        if comp.len() >= SPLIT_COMPONENT_SIZE {
-            // The ESU subtree rooted at a seed only explores sensors beyond
-            // it, so cost a seed as the suffix cost of its (ascending-sorted)
-            // component. This keeps seed units on the same scale as whole
-            // small components: the lowest seed — which owns the largest
-            // subtree — ranks like the whole component and starts first.
-            let mut suffix = 0usize;
-            for &seed in comp.iter().rev() {
-                suffix += ctx.graph.degree(seed) + 1;
-                units.push((suffix, WorkUnit::Seed(seed)));
-            }
-        } else {
-            units.push((
-                ctx.graph.estimated_search_cost(comp),
-                WorkUnit::Component(comp),
-            ));
-        }
+/// The items of a search group's ψ_min superset that `keep` accepts,
+/// moved out of the superset for the group's `last` member and copied for
+/// the others.
+fn at_least<T: Clone>(superset: &mut Vec<T>, last: bool, keep: impl Fn(&T) -> bool) -> Vec<T> {
+    if last {
+        let mut own = std::mem::take(superset);
+        own.retain(keep);
+        own
+    } else {
+        superset.iter().filter(|x| keep(x)).cloned().collect()
     }
-    if units.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Largest units first: the expensive subtrees start immediately and the
-    // cheap tail backfills idle workers.
-    units.sort_by_key(|u| std::cmp::Reverse(u.0));
-    let work: usize = components.iter().map(|comp| comp.len() * words).sum();
-
-    scheduler::run_units_cancellable(
-        &units,
-        scheduler::workers_for(work),
-        cancel,
-        SearchScratch::new,
-        |(_, unit), scratch, out| match *unit {
-            WorkUnit::Component(comp) => {
-                ctx.search_component_cancellable(comp, scratch, out, cancel)
-            }
-            WorkUnit::Seed(seed) => ctx.search_seed_cancellable(seed, scratch, out, cancel),
-        },
-    )
 }
 
 #[cfg(test)]
@@ -1069,6 +991,47 @@ mod tests {
             .with_psi(10)
             .with_mu(3)
             .with_segmentation(false)
+    }
+
+    /// The sequential reference the planner and scheduler are checked
+    /// against: steps (1)–(4) and the delayed extension for one point, in
+    /// order, on the calling thread, with no cache, grid planning or work
+    /// units. Its report fills the counters the oracles compare.
+    fn sequential_mine(ds: &Dataset, p: &MiningParams) -> MiningResult {
+        let evolving: Vec<EvolvingSets> = ds
+            .iter()
+            .map(|ss| {
+                extract_state(ss.series, p.epsilon, p.segmentation, p.segmentation_error).sets
+            })
+            .collect();
+        let attributes: Vec<AttributeId> = ds.iter().map(|ss| ss.sensor.attribute).collect();
+        let graph = ProximityGraph::build(ds, p.eta_km);
+        let ctx = SearchContext {
+            evolving: &evolving,
+            attributes: &attributes,
+            graph: &graph,
+            params: p,
+        };
+        let mut caps = Vec::new();
+        for comp in graph.components_at_least(2) {
+            caps.extend(ctx.search_component(comp));
+        }
+        let caps = CapSet::from_caps(caps);
+        let delayed = if p.max_delay > 0 {
+            mine_delayed(&evolving, &attributes, &graph, p, &CancelToken::never()).unwrap()
+        } else {
+            Vec::new()
+        };
+        MiningResult {
+            report: MiningReport {
+                evolving_events: evolving.iter().map(|e| e.total()).sum(),
+                proximity_edges: graph.edge_count(),
+                cap_count: caps.len(),
+                ..MiningReport::default()
+            },
+            caps,
+            delayed,
+        }
     }
 
     #[test]
@@ -1194,30 +1157,7 @@ mod tests {
         // Deterministic across runs.
         assert_eq!(miner.mine(&ds).unwrap().caps, result.caps);
         // Identical to the sequential per-component search.
-        let evolving: Vec<EvolvingSets> = ds
-            .iter()
-            .map(|ss| {
-                extract_with_segmentation(
-                    ss.series,
-                    p.epsilon,
-                    p.segmentation,
-                    p.segmentation_error,
-                )
-            })
-            .collect();
-        let attributes: Vec<AttributeId> = ds.iter().map(|ss| ss.sensor.attribute).collect();
-        let graph = ProximityGraph::build(&ds, p.eta_km);
-        let ctx = SearchContext {
-            evolving: &evolving,
-            attributes: &attributes,
-            graph: &graph,
-            params: &p,
-        };
-        let mut sequential = Vec::new();
-        for comp in graph.components_at_least(2) {
-            sequential.extend(ctx.search_component(comp));
-        }
-        assert_eq!(CapSet::from_caps(sequential), result.caps);
+        assert_eq!(sequential_mine(&ds, &p).caps, result.caps);
     }
 
     #[test]
@@ -1567,18 +1507,23 @@ mod tests {
             params().with_psi(5).with_mu(2),
             params().with_psi(30), // duplicate of an earlier point
             params().with_psi(5).with_max_delay(2),
+            // Above every support, so the ψ filter must empty it: copied
+            // from its group's superset here, and taken from it (the
+            // group's last member) at the end of the grid.
+            params().with_psi(500).with_max_delay(2),
             params().with_psi(30).with_max_delay(2),
             params()
                 .with_psi(5)
                 .with_segmentation(true)
                 .with_segmentation_error(0.05),
+            params().with_psi(500),
         ];
         let out = Miner::mine_sweep(&ds, &grid, None, &CancelToken::never()).unwrap();
         assert_eq!(out.results.len(), grid.len());
-        // Byte-identity oracle: every grid point against its independent
-        // mine — including points whose search ran at a lower group ψ.
+        // Byte-identity oracle: every grid point against the sequential
+        // reference — including points whose search ran at a lower group ψ.
         for (p, r) in grid.iter().zip(&out.results) {
-            let solo = Miner::new(p.clone()).unwrap().mine(&ds).unwrap();
+            let solo = sequential_mine(&ds, p);
             assert_eq!(r.caps, solo.caps, "sweep diverged for {}", p.signature());
             assert_eq!(
                 r.delayed,
@@ -1595,8 +1540,8 @@ mod tests {
         assert_eq!(out.stats.unique_points, grid.len() - 1);
         assert_eq!(out.stats.extraction_classes, 2); // ε shared; one seg class
         assert_eq!(out.stats.graphs_built, 2); // η ∈ {1.0, 5.0}
-                                               // Groups: base {ψ5,ψ30}, η5 {ψ5,ψ30}, μ2 {ψ5}, delay {ψ5,ψ30},
-                                               // seg {ψ5}.
+                                               // Groups: base {ψ5,ψ30,ψ500}, η5 {ψ5,ψ30}, μ2 {ψ5},
+                                               // delay {ψ5,ψ500,ψ30}, seg {ψ5}.
         assert_eq!(out.stats.search_groups, 5);
         // ψ-monotonicity is visible inside one group.
         assert!(out.results[0].caps.len() >= out.results[1].caps.len());
@@ -1614,10 +1559,7 @@ mod tests {
         let out = Miner::mine_sweep(&ds, &grid, Some(&cache), &CancelToken::never()).unwrap();
         assert_eq!(out.stats.extraction_cache_hits, ds.sensor_count());
         for (p, r) in grid.iter().zip(&out.results) {
-            assert_eq!(
-                r.caps,
-                Miner::new(p.clone()).unwrap().mine(&ds).unwrap().caps
-            );
+            assert_eq!(r.caps, sequential_mine(&ds, p).caps);
         }
 
         // A cold sweep leaves the cache warm for a follow-up solo mine; the
@@ -1713,14 +1655,11 @@ mod tests {
             MiningError::Cancelled
         );
         // The abort left content-keyed states behind; the identical retry
-        // over the same cache must match independent mines exactly.
+        // over the same cache must match the sequential reference exactly.
         assert!(cache.inner.0.lock().unwrap().len() >= 2);
         let retry = Miner::mine_sweep(&ds, &grid, Some(&cache), &CancelToken::never()).unwrap();
         for (p, r) in grid.iter().zip(&retry.results) {
-            assert_eq!(
-                r.caps,
-                Miner::new(p.clone()).unwrap().mine(&ds).unwrap().caps
-            );
+            assert_eq!(r.caps, sequential_mine(&ds, p).caps);
         }
     }
 
@@ -1738,9 +1677,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
         /// `mine_sweep` over random grids — duplicated, unsorted points
-        /// mixing every parameter axis — matches per-point independent
-        /// mines exactly, both cold and again warm over the cache the cold
-        /// sweep populated.
+        /// mixing every parameter axis — matches the per-point sequential
+        /// reference exactly, both cold and again warm over the cache the
+        /// cold sweep populated.
         #[test]
         fn sweep_equivalence_on_random_grids(
             specs in proptest::collection::vec(
@@ -1766,10 +1705,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let solos: Vec<MiningResult> = grid
-                .iter()
-                .map(|p| Miner::new(p.clone()).unwrap().mine(&ds).unwrap())
-                .collect();
+            let solos: Vec<MiningResult> = grid.iter().map(|p| sequential_mine(&ds, p)).collect();
             let cache = StateCache::default();
             for pass in 0..2 {
                 let out =

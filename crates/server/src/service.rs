@@ -39,7 +39,9 @@ use miscela_cache::{
     CacheKey, CacheStats, CachedCaps, EvolvingSetsCache, ExtractionCacheStats,
     DEFAULT_KEEP_GENERATIONS,
 };
-use miscela_core::{CancelToken, Miner, MiningError, MiningParams, MiningResult, SweepStats};
+use miscela_core::{
+    CancelToken, Miner, MiningError, MiningParams, MiningResult, SweepOutput, SweepStats,
+};
 use miscela_csv::chunk::{Chunk, ChunkedUploader};
 use miscela_csv::loader::DatasetLoader;
 use miscela_csv::location_csv::{self, LocationRow};
@@ -425,15 +427,6 @@ fn mining_err(what: &str, name: &str, e: MiningError) -> ApiError {
             "{what} of {name:?} passed its deadline before completing"
         )),
         other => ApiError::Internal(other.to_string()),
-    }
-}
-
-/// A mining result served from the result cache (which stores CAPs only).
-fn cached_result(caps: miscela_core::CapSet) -> MiningResult {
-    MiningResult {
-        caps,
-        delayed: Vec::new(),
-        report: Default::default(),
     }
 }
 
@@ -2145,7 +2138,8 @@ impl MiscelaService {
 
     // ----- mining ---------------------------------------------------------
 
-    /// Mines a tenant's registered dataset — the full serving path under
+    /// Mines a tenant's registered dataset — the one-point case of the
+    /// serving path it shares with [`MiscelaService::mine_sweep_in`], under
     /// overload protection: cache lookup (Section 3.3) → cost-weighted
     /// admission (bounded queue, immediate shedding beyond it) →
     /// cancellable mine. The cache key carries the dataset's current
@@ -2170,65 +2164,21 @@ impl MiscelaService {
         deadline: Option<Instant>,
         cancel: &CancelToken,
     ) -> Result<MineOutcome, ApiError> {
-        let started = Instant::now();
         let scope = Scope::new(tenant, dataset)?;
-        params
-            .validate()
-            .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        // One registry snapshot drives both the cache key and the content
-        // that is mined: deriving the revision and the dataset Arc from the
-        // same `DatasetEntry` means a concurrent append can never make this
-        // request cache one revision's CAPs under another revision's key
-        // (its bumped entry simply is not this snapshot). Datasets whose
-        // series are not resident (a reloaded store) have no entry but
-        // still resolve a revision through their store record, so their
-        // persisted results can be served from the cache without a
-        // re-upload.
-        let entry = self.entry(&scope).ok();
-        let (revision, trimmed) = self.version(&scope, entry.as_ref())?;
-        let key = CacheKey::for_state(&scope.key, revision, trimmed, params);
-        let hit = |cached: CachedCaps| MineOutcome {
-            result: cached_result(cached.caps),
-            caps_text: cached.text,
-            cache_hit: true,
-            revision,
-            elapsed: started.elapsed(),
+        let one = std::slice::from_ref(params);
+        let served = self.serve(&scope, one, deadline, cancel, "mine")?;
+        let cache_hit = served.cache_hits == [true];
+        let caps_text = served.caps_text.into_iter().next();
+        let result = SweepOutput {
+            results: served.results,
+            stats: served.stats,
         };
-        if let Some(cached) = self.store.cache.get(&key) {
-            return Ok(hit(cached));
-        }
-        let entry = entry.ok_or_else(|| not_resident(&scope.name))?;
-        // A cache miss does real work: hold a cost-weighted admission
-        // permit for the rest of the request, shedding (typed, retryable)
-        // instead of queueing without bound.
-        let cost = AdmissionController::mine_cost(&entry.dataset);
-        let _permit = self.admit(&scope, cost, deadline)?;
-        // An identical request may have filled the cache while this one
-        // waited for admission; serving it now keeps the work bounded.
-        if let Some(cached) = self.store.cache.get(&key) {
-            return Ok(hit(cached));
-        }
-        let miner = Miner::new(params.clone()).map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        // The full-result cache missed, but the per-series extraction cache
-        // still lets unchanged series skip steps (1)+(2) — the common case
-        // when only search-side parameters (ψ, η, μ) were tweaked — and
-        // appended series resume from their cached prefix states instead of
-        // re-extracting from scratch.
-        let extraction = self.extraction_for(&scope);
-        let token = match deadline {
-            Some(d) => cancel.with_deadline(d),
-            None => cancel.clone(),
-        };
-        let result = miner
-            .mine_cancellable(&entry.dataset, Some(&*extraction), &token)
-            .map_err(|e| mining_err("mine", &scope.name, e))?;
-        let caps_text = self.store.cache.put(&key, &result.caps);
         Ok(MineOutcome {
-            result,
-            caps_text,
-            cache_hit: false,
-            revision: entry.revision,
-            elapsed: started.elapsed(),
+            result: result.into_mine(),
+            caps_text: caps_text.ok_or_else(|| ApiError::Internal("mine served nothing".into()))?,
+            cache_hit,
+            revision: served.revision,
+            elapsed: served.elapsed,
         })
     }
 
@@ -2236,15 +2186,15 @@ impl MiscelaService {
     /// ψ/η/μ grid as **one** scheduled job ([`Miner::mine_sweep`]) instead
     /// of one request per point.
     ///
-    /// The serving path mirrors [`MiscelaService::mine_cancellable_in`],
-    /// batch style: a keyed retry replays the original response body;
-    /// duplicate grid points are deduplicated server-side; each distinct
-    /// point is probed against the revision-aware result cache; and only
-    /// the misses are mined — under a **single** admission permit charged
-    /// at the per-mine cost scaled by the number of points actually mined
-    /// (an all-hit sweep is admission-free, like a solo cache hit). Freshly
-    /// mined points are written back to the result cache individually, so
-    /// a later solo mine of any grid point is a cache hit.
+    /// A keyed retry replays the original response body. Otherwise
+    /// duplicate grid points are deduplicated server-side, and the distinct
+    /// ones take the serving path of
+    /// [`MiscelaService::mine_cancellable_in`], batch style: only the
+    /// result-cache misses are mined, under a **single** admission permit
+    /// charged at the per-mine cost times the number of misses (an all-hit
+    /// sweep is admission-free, like a solo cache hit). Freshly mined
+    /// points are cached individually, so a later solo mine of any grid
+    /// point is a cache hit.
     ///
     /// The caller is responsible for serializing the fresh outcome and
     /// handing the body to [`MiscelaService::remember_sweep_in`] so retries
@@ -2271,96 +2221,130 @@ impl MiscelaService {
                 "sweep requires at least one grid point".into(),
             ));
         }
+        // Server-side dedup: repeated grid points cost one cache lookup and
+        // at most one mine, and always share one result.
+        let mut by_sig: HashMap<String, usize> = HashMap::new();
+        let mut unique: Vec<MiningParams> = Vec::new();
+        let point_of: Vec<usize> = points
+            .iter()
+            .map(|p| {
+                *by_sig.entry(p.signature()).or_insert_with(|| {
+                    unique.push(p.clone());
+                    unique.len() - 1
+                })
+            })
+            .collect();
+        let mut out = self.serve(&scope, &unique, deadline, cancel, "sweep")?;
+        if unique.len() < points.len() {
+            out.results = point_of.iter().map(|&u| out.results[u].clone()).collect();
+            out.caps_text = point_of.iter().map(|&u| out.caps_text[u].clone()).collect();
+            out.cache_hits = point_of.iter().map(|&u| out.cache_hits[u]).collect();
+        }
+        // The miner only saw the cache-missing subset of the grid; report
+        // the request's true shape (work counters stay as performed).
+        out.stats.requested_points = points.len();
+        out.stats.unique_points = unique.len();
+        out.elapsed = started.elapsed();
+        Ok(SweepServed::Fresh(out))
+    }
+
+    /// The serving path of both mining operations, for distinct `points`:
+    /// one counted result-cache lookup per point, one admission for the
+    /// misses, one [`Miner::mine_sweep`] for those still missing after it.
+    /// `what` ("mine" or "sweep") names the operation in errors.
+    fn serve(
+        &self,
+        scope: &Scope,
+        points: &[MiningParams],
+        deadline: Option<Instant>,
+        cancel: &CancelToken,
+        what: &str,
+    ) -> Result<SweepOutcome, ApiError> {
+        let started = Instant::now();
         for p in points {
             p.validate()
                 .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         }
-        let entry = self.entry(&scope).ok();
-        let (revision, trimmed) = self.version(&scope, entry.as_ref())?;
-        // Server-side dedup: repeated grid points cost one cache probe and
-        // at most one mine, and always share one result.
-        let mut unique: Vec<&MiningParams> = Vec::new();
-        let mut point_of: Vec<usize> = Vec::with_capacity(points.len());
-        {
-            let mut by_sig: HashMap<String, usize> = HashMap::new();
-            for p in points {
-                let idx = *by_sig.entry(p.signature()).or_insert_with(|| {
-                    unique.push(p);
-                    unique.len() - 1
-                });
-                point_of.push(idx);
-            }
-        }
-        let probe = |i: usize| -> Option<(MiningResult, Arc<str>)> {
-            let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
-            let cached = self.store.cache.get(&ck)?;
-            Some((cached_result(cached.caps), cached.text))
-        };
-        let mut results: Vec<Option<(MiningResult, Arc<str>)>> =
-            (0..unique.len()).map(probe).collect();
-        let was_cached: Vec<bool> = results.iter().map(|r| r.is_some()).collect();
-        let missing: Vec<usize> = (0..unique.len())
-            .filter(|&i| results[i].is_none())
+        // One registry snapshot drives both the cache keys and the content
+        // that is mined: deriving the revision and the dataset Arc from the
+        // same `DatasetEntry` means a concurrent append can never make this
+        // request cache one revision's CAPs under another revision's key
+        // (its bumped entry simply is not this snapshot). Datasets whose
+        // series are not resident (a reloaded store) have no entry but
+        // still resolve a revision through their store record, so their
+        // persisted results can be served from the cache without a
+        // re-upload.
+        let entry = self.entry(scope).ok();
+        let (revision, trimmed) = self.version(scope, entry.as_ref())?;
+        let keys: Vec<CacheKey> = points
+            .iter()
+            .map(|p| CacheKey::for_state(&scope.key, revision, trimmed, p))
             .collect();
-        let mut stats = SweepStats::default();
-        if !missing.is_empty() {
+        let mut cached: Vec<Option<CachedCaps>> =
+            keys.iter().map(|k| self.store.cache.get(k)).collect();
+        let misses = cached.iter().filter(|slot| slot.is_none()).count();
+        let mut fresh = SweepOutput::default();
+        if misses > 0 {
             let entry = entry.ok_or_else(|| not_resident(&scope.name))?;
-            // One admission charge for the whole job, scaled by the grid
-            // points that actually need mining.
-            let cost =
-                AdmissionController::mine_cost(&entry.dataset).saturating_mul(missing.len() as u64);
-            let _permit = self.admit(&scope, cost, deadline)?;
-            // Identical requests may have filled entries while this one
-            // waited for admission.
-            let still: Vec<usize> = missing
-                .into_iter()
-                .filter(|&i| match probe(i) {
-                    Some(result) => {
-                        results[i] = Some(result);
-                        false
-                    }
-                    None => true,
-                })
-                .collect();
-            if !still.is_empty() {
-                let grid: Vec<MiningParams> = still.iter().map(|&i| unique[i].clone()).collect();
-                let extraction = self.extraction_for(&scope);
-                let token = match deadline {
-                    Some(d) => cancel.with_deadline(d),
-                    None => cancel.clone(),
-                };
-                let out = Miner::mine_sweep(&entry.dataset, &grid, Some(&*extraction), &token)
-                    .map_err(|e| mining_err("sweep", &scope.name, e))?;
-                stats = out.stats;
-                for (&i, result) in still.iter().zip(out.results) {
-                    let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
-                    let text = self.store.cache.put(&ck, &result.caps);
-                    results[i] = Some((result, text));
+            // Misses do real work: hold one cost-weighted admission permit
+            // for the rest of the request, shedding (typed, retryable)
+            // instead of queueing without bound.
+            let cost = AdmissionController::mine_cost(&entry.dataset).saturating_mul(misses as u64);
+            let _permit = self.admit(scope, cost, deadline)?;
+            // An identical request may have filled some while this one
+            // waited; serving them keeps the work bounded. This second look
+            // counts no lookup of its own.
+            let mut grid = Vec::new();
+            for ((slot, key), p) in cached.iter_mut().zip(&keys).zip(points) {
+                *slot = slot.take().or_else(|| self.store.cache.peek(key));
+                if slot.is_none() {
+                    grid.push(p.clone());
                 }
             }
+            if !grid.is_empty() {
+                // The per-series extraction cache still lets unchanged
+                // series skip steps (1)+(2) — the common case when only
+                // search-side parameters (ψ, η, μ) were tweaked — and
+                // appended series resume from their cached prefix states.
+                let extraction = self.extraction_for(scope);
+                let token = deadline.map_or_else(|| cancel.clone(), |d| cancel.with_deadline(d));
+                fresh = Miner::mine_sweep(&entry.dataset, &grid, Some(&*extraction), &token)
+                    .map_err(|e| mining_err(what, &scope.name, e))?;
+            }
         }
-        // The miner only saw the cache-missing subset of the grid; report
-        // the request's true shape (work counters stay as performed).
-        stats.requested_points = points.len();
-        stats.unique_points = unique.len();
-        let (results, caps_text) = point_of
-            .iter()
-            .map(|&ui| {
-                results[ui].clone().ok_or_else(|| {
-                    ApiError::Internal(format!("sweep point {ui} was left unresolved"))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .unzip();
-        Ok(SweepServed::Fresh(SweepOutcome {
-            cache_hits: point_of.iter().map(|&ui| was_cached[ui]).collect(),
+        let cache_hits = cached.iter().map(Option::is_some).collect();
+        let mut mined = fresh.results.into_iter();
+        let mut results = Vec::with_capacity(points.len());
+        let mut caps_text = Vec::with_capacity(points.len());
+        for (slot, key) in cached.into_iter().zip(&keys) {
+            let (result, text) = match slot {
+                // The result cache stores CAPs only.
+                Some(hit) => (
+                    MiningResult {
+                        caps: hit.caps,
+                        ..Default::default()
+                    },
+                    hit.text,
+                ),
+                None => {
+                    let result = mined.next().ok_or_else(|| {
+                        ApiError::Internal(format!("{what} left a point unresolved"))
+                    })?;
+                    let text = self.store.cache.put(key, &result.caps);
+                    (result, text)
+                }
+            };
+            results.push(result);
+            caps_text.push(text);
+        }
+        Ok(SweepOutcome {
             results,
             caps_text,
-            stats,
+            cache_hits,
+            stats: fresh.stats,
             revision,
             elapsed: started.elapsed(),
-        }))
+        })
     }
 
     /// Caches the serialized response body of a keyed sweep on a tenant's
@@ -3481,6 +3465,73 @@ mod tests {
             retry.result.caps,
             mine(&twin, "santander", &params).unwrap().result.caps
         );
+    }
+
+    #[test]
+    fn each_distinct_point_counts_one_result_cache_lookup() {
+        let svc = MiscelaService::new();
+        register(&svc, small_dataset());
+        let lookups = |svc: &MiscelaService| {
+            let stats = svc.cache_stats();
+            (stats.hits, stats.misses)
+        };
+        let p = quick_params();
+        // A cold mine looks its key up once, before admission; the second
+        // look after admission counts nothing.
+        assert!(!mine(&svc, "santander", &p).unwrap().cache_hit);
+        assert_eq!(lookups(&svc), (0, 1));
+        assert!(mine(&svc, "santander", &p).unwrap().cache_hit);
+        assert_eq!(lookups(&svc), (1, 1));
+        // A sweep counts one lookup per distinct point: the cached point
+        // once, each cold point once, repeats not at all.
+        let (q, r) = (p.clone().with_psi(25), p.clone().with_psi(30));
+        let points = [p.clone(), q.clone(), q, r, p];
+        let SweepServed::Fresh(out) = svc
+            .mine_sweep_in(
+                DEFAULT_TENANT,
+                "santander",
+                &points,
+                None,
+                &CancelToken::never(),
+                None,
+            )
+            .unwrap()
+        else {
+            panic!("an unkeyed sweep is never replayed");
+        };
+        assert_eq!(out.cache_hits, [true, false, false, false, true]);
+        assert_eq!(lookups(&svc), (2, 3));
+        assert!((svc.cache_stats().hit_rate() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn huge_max_delay_mine_ends_within_its_deadline() {
+        let svc = Arc::new(MiscelaService::new());
+        register(&svc, small_dataset());
+        let params = quick_params().with_max_delay(1_000_000_000_000);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&svc);
+        // On a thread, so that a mine which overruns fails the test instead
+        // of hanging it.
+        let mining = std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_millis(300);
+            let _ = tx.send(worker.mine_cancellable_in(
+                DEFAULT_TENANT,
+                "santander",
+                &params,
+                Some(deadline),
+                &CancelToken::never(),
+            ));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the mine was still running 10 s after its 300 ms deadline");
+        mining.join().unwrap();
+        if let Err(e) = outcome {
+            assert!(matches!(e, ApiError::DeadlineExceeded(_)), "{e:?}");
+        }
+        // The permit went back with the answer.
+        assert_eq!(svc.admission_stats().in_flight, 0);
     }
 
     #[test]

@@ -47,6 +47,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Rendering any dataset and CapSet ends in a document, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod ascii;
 pub mod chart;

@@ -3,7 +3,7 @@
 
 use miscela_v::miscela_cache::codec::capset_to_json;
 use miscela_v::miscela_core::baseline::NaiveMiner;
-use miscela_v::miscela_core::evolving::extract_with_segmentation;
+use miscela_v::miscela_core::evolving::extract_state;
 use miscela_v::miscela_core::{CancelToken, CapSet, Miner, MiningParams, ProximityGraph};
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::{CovidGenerator, PlantedGenerator, SantanderGenerator};
@@ -73,12 +73,13 @@ fn miscela_and_naive_baseline_agree_on_generated_data() {
     let evolving: Vec<_> = ds
         .iter()
         .map(|ss| {
-            extract_with_segmentation(
+            extract_state(
                 ss.series,
                 params.epsilon,
                 params.segmentation,
                 params.segmentation_error,
             )
+            .sets
         })
         .collect();
     let attributes: Vec<AttributeId> = ds.iter().map(|ss| ss.sensor.attribute).collect();
