@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use miscela_core::evolving::extract_state;
+use miscela_core::Extraction;
 use miscela_model::TimeSeries;
 use std::time::Duration;
 
@@ -51,7 +52,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 series
                     .iter()
-                    .map(|s| extract_state(s, 0.4, false, 0.0).sets.total())
+                    .map(|s| {
+                        extract_state(s, Extraction::new(0.4, false, 0.0))
+                            .sets
+                            .total()
+                    })
                     .sum::<usize>()
             });
         });
@@ -62,7 +67,11 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     series
                         .iter()
-                        .map(|s| extract_state(s, 0.4, false, 0.0).sets.total())
+                        .map(|s| {
+                            extract_state(s, Extraction::new(0.4, false, 0.0))
+                                .sets
+                                .total()
+                        })
                         .sum::<usize>()
                 });
             },
@@ -74,7 +83,11 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     series
                         .iter()
-                        .map(|s| extract_state(s, 0.4, true, 0.05).sets.total())
+                        .map(|s| {
+                            extract_state(s, Extraction::new(0.4, true, 0.05))
+                                .sets
+                                .total()
+                        })
                         .sum::<usize>()
                 });
             },

@@ -41,15 +41,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let evolving: Vec<_> = ds
                     .iter()
-                    .map(|ss| {
-                        extract_state(
-                            ss.series,
-                            params.epsilon,
-                            params.segmentation,
-                            params.segmentation_error,
-                        )
-                        .sets
-                    })
+                    .map(|ss| extract_state(ss.series, params.extraction()).sets)
                     .collect();
                 let attributes: Vec<AttributeId> =
                     ds.iter().map(|ss| ss.sensor.attribute).collect();

@@ -22,10 +22,11 @@
 pub mod overload;
 
 use miscela_cache::EvolvingSetsCache;
-use miscela_core::evolving::{EvolvingCache, EvolvingSets, ExtractionKey, ExtractionState};
+use miscela_core::evolving::{EvolvingCache, ExtractionKey, ExtractionState};
 use miscela_core::MiningParams;
 use miscela_datagen::{ChinaGenerator, ChinaProfile, CovidGenerator, SantanderGenerator};
 use miscela_model::{AppendRow, Dataset, DatasetBuilder, RetentionPolicy, TimeGrid, TimeSeries};
+use std::sync::Arc;
 
 /// Whether `--paper-scale` was passed on the command line.
 pub fn paper_scale_requested() -> bool {
@@ -239,14 +240,13 @@ pub fn periodic_append_rows(source: &Dataset, target: &Dataset, tail: usize) -> 
 pub struct ReadOnlyExtractionCache<'a>(pub &'a EvolvingSetsCache);
 
 impl EvolvingCache for ReadOnlyExtractionCache<'_> {
-    fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets> {
+    fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
         self.0.get(key)
     }
-    fn put(&self, _key: ExtractionKey, _sets: &EvolvingSets) {}
-    fn get_state(&self, key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
-        self.0.get_state(key)
+    fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+        self.0.get_prefix(key)
     }
-    fn put_state(&self, _key: ExtractionKey, _state: std::sync::Arc<ExtractionState>) {}
+    fn put(&self, _key: ExtractionKey, _state: Arc<ExtractionState>) {}
 }
 
 /// The default mining parameters used across benches for the Santander data.

@@ -6,9 +6,9 @@
 //! re-mines with tweaked support/distance parameters (ψ, η, μ) — which do
 //! not affect steps (1)+(2) at all. [`EvolvingSetsCache`] memoizes the
 //! per-series [`ExtractionState`] keyed by
-//! [`ExtractionKey`] (series content fingerprint + ε + segmentation
-//! parameters), so those re-mining calls skip segmentation and extraction
-//! entirely and pay only for the search.
+//! [`ExtractionKey`] (series content fingerprint + the parameters'
+//! [`miscela_core::Extraction`]), so those re-mining calls skip
+//! segmentation and extraction entirely and pay only for the search.
 //!
 //! Since the pipeline became append-aware, the cache also serves the
 //! *streaming* loop: entries retain the full [`ExtractionState`] (evolving
@@ -18,7 +18,7 @@
 //! appended tail. [`ExtractionCacheStats::prefix_hits`] counts those
 //! resumptions.
 
-use miscela_core::evolving::{EvolvingCache, EvolvingSets, ExtractionKey, ExtractionState};
+use miscela_core::evolving::{EvolvingCache, ExtractionKey, ExtractionState};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -94,8 +94,8 @@ pub struct EvolvingSetsCache {
 // Entries are the `Arc`s the miner publishes, never copies: one state
 // cached under both its content and origin keys is one allocation, and its
 // segment runs are shared with the states of neighbouring revisions. The
-// critical section of a hit is one reference bump: the set clone `get`
-// returns happens outside the lock, keeping the parallel warm-extraction
+// critical section of a hit is one reference bump: the miner copies the
+// sets it needs outside the lock, keeping the parallel warm-extraction
 // path from serializing on the mutex. Each entry carries the generation
 // stamp of its last touch for the revision GC.
 #[derive(Debug, Default)]
@@ -212,25 +212,15 @@ impl Default for EvolvingSetsCache {
 }
 
 impl EvolvingCache for EvolvingSetsCache {
-    fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets> {
-        self.lookup(key, false).map(|state| state.sets.clone())
+    fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+        self.lookup(key, false)
     }
 
-    fn put(&self, key: ExtractionKey, sets: &EvolvingSets) {
-        self.store(
-            key,
-            Arc::new(ExtractionState {
-                sets: sets.clone(),
-                segmentation: None,
-            }),
-        );
-    }
-
-    fn get_state(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+    fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
         self.lookup(key, true)
     }
 
-    fn put_state(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
+    fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
         self.store(key, state);
     }
 }
@@ -238,7 +228,8 @@ impl EvolvingCache for EvolvingSetsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miscela_core::evolving::{extract_evolving, extract_resume, extract_state};
+    use miscela_core::evolving::{extract_resume, extract_state, series_fingerprint};
+    use miscela_core::Extraction;
     use miscela_model::TimeSeries;
 
     fn series(shift: f64) -> TimeSeries {
@@ -249,15 +240,25 @@ mod tests {
         )
     }
 
+    /// The content key of a series at ε 0.5 with no segmentation.
+    fn key(s: &TimeSeries) -> ExtractionKey {
+        ExtractionKey::from_fingerprint(series_fingerprint(s), Extraction::new(0.5, false, 0.0))
+    }
+
+    /// The state stored under [`key`].
+    fn state(s: &TimeSeries) -> Arc<ExtractionState> {
+        Arc::new(extract_state(s, Extraction::new(0.5, false, 0.0)))
+    }
+
     #[test]
     fn get_put_round_trip_and_stats() {
         let cache = EvolvingSetsCache::new();
         let s = series(0.0);
-        let key = ExtractionKey::new(&s, 0.5, false, 0.0);
+        let key = key(&s);
         assert!(cache.get(&key).is_none());
-        let sets = extract_evolving(&s, 0.5);
-        cache.put(key, &sets);
-        assert_eq!(cache.get(&key).unwrap(), sets);
+        let state = state(&s);
+        cache.put(key, Arc::clone(&state));
+        assert!(Arc::ptr_eq(&cache.get(&key).unwrap(), &state));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!((stats.prefix_hits, stats.prefix_misses), (0, 0));
@@ -271,23 +272,25 @@ mod tests {
         let cache = EvolvingSetsCache::new();
         let full =
             TimeSeries::from_values((0..160).map(|i| ((i as f64) * 0.3).sin() * 4.0).collect());
+        let x = Extraction::new(0.5, true, 0.05);
         let prefix = full.window(0, 120);
-        let pkey = ExtractionKey::new(&prefix, 0.5, true, 0.05);
-        let state = extract_state(&prefix, 0.5, true, 0.05);
-        cache.put_state(pkey, Arc::new(state.clone()));
+        let pkey = ExtractionKey::from_fingerprint(series_fingerprint(&prefix), x);
+        let state = extract_state(&prefix, x);
+        cache.put(pkey, Arc::new(state.clone()));
         // The appended series' prefix key is the prefix's own key.
-        assert_eq!(pkey, ExtractionKey::for_prefix(&full, 120, 0.5, true, 0.05));
-        let recovered = cache.get_state(&pkey).unwrap();
+        let prefix_key = |end: usize| {
+            ExtractionKey::from_fingerprint(full.prefix_fingerprints(&[end])[0].content, x)
+        };
+        assert_eq!(pkey, prefix_key(120));
+        let recovered = cache.get_prefix(&pkey).unwrap();
         assert_eq!(*recovered, state);
-        let resumed = extract_resume(&full, 0.5, true, 0.05, &recovered);
-        assert_eq!(resumed, extract_state(&full, 0.5, true, 0.05));
+        let resumed = extract_resume(&full, x, &recovered);
+        assert_eq!(resumed, extract_state(&full, x));
         let stats = cache.stats();
         assert_eq!(stats.prefix_hits, 1);
         assert_eq!(stats.prefix_misses, 0);
         // An unknown prefix misses and is counted separately.
-        assert!(cache
-            .get_state(&ExtractionKey::for_prefix(&full, 60, 0.5, true, 0.05))
-            .is_none());
+        assert!(cache.get_prefix(&prefix_key(60)).is_none());
         assert_eq!(cache.stats().prefix_misses, 1);
     }
 
@@ -295,17 +298,20 @@ mod tests {
     fn keys_distinguish_content_and_parameters() {
         let a = series(0.0);
         let b = series(1.0);
-        let base = ExtractionKey::new(&a, 0.5, false, 0.0);
-        assert_ne!(base, ExtractionKey::new(&b, 0.5, false, 0.0));
-        assert_ne!(base, ExtractionKey::new(&a, 0.6, false, 0.0));
-        assert_ne!(base, ExtractionKey::new(&a, 0.5, true, 0.05));
+        let key_of = |s: &TimeSeries, eps: f64, seg: bool, tol: f64| {
+            ExtractionKey::from_fingerprint(series_fingerprint(s), Extraction::new(eps, seg, tol))
+        };
+        let base = key_of(&a, 0.5, false, 0.0);
+        assert_ne!(base, key_of(&b, 0.5, false, 0.0));
+        assert_ne!(base, key_of(&a, 0.6, false, 0.0));
+        assert_ne!(base, key_of(&a, 0.5, true, 0.05));
         // A disabled tolerance does not split the key space.
-        assert_eq!(base, ExtractionKey::new(&a, 0.5, true, 0.0));
-        assert_eq!(base, ExtractionKey::new(&a, 0.5, false, 0.05));
+        assert_eq!(base, key_of(&a, 0.5, true, 0.0));
+        assert_eq!(base, key_of(&a, 0.5, false, 0.05));
         // Missingness patterns are part of the fingerprint.
         let mut gapped = a.clone();
         gapped.clear(10);
-        assert_ne!(base, ExtractionKey::new(&gapped, 0.5, false, 0.0));
+        assert_ne!(base, key_of(&gapped, 0.5, false, 0.0));
     }
 
     #[test]
@@ -313,10 +319,10 @@ mod tests {
         let cache = EvolvingSetsCache::new();
         let hot = series(1.0);
         let cold = series(2.0);
-        let hot_key = ExtractionKey::new(&hot, 0.5, false, 0.0);
-        let cold_key = ExtractionKey::new(&cold, 0.5, false, 0.0);
-        cache.put(hot_key, &extract_evolving(&hot, 0.5));
-        cache.put(cold_key, &extract_evolving(&cold, 0.5));
+        let hot_key = key(&hot);
+        let cold_key = key(&cold);
+        cache.put(hot_key, state(&hot));
+        cache.put(cold_key, state(&cold));
         // Bump through `keep` generations, touching only the hot entry:
         // the cold entry (stamped at generation 0) survives while the
         // horizon has not passed it.
@@ -335,19 +341,17 @@ mod tests {
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.entries, 1);
         // Re-inserting after GC works (insertion order was compacted).
-        cache.put(cold_key, &extract_evolving(&cold, 0.5));
+        cache.put(cold_key, state(&cold));
         assert!(cache.get(&cold_key).is_some());
     }
 
     #[test]
     fn capacity_evicts_oldest() {
         let cache = EvolvingSetsCache::with_capacity(2);
-        let keys: Vec<ExtractionKey> = (0..3)
-            .map(|i| ExtractionKey::new(&series(i as f64), 0.5, false, 0.0))
-            .collect();
-        let sets = extract_evolving(&series(0.0), 0.5);
+        let keys: Vec<ExtractionKey> = (0..3).map(|i| key(&series(i as f64))).collect();
+        let state = state(&series(0.0));
         for &k in &keys {
-            cache.put(k, &sets);
+            cache.put(k, Arc::clone(&state));
         }
         assert!(cache.get(&keys[0]).is_none());
         assert!(cache.get(&keys[1]).is_some());
@@ -356,7 +360,6 @@ mod tests {
 
     #[test]
     fn concurrent_access() {
-        use std::sync::Arc;
         let cache = Arc::new(EvolvingSetsCache::new());
         let mut handles = Vec::new();
         for t in 0..4 {
@@ -364,8 +367,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..20 {
                     let s = series((t * 100 + i) as f64);
-                    let key = ExtractionKey::new(&s, 0.5, false, 0.0);
-                    cache.put(key, &extract_evolving(&s, 0.5));
+                    let key = key(&s);
+                    cache.put(key, state(&s));
                     assert!(cache.get(&key).is_some());
                 }
             }));

@@ -1,4 +1,4 @@
-//! Cache keys: dataset name + revision + trim offset + parameter signature.
+//! Cache keys: dataset name + revision + trim offset + parameters.
 
 use miscela_core::MiningParams;
 use std::fmt;
@@ -24,23 +24,12 @@ pub struct CacheKey {
     /// Total grid points the dataset's retention window had trimmed from
     /// the front at mining time (0 for unbounded datasets).
     pub trimmed: u64,
-    /// Canonical parameter signature ([`MiningParams::signature`]).
-    pub signature: String,
+    /// The parameter setting; compared as [`MiningParams`]' `Eq` decides.
+    pub params: MiningParams,
 }
 
 impl CacheKey {
-    /// Builds the key for an unversioned dataset name and parameter setting
-    /// (revision 0, no trim).
-    pub fn new(dataset: impl Into<String>, params: &MiningParams) -> Self {
-        Self::for_state(dataset, 0, 0, params)
-    }
-
-    /// Builds the key for a specific dataset revision (no trim).
-    pub fn for_revision(dataset: impl Into<String>, revision: u64, params: &MiningParams) -> Self {
-        Self::for_state(dataset, revision, 0, params)
-    }
-
-    /// Builds the key for a specific dataset revision and trim offset.
+    /// Builds the key for a dataset revision and trim offset.
     pub fn for_state(
         dataset: impl Into<String>,
         revision: u64,
@@ -51,7 +40,7 @@ impl CacheKey {
             dataset: dataset.into(),
             revision,
             trimmed,
-            signature: params.signature(),
+            params: params.clone(),
         }
     }
 }
@@ -61,7 +50,10 @@ impl fmt::Display for CacheKey {
         write!(
             f,
             "{}@r{}~{}::{}",
-            self.dataset, self.revision, self.trimmed, self.signature
+            self.dataset,
+            self.revision,
+            self.trimmed,
+            self.params.signature()
         )
     }
 }
@@ -72,8 +64,8 @@ mod tests {
 
     #[test]
     fn equal_params_equal_keys() {
-        let a = CacheKey::new("santander", &MiningParams::default());
-        let b = CacheKey::new("santander", &MiningParams::default());
+        let a = CacheKey::for_state("santander", 0, 0, &MiningParams::default());
+        let b = CacheKey::for_state("santander", 0, 0, &MiningParams::default());
         assert_eq!(a, b);
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(a.revision, 0);
@@ -82,10 +74,13 @@ mod tests {
 
     #[test]
     fn different_params_dataset_revision_or_trim_differ() {
-        let base = CacheKey::new("santander", &MiningParams::default());
-        let other_params = CacheKey::new("santander", &MiningParams::default().with_psi(99));
-        let other_dataset = CacheKey::new("china6", &MiningParams::default());
-        let other_revision = CacheKey::for_revision("santander", 3, &MiningParams::default());
+        let key = |dataset: &str, revision: u64, params: &MiningParams| {
+            CacheKey::for_state(dataset, revision, 0, params)
+        };
+        let base = key("santander", 0, &MiningParams::default());
+        let other_params = key("santander", 0, &MiningParams::default().with_psi(99));
+        let other_dataset = key("china6", 0, &MiningParams::default());
+        let other_revision = key("santander", 3, &MiningParams::default());
         let other_trim = CacheKey::for_state("santander", 0, 256, &MiningParams::default());
         assert_ne!(base, other_params);
         assert_ne!(base, other_dataset);

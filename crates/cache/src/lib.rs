@@ -10,7 +10,9 @@
 //! > Before computing CAPs by Miscela, our system searches for CAPs with the
 //! > same parameters and the name of the dataset from the database."
 //!
-//! [`CacheKey`] is exactly (dataset name, parameter signature);
+//! [`CacheKey`] is (dataset name, revision, trim offset, parameters),
+//! where [`miscela_core::MiningParams`]' `Eq` decides which parameter
+//! settings are the same;
 //! [`ResultCache`] is the in-memory cache with hit/miss statistics;
 //! [`PersistentCache`] stores entries as JSON documents in a
 //! [`miscela_store::Database`] collection (the MongoDB substitute), so
@@ -41,7 +43,7 @@
 //!
 //! let cache = ResultCache::new();
 //! let params = MiningParams::new().with_psi(20);
-//! let key = CacheKey::new("santander", &params);
+//! let key = CacheKey::for_state("santander", 0, 0, &params);
 //!
 //! assert!(cache.get(&key).is_none()); // miss: would trigger mining
 //! cache.put(key.clone(), CachedCaps::new(CapSet::new()));

@@ -158,7 +158,7 @@ mod tests {
     use miscela_core::MiningParams;
 
     fn key(dataset: &str, psi: usize) -> CacheKey {
-        CacheKey::new(dataset, &MiningParams::default().with_psi(psi))
+        CacheKey::for_state(dataset, 0, 0, &MiningParams::default().with_psi(psi))
     }
 
     fn empty() -> CachedCaps {

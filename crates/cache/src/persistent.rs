@@ -2,9 +2,13 @@
 //!
 //! This is the faithful counterpart of the paper's mechanism: results live
 //! in a database collection (`cap_results`) keyed by dataset name and
-//! parameter signature, so that a freshly started server can still answer a
-//! repeated request without re-mining, and the documents can be inspected
-//! through the store's query API.
+//! parameter signature ([`miscela_core::MiningParams::signature`], the text
+//! form of the parameters' identity), so that a freshly started server can
+//! still answer a repeated request without re-mining, and the documents can
+//! be inspected through the store's query API. A stored document whose
+//! signature is not this exact text (older stores wrote 6-decimal text)
+//! simply misses; dataset invalidation and the revision GC still collect
+//! it.
 //!
 //! Each result is encoded once: the memory tier keeps its [`CachedCaps`],
 //! and the stored document's `caps` field is the same shared text as a
@@ -84,7 +88,7 @@ impl PersistentCache {
         doc.set("dataset", Json::from(key.dataset.as_str()));
         doc.set("revision", Json::from(key.revision as i64));
         doc.set("trimmed", Json::from(key.trimmed as i64));
-        doc.set("signature", Json::from(key.signature.as_str()));
+        doc.set("signature", Json::from(key.params.signature()));
         doc.set("cap_count", Json::from(caps.len()));
         doc.set("caps", Json::Raw(Arc::clone(&text)));
         self.db.insert(RESULTS_COLLECTION, doc);
@@ -153,7 +157,7 @@ fn key_filter(key: &CacheKey) -> Filter {
         Filter::eq("dataset", key.dataset.as_str()),
         Filter::eq("revision", Json::from(key.revision as i64)),
         Filter::eq("trimmed", Json::from(key.trimmed as i64)),
-        Filter::eq("signature", key.signature.as_str()),
+        Filter::eq("signature", key.params.signature()),
     ])
 }
 
@@ -184,7 +188,7 @@ mod tests {
     #[test]
     fn put_get_round_trip() {
         let cache = PersistentCache::new(Arc::new(Database::new()));
-        let key = CacheKey::new("santander", &MiningParams::default());
+        let key = CacheKey::for_state("santander", 0, 0, &MiningParams::default());
         assert!(cache.get(&key).is_none());
         cache.put(&key, &sample_caps());
         assert_eq!(cache.get(&key).unwrap().caps, sample_caps());
@@ -200,7 +204,7 @@ mod tests {
         // Simulates a server restart: a new PersistentCache over the same
         // database still answers from the store tier.
         let db = Arc::new(Database::new());
-        let key = CacheKey::new("santander", &MiningParams::default());
+        let key = CacheKey::for_state("santander", 0, 0, &MiningParams::default());
         {
             let cache = PersistentCache::new(Arc::clone(&db));
             cache.put(&key, &sample_caps());
@@ -216,7 +220,7 @@ mod tests {
     #[test]
     fn documents_share_the_text_and_trees_still_hit() {
         let db = Arc::new(Database::new());
-        let key = CacheKey::new("santander", &MiningParams::default());
+        let key = CacheKey::for_state("santander", 0, 0, &MiningParams::default());
         let text = PersistentCache::new(Arc::clone(&db)).put(&key, &sample_caps());
         let doc = db.find_one(RESULTS_COLLECTION, &key_filter(&key)).unwrap();
         match doc.get("caps") {
@@ -240,8 +244,8 @@ mod tests {
     #[test]
     fn distinct_parameters_are_distinct_entries() {
         let cache = PersistentCache::new(Arc::new(Database::new()));
-        let k1 = CacheKey::new("santander", &MiningParams::default().with_psi(5));
-        let k2 = CacheKey::new("santander", &MiningParams::default().with_psi(10));
+        let k1 = CacheKey::for_state("santander", 0, 0, &MiningParams::default().with_psi(5));
+        let k2 = CacheKey::for_state("santander", 0, 0, &MiningParams::default().with_psi(10));
         cache.put(&k1, &sample_caps());
         cache.put(&k2, &CapSet::new());
         assert_eq!(cache.stored_results(), 2);
@@ -253,8 +257,8 @@ mod tests {
     fn revisions_partition_the_key_space() {
         let cache = PersistentCache::new(Arc::new(Database::new()));
         let params = MiningParams::default();
-        let r1 = CacheKey::for_revision("santander", 1, &params);
-        let r2 = CacheKey::for_revision("santander", 2, &params);
+        let r1 = CacheKey::for_state("santander", 1, 0, &params);
+        let r2 = CacheKey::for_state("santander", 2, 0, &params);
         cache.put(&r1, &sample_caps());
         // The appended dataset's revision misses even though name and
         // parameters match — versioned invalidation without any explicit
@@ -274,26 +278,26 @@ mod tests {
         let params = MiningParams::default();
         for r in 1..=3u64 {
             cache.put(
-                &CacheKey::for_revision("santander", r, &params),
+                &CacheKey::for_state("santander", r, 0, &params),
                 &sample_caps(),
             );
         }
         cache.put(
-            &CacheKey::for_revision("china6", 1, &params),
+            &CacheKey::for_state("china6", 1, 0, &params),
             &sample_caps(),
         );
         // Collect everything of santander below revision 3: two memory
         // entries and two store documents.
         assert_eq!(cache.evict_superseded("santander", 3), 4);
         assert!(cache
-            .get(&CacheKey::for_revision("santander", 2, &params))
+            .get(&CacheKey::for_state("santander", 2, 0, &params))
             .is_none());
         assert!(cache
-            .get(&CacheKey::for_revision("santander", 3, &params))
+            .get(&CacheKey::for_state("santander", 3, 0, &params))
             .is_some());
         // Other datasets are untouched.
         assert!(cache
-            .get(&CacheKey::for_revision("china6", 1, &params))
+            .get(&CacheKey::for_state("china6", 1, 0, &params))
             .is_some());
         assert_eq!(cache.stored_results(), 2);
         assert_eq!(cache.stats().evicted, 4);
@@ -323,7 +327,7 @@ mod tests {
             let cache = PersistentCache::new(Arc::clone(&db));
             for r in 1..=4u64 {
                 cache.put(
-                    &CacheKey::for_revision("santander", r, &params),
+                    &CacheKey::for_state("santander", r, 0, &params),
                     &sample_caps(),
                 );
             }
@@ -334,11 +338,11 @@ mod tests {
         assert_eq!(fresh.stored_results(), 0);
         for r in 1..=4u64 {
             assert!(fresh
-                .get(&CacheKey::for_revision("santander", r, &params))
+                .get(&CacheKey::for_state("santander", r, 0, &params))
                 .is_none());
         }
         // A result mined at the replayed revision is reachable again.
-        let live = CacheKey::for_revision("santander", 7, &params);
+        let live = CacheKey::for_state("santander", 7, 0, &params);
         fresh.put(&live, &sample_caps());
         assert_eq!(fresh.evict_superseded("santander", 7), 0);
         assert_eq!(fresh.get(&live).unwrap().caps, sample_caps());
@@ -362,8 +366,8 @@ mod tests {
     #[test]
     fn invalidate_dataset_clears_both_tiers() {
         let cache = PersistentCache::new(Arc::new(Database::new()));
-        let k1 = CacheKey::new("santander", &MiningParams::default());
-        let k2 = CacheKey::new("china6", &MiningParams::default());
+        let k1 = CacheKey::for_state("santander", 0, 0, &MiningParams::default());
+        let k2 = CacheKey::for_state("china6", 0, 0, &MiningParams::default());
         cache.put(&k1, &sample_caps());
         cache.put(&k2, &sample_caps());
         assert_eq!(cache.invalidate_dataset("santander"), 1);

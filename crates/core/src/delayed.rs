@@ -86,7 +86,10 @@ pub fn mine_delayed(
 ///
 /// Delays run up to `max_delay` or the series' last grid step, whichever
 /// is smaller: a follower shifted by its whole length or more aligns no
-/// timestamp, and ψ ≥ 1, so longer delays could never report.
+/// timestamp, and ψ ≥ 1, so longer delays could never report. Candidates
+/// are scored in (leading order, delay, leader direction, follower
+/// direction) order and only a strictly higher support replaces the best,
+/// so ties go to the first candidate.
 pub fn best_delayed_pair(
     evolving: &[EvolvingSets],
     a: SensorIndex,
@@ -98,21 +101,22 @@ pub fn best_delayed_pair(
         .len()
         .max(evolving[b.index()].len())
         .saturating_sub(1);
-    for (leader, follower) in [(a, b), (b, a)] {
-        for delay in 0..=params.max_delay.min(last_step) {
-            for &ld in &Direction::BOTH {
-                for &fd in &Direction::BOTH {
-                    let lead_bits = evolving[leader.index()].for_direction(ld);
-                    // Follower evolving at t+delay aligns with leader at t.
-                    let follow_shifted = evolving[follower.index()]
-                        .for_direction(fd)
-                        .shift_earlier(delay);
-                    let support = lead_bits.and_count(follow_shifted.view());
-                    if support < params.psi {
-                        continue;
-                    }
-                    let better = best.as_ref().map(|c| support > c.support).unwrap_or(true);
-                    if better {
+    let max_delay = params.max_delay.min(last_step);
+    // At delay 0 the reversed order scores the same four counts as the
+    // forward order, so it can never strictly win: it starts at delay 1.
+    for (first_delay, leader, follower) in [(0, a, b), (1, b, a)] {
+        for delay in first_delay..=max_delay {
+            // Follower evolving at t+delay aligns with leader at t.
+            let shifted = Direction::BOTH.map(|fd| {
+                evolving[follower.index()]
+                    .for_direction(fd)
+                    .shift_earlier(delay)
+            });
+            for ld in Direction::BOTH {
+                let lead_bits = evolving[leader.index()].for_direction(ld);
+                for (fd, follow) in Direction::BOTH.into_iter().zip(&shifted) {
+                    let support = lead_bits.and_count(follow.view());
+                    if support >= params.psi && best.as_ref().is_none_or(|c| support > c.support) {
                         best = Some(DelayedCap {
                             leader,
                             follower,
@@ -124,14 +128,57 @@ pub fn best_delayed_pair(
                     }
                 }
             }
-            // Symmetric pairs: delay 0 is identical for both orderings; skip
-            // re-scoring the reversed order at delay 0.
-            if delay == 0 && leader == b {
-                continue;
-            }
         }
     }
     best
+}
+
+/// The scan [`best_delayed_pair`] replaced — one follower shift per
+/// candidate, and delay 0 scored in both orders — kept as its oracle.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn best_delayed_pair_reference(
+        evolving: &[EvolvingSets],
+        a: SensorIndex,
+        b: SensorIndex,
+        params: &MiningParams,
+    ) -> Option<DelayedCap> {
+        let mut best: Option<DelayedCap> = None;
+        let last_step = evolving[a.index()]
+            .len()
+            .max(evolving[b.index()].len())
+            .saturating_sub(1);
+        for (leader, follower) in [(a, b), (b, a)] {
+            for delay in 0..=params.max_delay.min(last_step) {
+                for &ld in &Direction::BOTH {
+                    for &fd in &Direction::BOTH {
+                        let lead_bits = evolving[leader.index()].for_direction(ld);
+                        let follow_shifted = evolving[follower.index()]
+                            .for_direction(fd)
+                            .shift_earlier(delay);
+                        let support = lead_bits.and_count(follow_shifted.view());
+                        if support < params.psi {
+                            continue;
+                        }
+                        let better = best.as_ref().map(|c| support > c.support).unwrap_or(true);
+                        if better {
+                            best = Some(DelayedCap {
+                                leader,
+                                follower,
+                                leader_direction: ld,
+                                follower_direction: fd,
+                                delay,
+                                support,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
@@ -295,5 +342,65 @@ mod tests {
             mine_delayed(&evolving, &attrs, &graph, &params, &token),
             Err(MiningError::Cancelled)
         );
+    }
+
+    mod equivalence_proptest {
+        use super::*;
+        use crate::bitset::{Bitset, BitsetRef};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The one-shift-per-direction scan picks exactly the pair the
+            /// retained per-candidate scan picks — ties included — on
+            /// random sparse evolving sets, some of them delayed copies of
+            /// each other, for delay bounds below, at and past the grid.
+            #[test]
+            fn best_pair_matches_reference(
+                n in 1usize..150,
+                bits in proptest::collection::vec(0u8..5, 600..601),
+                lag in proptest::option::of(0usize..8),
+                psi in 1usize..4,
+            ) {
+                let set = |k: usize| {
+                    let mut b = Bitset::new(n);
+                    for t in 0..n {
+                        if bits[k * 150 + t] == 0 {
+                            b.set(t);
+                        }
+                    }
+                    b
+                };
+                let a = EvolvingSets::from_bitsets(&set(0), &set(1));
+                // A delayed copy of `a` makes many delays and both orders
+                // tie; otherwise `b` is independent.
+                let (up, down) = match lag {
+                    Some(lag) => {
+                        let shift = |src: BitsetRef<'_>| {
+                            let mut b = Bitset::new(n);
+                            for t in src.indices() {
+                                if t + lag < n {
+                                    b.set(t + lag);
+                                }
+                            }
+                            b
+                        };
+                        (shift(a.up()), shift(a.down()))
+                    }
+                    None => (set(2), set(3)),
+                };
+                let evolving = vec![a, EvolvingSets::from_bitsets(&up, &down)];
+                for max_delay in [0, 1, 5, n - 1, n + 3] {
+                    let params = MiningParams::new().with_psi(psi).with_max_delay(max_delay);
+                    let (a, b) = (SensorIndex(0), SensorIndex(1));
+                    prop_assert_eq!(
+                        best_delayed_pair(&evolving, a, b, &params),
+                        reference::best_delayed_pair_reference(&evolving, a, b, &params),
+                        "max_delay {}", max_delay
+                    );
+                }
+            }
+        }
     }
 }

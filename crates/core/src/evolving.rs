@@ -11,8 +11,10 @@
 //! which it falls by at least ε.
 
 use crate::bitset::{shift_words_earlier, Bitset, BitsetRef};
+use crate::params::Extraction;
 use crate::segmentation::{self, Segmentation};
 use miscela_model::TimeSeries;
+use std::sync::Arc;
 
 /// Direction of evolution at a timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -134,25 +136,23 @@ impl EvolvingSets {
 /// `x[t] - x[t-1] >= epsilon` and Down-evolving when
 /// `x[t-1] - x[t] >= epsilon`. Missing values never evolve. With
 /// `epsilon == 0`, any strictly positive (negative) change counts.
+pub fn extract_evolving(series: &TimeSeries, epsilon: f64) -> EvolvingSets {
+    extract_state(series, Extraction::new(epsilon, false, 0.0)).sets
+}
+
+/// The evolving sets of a series at a classification threshold
+/// ([`Extraction::threshold`]).
 ///
 /// The scan streams over the raw value slice and accumulates whole 64-bit
 /// words of the `up`/`down` bitsets branchlessly: a missing value is `NaN`,
 /// its delta is `NaN`, and every threshold comparison on `NaN` is false —
 /// so there is no per-timestamp `Option` branch at all.
-pub fn extract_evolving(series: &TimeSeries, epsilon: f64) -> EvolvingSets {
+fn evolving_sets(series: &TimeSeries, threshold: f64) -> EvolvingSets {
     let n = series.len();
     let mut sets = EvolvingSets::new(n);
     if n >= 2 {
         let (up_words, down_words) = sets.halves_mut();
-        if epsilon > 0.0 {
-            scan_series_from(series, up_words, down_words, 0, |delta| {
-                (delta >= epsilon, -delta >= epsilon)
-            });
-        } else {
-            scan_series_from(series, up_words, down_words, 0, |delta| {
-                (delta > 0.0, delta < 0.0)
-            });
-        }
+        scan_series_from(series, up_words, down_words, 0, threshold);
     }
     sets
 }
@@ -165,16 +165,17 @@ pub fn extract_evolving(series: &TimeSeries, epsilon: f64) -> EvolvingSets {
 /// inside a single chunk and the scan runs over the shared blocks in place
 /// — no contiguous copy of the series is ever materialized. The one value
 /// a word needs from *before* its chunk (the left operand of its first
-/// delta) is carried across the chunk boundary in a register. `classify`
-/// must return `(false, false)` for `NaN` deltas, which all
-/// comparison-based classifiers do for free.
+/// delta) is carried across the chunk boundary in a register. A delta is
+/// Up when `delta >= threshold` and Down when `-delta >= threshold`; both
+/// comparisons are false for `NaN` deltas.
 fn scan_series_from(
     series: &TimeSeries,
     up_words: &mut [u64],
     down_words: &mut [u64],
     first_word: usize,
-    classify: impl Fn(f64) -> (bool, bool),
+    threshold: f64,
 ) {
+    let classify = |delta: f64| (delta >= threshold, -delta >= threshold);
     let n = series.len();
     let mut g = 0usize; // global index of the current chunk's first value
     let mut carry = f64::NAN; // value at g - 1 (meaningful once g >= 1)
@@ -237,8 +238,9 @@ fn scan_words_from(
     up_words: &mut [u64],
     down_words: &mut [u64],
     first_word: usize,
-    classify: impl Fn(f64) -> (bool, bool),
+    threshold: f64,
 ) {
+    let classify = |delta: f64| (delta >= threshold, -delta >= threshold);
     let n = base + values.len();
     for (wi, (uw, dw)) in up_words
         .iter_mut()
@@ -292,36 +294,33 @@ impl ExtractionState {
     }
 }
 
-/// Steps (1)+(2) for one series: optional linear segmentation (when
-/// enabled with a positive error tolerance) followed by evolving-timestamp
-/// extraction over the smoothed series. The segmentation is retained so
-/// the result can later seed [`extract_resume`]; callers that only need
-/// the evolving sets take `.sets`.
-pub fn extract_state(
-    series: &TimeSeries,
-    epsilon: f64,
-    segmentation_enabled: bool,
-    segmentation_error: f64,
-) -> ExtractionState {
-    if segmentation_enabled && segmentation_error > 0.0 {
-        let seg = segmentation::segment_series(series, segmentation_error);
-        let smoothed = seg.reconstruct(series);
-        ExtractionState {
-            sets: extract_evolving(&smoothed, epsilon),
-            segmentation: Some(seg),
+/// Steps (1)+(2) for one series: linear segmentation when the extraction
+/// has a tolerance, followed by evolving-timestamp extraction over the
+/// smoothed series. The segmentation is retained so the result can later
+/// seed [`extract_resume`]; callers that only need the evolving sets take
+/// `.sets`.
+pub fn extract_state(series: &TimeSeries, extraction: Extraction) -> ExtractionState {
+    let threshold = extraction.threshold();
+    match extraction.tolerance() {
+        Some(tolerance) => {
+            let seg = segmentation::segment_series(series, tolerance);
+            let smoothed = seg.reconstruct(series);
+            ExtractionState {
+                sets: evolving_sets(&smoothed, threshold),
+                segmentation: Some(seg),
+            }
         }
-    } else {
-        ExtractionState {
-            sets: extract_evolving(series, epsilon),
+        None => ExtractionState {
+            sets: evolving_sets(series, threshold),
             segmentation: None,
-        }
+        },
     }
 }
 
 /// Tail-resume of steps (1)+(2) for an appended series.
 ///
 /// `prev` must be the [`ExtractionState`] of this series' prefix of length
-/// `prev.len()` under the **same** extraction parameters; the caller
+/// `prev.len()` under the **same** extraction; the caller
 /// guarantees the prefix values are unchanged (the miner enforces this with
 /// content fingerprints). The result is byte-identical to
 /// [`extract_state`] on the full series — segmentation resumes from the
@@ -332,24 +331,22 @@ pub fn extract_state(
 /// rescanned, so a resume costs O(tail) rather than O(series).
 pub fn extract_resume(
     series: &TimeSeries,
-    epsilon: f64,
-    segmentation_enabled: bool,
-    segmentation_error: f64,
+    extraction: Extraction,
     prev: &ExtractionState,
 ) -> ExtractionState {
     let n = series.len();
     let old_len = prev.len();
-    let effective = segmentation_enabled && segmentation_error > 0.0;
-    if old_len > n || effective != prev.segmentation.is_some() {
+    if old_len > n || extraction.tolerance().is_some() != prev.segmentation.is_some() {
         // Shape or parameter mismatch: the state cannot seed a resume.
-        return extract_state(series, epsilon, segmentation_enabled, segmentation_error);
+        return extract_state(series, extraction);
     }
     if old_len == n {
         return prev.clone();
     }
-    if let Some(prev_seg) = &prev.segmentation {
+    let threshold = extraction.threshold();
+    if let (Some(prev_seg), Some(tolerance)) = (&prev.segmentation, extraction.tolerance()) {
         let (seg, changed_from) =
-            segmentation::segment_series_tail(series, segmentation_error, prev_seg, old_len);
+            segmentation::segment_series_tail(series, tolerance, prev_seg, old_len);
         // Reconstruct smoothed values only where the word scan reads them:
         // from one point before the first recomputed word onwards. The
         // presence test reads a flat copy of that window (one memcpy)
@@ -358,13 +355,13 @@ pub fn extract_resume(
         let lo = (first_word * 64).max(1) - 1;
         let raw = series.copy_range(lo, n);
         let values = seg.reconstruct_from(lo, &raw);
-        let sets = resume_scan(&values, lo, &prev.sets, changed_from, epsilon);
+        let sets = resume_scan(&values, lo, &prev.sets, changed_from, threshold);
         ExtractionState {
             sets,
             segmentation: Some(seg),
         }
     } else {
-        let sets = resume_scan_series(series, &prev.sets, old_len, epsilon);
+        let sets = resume_scan_series(series, &prev.sets, old_len, threshold);
         ExtractionState {
             sets,
             segmentation: None,
@@ -377,7 +374,7 @@ pub fn extract_resume(
 /// byte-identical to a cold [`extract_state`] on the window.
 ///
 /// `origin` must be the state of the same value stream before its first
-/// `dropped` values were removed, under the **same** extraction parameters;
+/// `dropped` values were removed, under the **same** extraction;
 /// the surviving values are unchanged (the miner enforces both with
 /// origin-anchored fingerprints, [`ExtractionKey::from_origin_fingerprint`]).
 ///
@@ -394,18 +391,18 @@ pub fn extract_resume(
 /// tolerance); the caller falls back to a cold extraction.
 pub fn derive_trimmed(
     series: &TimeSeries,
-    epsilon: f64,
-    segmentation_enabled: bool,
-    segmentation_error: f64,
+    extraction: Extraction,
     origin: &ExtractionState,
     dropped: usize,
 ) -> Option<ExtractionState> {
     let n = series.len();
-    let effective = segmentation_enabled && segmentation_error > 0.0;
-    if dropped == 0 || origin.len() != n + dropped || effective != origin.segmentation.is_some() {
+    if dropped == 0
+        || origin.len() != n + dropped
+        || extraction.tolerance().is_some() != origin.segmentation.is_some()
+    {
         return None;
     }
-    if !effective {
+    let Some(tolerance) = extraction.tolerance() else {
         let mut sets = EvolvingSets::new(n);
         if n >= 2 {
             let (up_words, down_words) = sets.halves_mut();
@@ -420,10 +417,9 @@ pub fn derive_trimmed(
             sets,
             segmentation: None,
         });
-    }
+    };
     let prev_seg = origin.segmentation.as_ref()?;
-    let (seg, resync) =
-        segmentation::segment_series_trimmed(series, segmentation_error, prev_seg, dropped)?;
+    let (seg, resync) = segmentation::segment_series_trimmed(series, tolerance, prev_seg, dropped)?;
     let mut sets = EvolvingSets::new(n);
     if n >= 2 {
         // Bits at timestamps past the resync point see only smoothed values
@@ -456,25 +452,14 @@ pub fn derive_trimmed(
             }
         }
         let (up_words, down_words) = sets.halves_mut();
-        if epsilon > 0.0 {
-            scan_words_from(
-                &values,
-                0,
-                &mut up_words[..w_cut],
-                &mut down_words[..w_cut],
-                0,
-                |delta| (delta >= epsilon, -delta >= epsilon),
-            );
-        } else {
-            scan_words_from(
-                &values,
-                0,
-                &mut up_words[..w_cut],
-                &mut down_words[..w_cut],
-                0,
-                |delta| (delta > 0.0, delta < 0.0),
-            );
-        }
+        scan_words_from(
+            &values,
+            0,
+            &mut up_words[..w_cut],
+            &mut down_words[..w_cut],
+            0,
+            extraction.threshold(),
+        );
     }
     Some(ExtractionState {
         sets,
@@ -490,7 +475,7 @@ fn resume_scan_series(
     series: &TimeSeries,
     prev: &EvolvingSets,
     changed_from: usize,
-    epsilon: f64,
+    threshold: f64,
 ) -> EvolvingSets {
     let n = series.len();
     let mut sets = EvolvingSets::new(n);
@@ -499,15 +484,7 @@ fn resume_scan_series(
         let (up_words, down_words) = sets.halves_mut();
         up_words[..first_word].copy_from_slice(&prev.up().words()[..first_word]);
         down_words[..first_word].copy_from_slice(&prev.down().words()[..first_word]);
-        if epsilon > 0.0 {
-            scan_series_from(series, up_words, down_words, first_word, |delta| {
-                (delta >= epsilon, -delta >= epsilon)
-            });
-        } else {
-            scan_series_from(series, up_words, down_words, first_word, |delta| {
-                (delta > 0.0, delta < 0.0)
-            });
-        }
+        scan_series_from(series, up_words, down_words, first_word, threshold);
     }
     sets
 }
@@ -524,7 +501,7 @@ fn resume_scan(
     base: usize,
     prev: &EvolvingSets,
     changed_from: usize,
-    epsilon: f64,
+    threshold: f64,
 ) -> EvolvingSets {
     let n = base + values.len();
     let mut sets = EvolvingSets::new(n);
@@ -533,100 +510,35 @@ fn resume_scan(
         let (up_words, down_words) = sets.halves_mut();
         up_words[..first_word].copy_from_slice(&prev.up().words()[..first_word]);
         down_words[..first_word].copy_from_slice(&prev.down().words()[..first_word]);
-        if epsilon > 0.0 {
-            scan_words_from(values, base, up_words, down_words, first_word, |delta| {
-                (delta >= epsilon, -delta >= epsilon)
-            });
-        } else {
-            scan_words_from(values, base, up_words, down_words, first_word, |delta| {
-                (delta > 0.0, delta < 0.0)
-            });
-        }
+        scan_words_from(values, base, up_words, down_words, first_word, threshold);
     }
     sets
 }
 
 /// Cache key for one series' extraction result: a content fingerprint of
-/// the series plus the exact parameters steps (1)+(2) depend on.
+/// the series plus the [`Extraction`] steps (1)+(2) read.
 ///
 /// Keying on the series *content* (not the dataset/sensor name) means a
 /// re-uploaded dataset hits for every unchanged series and misses only for
 /// the ones whose data actually changed, and that parameter changes which
 /// do not affect extraction — ψ, η, μ, the delay bound — keep hitting.
-/// Parameters are stored as IEEE bit patterns so the key is `Eq + Hash`
-/// without any float-equality subtleties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExtractionKey {
-    /// 128-bit fingerprint of the series contents (bit patterns + length).
+    /// 128-bit fingerprint of the series contents (bit patterns + length),
+    /// salted for origin-anchored keys.
     pub fingerprint: u128,
-    /// `epsilon.to_bits()`.
-    pub epsilon_bits: u64,
-    /// Whether segmentation is effectively applied (`segmentation` flag AND
-    /// a positive error tolerance, mirroring [`extract_state`]).
-    pub segmentation: bool,
-    /// `segmentation_error.to_bits()` when segmentation is effective, else
-    /// `0` (a disabled tolerance must not split the key space).
-    pub segmentation_error_bits: u64,
+    /// What steps (1)+(2) read of the parameters.
+    pub extraction: Extraction,
 }
 
 impl ExtractionKey {
-    /// Builds the key for one series and extraction-parameter setting.
-    pub fn new(
-        series: &TimeSeries,
-        epsilon: f64,
-        segmentation_enabled: bool,
-        segmentation_error: f64,
-    ) -> Self {
-        Self::from_fingerprint(
-            series_fingerprint(series),
-            epsilon,
-            segmentation_enabled,
-            segmentation_error,
-        )
-    }
-
-    /// Builds the key for the first `prefix_len` values of a series — the
-    /// key under which the extraction of the pre-append prefix was cached.
-    pub fn for_prefix(
-        series: &TimeSeries,
-        prefix_len: usize,
-        epsilon: f64,
-        segmentation_enabled: bool,
-        segmentation_error: f64,
-    ) -> Self {
-        // One end in, one fingerprint out; the fallback is the same value
-        // computed over a copied prefix.
-        let fingerprint = series
-            .prefix_fingerprints(&[prefix_len])
-            .first()
-            .map_or_else(|| series.window(0, prefix_len).fingerprint(), |p| p.content);
-        Self::from_fingerprint(
-            fingerprint,
-            epsilon,
-            segmentation_enabled,
-            segmentation_error,
-        )
-    }
-
-    /// Builds a key from an already-computed content fingerprint (e.g. a
-    /// [`miscela_model::PrefixFingerprint::content`] or a rolling
+    /// Builds the content key from an already-computed content fingerprint
+    /// (e.g. a [`miscela_model::PrefixFingerprint::content`] or a rolling
     /// [`SeriesFingerprinter`] checkpoint).
-    pub fn from_fingerprint(
-        fingerprint: u128,
-        epsilon: f64,
-        segmentation_enabled: bool,
-        segmentation_error: f64,
-    ) -> Self {
-        let effective = segmentation_enabled && segmentation_error > 0.0;
+    pub fn from_fingerprint(fingerprint: u128, extraction: Extraction) -> Self {
         ExtractionKey {
             fingerprint,
-            epsilon_bits: epsilon.to_bits(),
-            segmentation: effective,
-            segmentation_error_bits: if effective {
-                segmentation_error.to_bits()
-            } else {
-                0
-            },
+            extraction,
         }
     }
 
@@ -649,22 +561,8 @@ impl ExtractionKey {
     /// series' full untrimmed history. States cached under
     /// origin keys are retrieved by later, deeper-trimmed windows of the
     /// same stream and converted via [`derive_trimmed`].
-    pub fn from_origin_fingerprint(
-        fingerprint: u128,
-        epsilon: f64,
-        segmentation_enabled: bool,
-        segmentation_error: f64,
-    ) -> Self {
-        let key = Self::from_fingerprint(
-            fingerprint,
-            epsilon,
-            segmentation_enabled,
-            segmentation_error,
-        );
-        ExtractionKey {
-            fingerprint: key.fingerprint ^ Self::ORIGIN_KEY_SALT,
-            ..key
-        }
+    pub fn from_origin_fingerprint(fingerprint: u128, extraction: Extraction) -> Self {
+        Self::from_fingerprint(fingerprint ^ Self::ORIGIN_KEY_SALT, extraction)
     }
 }
 
@@ -678,32 +576,23 @@ pub fn series_fingerprint(series: &TimeSeries) -> u128 {
     series.fingerprint()
 }
 
-/// A cache of per-series extraction results, consulted by
+/// A cache of per-series extraction states, consulted by
 /// [`crate::Miner::mine_sweep`] (and so by every mine) so repeated mining
 /// of unchanged series skips steps (1)+(2) entirely. Implemented by
 /// `miscela-cache`'s `EvolvingSetsCache`; `Sync` because lookups happen
-/// from the parallel extraction map's worker threads.
+/// from the parallel extraction map's worker threads. States are shared as
+/// `Arc`s: a hit is a reference bump, and the miner publishes one state
+/// under several keys (content and origin-anchored) without copying it.
 pub trait EvolvingCache: Sync {
-    /// Returns the cached sets for a key, if present.
-    fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets>;
-    /// Stores the sets computed for a key.
-    fn put(&self, key: ExtractionKey, sets: &EvolvingSets);
-    /// Returns the full [`ExtractionState`] for a key, if the cache retains
-    /// states. The miner probes this with *prefix* keys of appended series
-    /// to seed [`extract_resume`]; a cache that does not retain states
-    /// (the default) simply disables resumption. Shared as an `Arc` so a
-    /// hit is a reference bump, not a deep bitset-and-segments clone.
-    fn get_state(&self, _key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
-        None
-    }
-    /// Stores the full extraction state for a key. The miner publishes one
-    /// `Arc` under several keys (content and origin-anchored), so a cache
-    /// that retains states keeps the `Arc` rather than a copy. The default
-    /// forwards the sets to [`EvolvingCache::put`], so set-only caches keep
-    /// working.
-    fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
-        self.put(key, &state.sets);
-    }
+    /// The whole-content probe: the state cached under a series' content
+    /// key. Counted as a hit or a miss.
+    fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>>;
+    /// The prefix probe: the state cached under a pre-append prefix key (to
+    /// seed [`extract_resume`]) or an origin-anchored key (to seed
+    /// [`derive_trimmed`]). Counted as a prefix hit or a prefix miss.
+    fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>>;
+    /// Stores the state computed for a key.
+    fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>);
 }
 
 /// The pre-refactor per-timestamp extractor, retained verbatim as the
@@ -813,8 +702,8 @@ mod tests {
                 .map(|i| i as f64 * 0.1 + if i % 2 == 0 { 0.3 } else { -0.3 })
                 .collect(),
         );
-        let raw = extract_state(&s, 0.2, false, 0.05).sets;
-        let smoothed = extract_state(&s, 0.2, true, 0.05).sets;
+        let raw = extract_state(&s, Extraction::new(0.2, false, 0.05)).sets;
+        let smoothed = extract_state(&s, Extraction::new(0.2, true, 0.05)).sets;
         assert!(raw.down().count() > 50);
         assert!(
             smoothed.down().count() < raw.down().count() / 4,
@@ -859,17 +748,24 @@ mod tests {
 
             /// The branchless word-level scan and the retained
             /// per-timestamp oracle agree bit-for-bit on randomized series
-            /// with NaN gaps, including epsilon == 0.
+            /// with NaN gaps and subnormal values, including epsilon == 0.
             #[test]
             fn word_scan_matches_reference(
                 values in proptest::collection::vec(-20.0f64..20.0, 0..200),
                 gap_seed in 0usize..11,
-                epsilon in 0.0f64..3.0,
+                tiny_seed in 0usize..7,
+                epsilon in prop_oneof![Just(0.0f64), 0.0f64..3.0],
             ) {
+                // Runs of subnormals and signed zeros give subnormal and
+                // signed-zero deltas.
+                const TINY: [f64; 6] = [5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0];
                 let options: Vec<Option<f64>> = values
                     .iter()
                     .enumerate()
-                    .map(|(i, &v)| ((i * 5 + gap_seed) % 11 != 0).then_some(v))
+                    .map(|(i, &v)| {
+                        let v = if (i / 2 + tiny_seed) % 7 < 3 { TINY[i % 6] } else { v };
+                        ((i * 5 + gap_seed) % 11 != 0).then_some(v)
+                    })
                     .collect();
                 let series = TimeSeries::from_options(&options);
                 let fast = extract_evolving(&series, epsilon);
@@ -884,22 +780,23 @@ mod tests {
     /// [`extract_state`] at every step, with and without segmentation.
     fn assert_resume_chain(series: &TimeSeries, epsilon: f64, seg_error: f64, splits: &[usize]) {
         for seg_on in [false, true] {
+            let x = Extraction::new(epsilon, seg_on, seg_error);
             let first = splits.first().copied().unwrap_or(0).min(series.len());
-            let mut state = extract_state(&series.window(0, first), epsilon, seg_on, seg_error);
+            let mut state = extract_state(&series.window(0, first), x);
             for &split in &splits[1..] {
                 let split = split.min(series.len());
                 let win = series.window(0, split);
-                state = extract_resume(&win, epsilon, seg_on, seg_error, &state);
+                state = extract_resume(&win, x, &state);
                 assert_eq!(
                     state,
-                    extract_state(&win, epsilon, seg_on, seg_error),
+                    extract_state(&win, x),
                     "resume diverged at split {split} (seg={seg_on})"
                 );
             }
-            state = extract_resume(series, epsilon, seg_on, seg_error, &state);
+            state = extract_resume(series, x, &state);
             assert_eq!(
                 state,
-                extract_state(series, epsilon, seg_on, seg_error),
+                extract_state(series, x),
                 "final resume diverged (seg={seg_on})"
             );
         }
@@ -971,18 +868,22 @@ mod tests {
             TimeSeries::from_values((0..150).map(|i| ((i as f64) * 0.7).sin() * 3.0).collect());
         // State computed *with* segmentation must not seed a raw resume
         // (and vice versa); both fall back to a clean full extraction.
-        let seg_state = extract_state(&series.window(0, 100), 0.3, true, 0.05);
-        let raw_resumed = extract_resume(&series, 0.3, false, 0.0, &seg_state);
-        assert_eq!(raw_resumed, extract_state(&series, 0.3, false, 0.0));
-        let raw_state = extract_state(&series.window(0, 100), 0.3, false, 0.0);
-        let seg_resumed = extract_resume(&series, 0.3, true, 0.05, &raw_state);
-        assert_eq!(seg_resumed, extract_state(&series, 0.3, true, 0.05));
+        let (raw, seg) = (
+            Extraction::new(0.3, false, 0.0),
+            Extraction::new(0.3, true, 0.05),
+        );
+        let seg_state = extract_state(&series.window(0, 100), seg);
+        let raw_resumed = extract_resume(&series, raw, &seg_state);
+        assert_eq!(raw_resumed, extract_state(&series, raw));
+        let raw_state = extract_state(&series.window(0, 100), raw);
+        let seg_resumed = extract_resume(&series, seg, &raw_state);
+        assert_eq!(seg_resumed, extract_state(&series, seg));
         // A state longer than the series cannot resume either.
-        let long_state = extract_state(&series, 0.3, false, 0.0);
+        let long_state = extract_state(&series, raw);
         let short = series.window(0, 80);
         assert_eq!(
-            extract_resume(&short, 0.3, false, 0.0, &long_state),
-            extract_state(&short, 0.3, false, 0.0)
+            extract_resume(&short, raw, &long_state),
+            extract_state(&short, raw)
         );
     }
 
@@ -1001,10 +902,11 @@ mod tests {
             assert_eq!(fp.len(), i + 1);
         }
         assert_eq!(fp.checkpoint(), series_fingerprint(&series));
-        // Prefix keys agree with keys computed over materialized prefixes.
+        // Prefix fingerprints agree with fingerprints of materialized
+        // prefixes.
         assert_eq!(
-            ExtractionKey::for_prefix(&series, 77, 0.5, true, 0.05),
-            ExtractionKey::new(&series.window(0, 77), 0.5, true, 0.05)
+            series.prefix_fingerprints(&[77])[0].content,
+            series_fingerprint(&series.window(0, 77))
         );
         // Different prefix lengths of a constant series still differ.
         let constant = TimeSeries::from_values(vec![1.0; 50]);
@@ -1070,8 +972,9 @@ mod tests {
             let copy = TimeSeries::from_values(trimmed.copy_values());
             for eps in [0.0, 0.3, 1.0] {
                 for (seg_on, seg_err) in [(false, 0.0), (true, 0.05)] {
-                    let shared = extract_state(&trimmed, eps, seg_on, seg_err);
-                    let cold = extract_state(&copy, eps, seg_on, seg_err);
+                    let x = Extraction::new(eps, seg_on, seg_err);
+                    let shared = extract_state(&trimmed, x);
+                    let cold = extract_state(&copy, x);
                     assert_eq!(shared, cold, "drop={drop_blocks} eps={eps} seg={seg_on}");
                     // The content fingerprint is storage-independent too.
                     assert_eq!(series_fingerprint(&trimmed), series_fingerprint(&copy));
@@ -1083,9 +986,10 @@ mod tests {
             for i in 0..40 {
                 appended.set(trimmed.len() + i, (i as f64 * 0.4).cos() * 3.0);
             }
-            let prev = extract_state(&trimmed, 0.3, true, 0.05);
-            let resumed = extract_resume(&appended, 0.3, true, 0.05, &prev);
-            assert_eq!(resumed, extract_state(&appended, 0.3, true, 0.05));
+            let x = Extraction::new(0.3, true, 0.05);
+            let prev = extract_state(&trimmed, x);
+            let resumed = extract_resume(&appended, x, &prev);
+            assert_eq!(resumed, extract_state(&appended, x));
         }
     }
 
@@ -1099,16 +1003,13 @@ mod tests {
         }
         let series = TimeSeries::from_options(&options);
         for eps in [0.0, 0.3, 1.0] {
-            let origin = extract_state(&series, eps, false, 0.0);
+            let x = Extraction::new(eps, false, 0.0);
+            let origin = extract_state(&series, x);
             for d in [1usize, 63, 64, 65, 256, 399] {
                 let trimmed = TimeSeries::from_options(&options[d..]);
-                let derived = derive_trimmed(&trimmed, eps, false, 0.0, &origin, d)
+                let derived = derive_trimmed(&trimmed, x, &origin, d)
                     .expect("non-seg derivation never falls back");
-                assert_eq!(
-                    derived,
-                    extract_state(&trimmed, eps, false, 0.0),
-                    "eps={eps} d={d}"
-                );
+                assert_eq!(derived, extract_state(&trimmed, x), "eps={eps} d={d}");
             }
         }
     }
@@ -1122,17 +1023,14 @@ mod tests {
             .map(|i| ((i % 12) as f64) * 2.0 + ((i.wrapping_mul(2654435761)) % 13) as f64 * 0.01)
             .collect();
         let series = TimeSeries::from_values(vals.clone());
-        for eps in [0.3, 1.0] {
-            let origin = extract_state(&series, eps, true, 0.05);
+        for eps in [0.0, 0.3, 1.0] {
+            let x = Extraction::new(eps, true, 0.05);
+            let origin = extract_state(&series, x);
             for d in [1usize, 64, 156, 300] {
                 let trimmed = TimeSeries::from_values(vals[d..].to_vec());
-                let derived = derive_trimmed(&trimmed, eps, true, 0.05, &origin, d)
+                let derived = derive_trimmed(&trimmed, x, &origin, d)
                     .unwrap_or_else(|| panic!("fell back for eps={eps} d={d}"));
-                assert_eq!(
-                    derived,
-                    extract_state(&trimmed, eps, true, 0.05),
-                    "eps={eps} d={d}"
-                );
+                assert_eq!(derived, extract_state(&trimmed, x), "eps={eps} d={d}");
             }
         }
     }
@@ -1142,18 +1040,20 @@ mod tests {
         let vals: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
         let series = TimeSeries::from_values(vals.clone());
         let trimmed = TimeSeries::from_values(vals[10..].to_vec());
-        let raw = extract_state(&series, 0.5, false, 0.0);
+        let x = Extraction::new(0.5, false, 0.0);
+        let raw = extract_state(&series, x);
         // No trim at all, a wrong trim depth, and a segmentation-parameter
         // mismatch all refuse to derive.
-        assert!(derive_trimmed(&series, 0.5, false, 0.0, &raw, 0).is_none());
-        assert!(derive_trimmed(&trimmed, 0.5, false, 0.0, &raw, 5).is_none());
-        assert!(derive_trimmed(&trimmed, 0.5, true, 0.05, &raw, 10).is_none());
+        assert!(derive_trimmed(&series, x, &raw, 0).is_none());
+        assert!(derive_trimmed(&trimmed, x, &raw, 5).is_none());
+        let seg = Extraction::new(0.5, true, 0.05);
+        assert!(derive_trimmed(&trimmed, seg, &raw, 10).is_none());
         // Origin-anchored keys live in their own salted domain: the same
         // fingerprint never collides with its content key.
         let fp = series_fingerprint(&series);
         assert_ne!(
-            ExtractionKey::from_origin_fingerprint(fp, 0.5, false, 0.0),
-            ExtractionKey::from_fingerprint(fp, 0.5, false, 0.0),
+            ExtractionKey::from_origin_fingerprint(fp, x),
+            ExtractionKey::from_fingerprint(fp, x),
         );
     }
 

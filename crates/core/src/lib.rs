@@ -92,6 +92,6 @@ pub use evolving::{
     Direction, EvolvingCache, EvolvingSets, ExtractionKey, ExtractionState, SeriesFingerprinter,
 };
 pub use miner::{Miner, MiningReport, MiningResult, SweepOutput, SweepStats};
-pub use params::MiningParams;
+pub use params::{Extraction, MiningParams};
 pub use pattern::{Cap, CapMember, CapSet};
 pub use spatial::ProximityGraph;

@@ -35,14 +35,14 @@ use crate::evolving::{
     derive_trimmed, extract_resume, extract_state, EvolvingCache, EvolvingSets, ExtractionKey,
     ExtractionState,
 };
-use crate::params::MiningParams;
+use crate::params::{Extraction, MiningParams};
 use crate::pattern::{Cap, CapSet};
 use crate::scheduler;
 use crate::search::{SearchContext, SearchScratch};
 use crate::spatial::ProximityGraph;
 use miscela_model::{AttributeId, Dataset, PrefixFingerprint, SensorIndex, TimeSeries};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -115,8 +115,8 @@ pub struct SweepStats {
     pub requested_points: usize,
     /// Distinct grid points after deduplication.
     pub unique_points: usize,
-    /// Distinct (ε, segmentation) extraction classes — steps (1)+(2) ran
-    /// once per class instead of once per point.
+    /// Distinct extraction classes ([`MiningParams::extraction`]) — steps
+    /// (1)+(2) ran once per class instead of once per point.
     pub extraction_classes: usize,
     /// Distinct η values — step (3) built one proximity graph per value.
     pub graphs_built: usize,
@@ -244,16 +244,16 @@ impl Miner {
     /// batch entry point plans the grid instead:
     ///
     /// * **extraction classes** — steps (1)+(2) depend only on
-    ///   (ε, segmentation, segmentation error), normalized exactly like
-    ///   [`ExtractionKey`]; each class extracts once, and all class×series
+    ///   [`MiningParams::extraction`], which also keys the extraction
+    ///   cache; each class extracts once, and all class×series
     ///   extractions fan through the shared scheduler as one
     ///   work-stealing batch, probing the extraction cache (when given)
     ///   for each series: full content, then a pre-append prefix to
     ///   resume from, then a pre-trim origin to derive from;
     /// * **one proximity graph per distinct η** — step (3) ignores every
     ///   other parameter;
-    /// * **search groups** — distinct points that differ only in ψ share
-    ///   one step-(4) search, run at the group's minimum ψ. The search
+    /// * **search groups** — distinct points that are equal with ψ cleared
+    ///   share one step-(4) search, run at the group's minimum ψ. The search
     ///   consults ψ only as a support floor (candidate pruning and emit
     ///   gating) and supports are nonincreasing along ESU extension
     ///   paths, so the ψ_min run's caps are a superset of every member's
@@ -269,7 +269,7 @@ impl Miner {
     /// batch, so a cheap grid point's units backfill workers that would
     /// otherwise idle behind an expensive point.
     ///
-    /// Duplicate grid points are deduplicated and share one result;
+    /// Equal grid points (`MiningParams`' `Eq`) share one result;
     /// `results[i]` always corresponds to `points[i]`. Each distinct
     /// point's result is moved out of its group's superset when it is the
     /// group's last member, so a one-point sweep copies no CAP. Per-point
@@ -298,58 +298,24 @@ impl Miner {
             });
         }
 
-        // Grid planning: collapse repeated points, then factor the distinct
-        // ones into the equivalence classes each pipeline stage admits.
-        let mut unique: Vec<MiningParams> = Vec::new();
-        let mut point_of: Vec<usize> = Vec::with_capacity(points.len());
-        {
-            let mut by_sig: HashMap<String, usize> = HashMap::new();
-            for p in points {
-                let idx = *by_sig.entry(p.signature()).or_insert_with(|| {
-                    unique.push(p.clone());
-                    unique.len() - 1
-                });
-                point_of.push(idx);
-            }
-        }
-
-        // Extraction classes, keyed by what steps (1)+(2) consume —
-        // normalized the same way `ExtractionKey` is, so an ineffective
-        // segmentation setting collapses into the unsegmented class and
-        // class members share cache entries with their solo mines.
-        let class_key = |p: &MiningParams| -> (u64, bool, u64) {
-            let effective = p.segmentation && p.segmentation_error > 0.0;
-            (
-                p.epsilon.to_bits(),
-                effective,
-                if effective {
-                    p.segmentation_error.to_bits()
-                } else {
-                    0
-                },
-            )
-        };
-        let mut classes: Vec<Miner> = Vec::new();
-        let mut class_of: Vec<usize> = Vec::with_capacity(unique.len());
-        {
-            let mut by_key: HashMap<(u64, bool, u64), usize> = HashMap::new();
-            for p in &unique {
-                let idx = *by_key.entry(class_key(p)).or_insert_with(|| {
-                    classes.push(Miner { params: p.clone() });
-                    classes.len() - 1
-                });
-                class_of.push(idx);
-            }
-        }
+        // Grid planning: collapse equal points, then factor the distinct
+        // ones into the classes each pipeline stage reads.
+        let (firsts, point_of) = partition(points);
+        let unique: Vec<&MiningParams> = firsts.iter().map(|&i| &points[i]).collect();
+        let (class_firsts, class_of) = partition(unique.iter().map(|p| p.extraction()));
+        let classes: Vec<Extraction> = class_firsts
+            .iter()
+            .map(|&u| unique[u].extraction())
+            .collect();
 
         // Steps (1)+(2): one scheduler batch over class × series.
         let t0 = Instant::now();
         let series: Vec<&TimeSeries> = dataset.iter().map(|ss| ss.series).collect();
         let n_series = series.len();
         let tallies = ExtractionTallies::default();
-        let items: Vec<(&Miner, &TimeSeries)> = classes
+        let items: Vec<(Extraction, &TimeSeries)> = classes
             .iter()
-            .flat_map(|class| series.iter().map(move |&s| (class, s)))
+            .flat_map(|&class| series.iter().map(move |&s| (class, s)))
             .collect();
         cancel.check()?;
         let flat = extract_all(
@@ -364,67 +330,37 @@ impl Miner {
 
         // Step (3): one proximity graph per distinct η.
         let t1 = Instant::now();
-        let mut graphs: Vec<ProximityGraph> = Vec::new();
-        let mut graph_of: Vec<usize> = Vec::with_capacity(unique.len());
-        {
-            let mut by_eta: HashMap<u64, usize> = HashMap::new();
-            for p in &unique {
-                let idx = match by_eta.entry(p.eta_km.to_bits()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        cancel.check()?;
-                        let idx = graphs.len();
-                        graphs.push(ProximityGraph::build(dataset, p.eta_km));
-                        e.insert(idx);
-                        idx
-                    }
-                };
-                graph_of.push(idx);
-            }
+        let (graph_firsts, graph_of) = partition(unique.iter().map(|p| p.eta_km.to_bits()));
+        let mut graphs: Vec<ProximityGraph> = Vec::with_capacity(graph_firsts.len());
+        for &u in &graph_firsts {
+            cancel.check()?;
+            graphs.push(ProximityGraph::build(dataset, unique[u].eta_km));
         }
         let spatial_time = t1.elapsed();
 
-        // Search groups: distinct points that differ only in ψ, searched
-        // once at the group minimum.
+        // Search groups: distinct points equal with ψ cleared, searched once
+        // at the group minimum.
         struct SweepGroup {
             /// Representative parameters with ψ lowered to the group min.
             params: MiningParams,
             class: usize,
             graph: usize,
         }
-        let mut groups: Vec<SweepGroup> = Vec::new();
-        let mut group_of: Vec<usize> = Vec::with_capacity(unique.len());
-        {
-            type GroupKey = (u64, u64, usize, usize, bool, u64, Option<usize>, usize);
-            let mut by_key: HashMap<GroupKey, usize> = HashMap::new();
-            for (ui, p) in unique.iter().enumerate() {
-                let key = (
-                    p.epsilon.to_bits(),
-                    p.eta_km.to_bits(),
-                    p.mu,
-                    p.min_attributes,
-                    p.segmentation,
-                    p.segmentation_error.to_bits(),
-                    p.max_sensors,
-                    p.max_delay,
-                );
-                match by_key.entry(key) {
-                    Entry::Occupied(e) => {
-                        let g = &mut groups[*e.get()];
-                        g.params.psi = g.params.psi.min(p.psi);
-                        group_of.push(*e.get());
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(groups.len());
-                        group_of.push(groups.len());
-                        groups.push(SweepGroup {
-                            params: p.clone(),
-                            class: class_of[ui],
-                            graph: graph_of[ui],
-                        });
-                    }
-                }
-            }
+        let (group_firsts, group_of) = partition(unique.iter().map(|&p| MiningParams {
+            psi: 0,
+            ..p.clone()
+        }));
+        let mut groups: Vec<SweepGroup> = group_firsts
+            .iter()
+            .map(|&u| SweepGroup {
+                params: unique[u].clone(),
+                class: class_of[u],
+                graph: graph_of[u],
+            })
+            .collect();
+        for (p, &gi) in unique.iter().zip(&group_of) {
+            let g = &mut groups[gi].params;
+            g.psi = g.psi.min(p.psi);
         }
 
         // Step (4): every group's work units in one globally cost-sorted
@@ -579,14 +515,46 @@ impl Miner {
             },
         })
     }
+}
 
-    /// The cache keys of one series under this miner's parameters.
-    ///
+/// Partitions `keys` into classes of equal keys, numbered in first-seen
+/// order: returns the index of each class's first key and the class of
+/// every key.
+fn partition<K: Eq + Hash>(keys: impl IntoIterator<Item = K>) -> (Vec<usize>, Vec<usize>) {
+    let mut firsts = Vec::new();
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let class_of = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| {
+            *index.entry(key).or_insert_with(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (firsts, class_of)
+}
+
+/// The cache keys of one series under one extraction.
+struct SeriesKeys {
+    /// The extraction every key carries.
+    extraction: Extraction,
+    /// Fingerprints at each recorded pre-append length below the series
+    /// length, then at the length itself.
+    prints: Vec<PrefixFingerprint>,
+    /// Content key of the whole series.
+    key: ExtractionKey,
+    /// Origin-anchored key of the whole series.
+    origin_key: ExtractionKey,
+}
+
+impl SeriesKeys {
     /// The series' prefix fingerprints (block digests folded, only partial
     /// groups hashed) give the full-content key, the checkpoint at every
     /// recorded pre-append length, and the origin-anchored checkpoints at
     /// the same positions.
-    fn keys(&self, s: &TimeSeries, append_bases: &[usize]) -> SeriesKeys {
+    fn new(extraction: Extraction, s: &TimeSeries, append_bases: &[usize]) -> Self {
         let n = s.len();
         let mut ends: Vec<usize> = append_bases
             .iter()
@@ -598,8 +566,9 @@ impl Miner {
         // One fingerprint per end, so the last one is the whole series'.
         let whole = prints[prints.len() - 1];
         SeriesKeys {
-            key: self.key(whole.content),
-            origin_key: self.origin_key(whole.origin),
+            extraction,
+            key: ExtractionKey::from_fingerprint(whole.content, extraction),
+            origin_key: ExtractionKey::from_origin_fingerprint(whole.origin, extraction),
             prints,
         }
     }
@@ -607,77 +576,28 @@ impl Miner {
     /// The cache probe of steps (1)+(2) for one series: full content, then
     /// a content prefix to resume over the appended tail, then an origin
     /// state to derive the trimmed window from.
-    fn probe(
-        &self,
-        keys: &SeriesKeys,
-        cache: &dyn EvolvingCache,
-        tallies: &ExtractionTallies,
-    ) -> Probe {
-        if let Some(sets) = cache.get(&keys.key) {
+    fn probe(&self, cache: &dyn EvolvingCache, tallies: &ExtractionTallies) -> Probe {
+        if let Some(state) = cache.get(&self.key) {
             tallies.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Probe::Hit(sets);
+            return Probe::Hit(state.sets.clone());
         }
-        let prefixes = &keys.prints[..keys.prints.len() - 1];
-        Probe::Extract(
-            if let Some(prev) = self.lookup_prefix_state(cache, prefixes) {
-                Plan::Resume(prev)
-            } else if let Some((origin, at)) = self.lookup_origin_state(cache, &keys.prints) {
-                Plan::Trim { origin, at }
-            } else {
-                Plan::Cold
-            },
-        )
+        Probe::Extract(if let Some(prev) = self.lookup_prefix_state(cache) {
+            Plan::Resume(prev)
+        } else if let Some((origin, at)) = self.lookup_origin_state(cache) {
+            Plan::Trim { origin, at }
+        } else {
+            Plan::Cold
+        })
     }
 
-    /// Runs `plan` for one series and publishes the fresh state under its
-    /// content key and its origin-anchored key (full history, salted
-    /// domain), so later deeper-trimmed windows of this stream can derive
-    /// from it. One `Arc` goes under both keys: the cache shares the state,
-    /// it never copies it.
-    fn extract_and_publish(
-        &self,
-        s: &TimeSeries,
-        plan: &Plan,
-        keys: &SeriesKeys,
-        cache: &dyn EvolvingCache,
-        tallies: &ExtractionTallies,
-    ) -> EvolvingSets {
-        let state = Arc::new(self.run_plan(s, plan, tallies));
-        cache.put_state(keys.key, Arc::clone(&state));
-        cache.put_state(keys.origin_key, Arc::clone(&state));
-        state.sets.clone()
-    }
-
-    /// The content key of a fingerprint under this miner's parameters.
-    fn key(&self, fingerprint: u128) -> ExtractionKey {
-        ExtractionKey::from_fingerprint(
-            fingerprint,
-            self.params.epsilon,
-            self.params.segmentation,
-            self.params.segmentation_error,
-        )
-    }
-
-    /// The origin-anchored key of a fingerprint under this miner's
-    /// parameters.
-    fn origin_key(&self, fingerprint: u128) -> ExtractionKey {
-        ExtractionKey::from_origin_fingerprint(
-            fingerprint,
-            self.params.epsilon,
-            self.params.segmentation,
-            self.params.segmentation_error,
-        )
-    }
-
-    /// Probes the extraction cache with prefix-fingerprint checkpoints,
-    /// newest first, for a state that can seed a tail-resume.
-    fn lookup_prefix_state(
-        &self,
-        cache: &dyn EvolvingCache,
-        prefixes: &[PrefixFingerprint],
-    ) -> Option<Arc<ExtractionState>> {
+    /// Probes the extraction cache with prefix-fingerprint checkpoints below
+    /// the full length, newest first, for a state that can seed a
+    /// tail-resume.
+    fn lookup_prefix_state(&self, cache: &dyn EvolvingCache) -> Option<Arc<ExtractionState>> {
+        let prefixes = &self.prints[..self.prints.len() - 1];
         for p in prefixes.iter().rev() {
-            if let Some(state) = cache.get_state(&self.key(p.content)) {
+            let key = ExtractionKey::from_fingerprint(p.content, self.extraction);
+            if let Some(state) = cache.get_prefix(&key) {
                 if state.len() == p.end {
                     return Some(state);
                 }
@@ -693,10 +613,10 @@ impl Miner {
     fn lookup_origin_state(
         &self,
         cache: &dyn EvolvingCache,
-        prints: &[PrefixFingerprint],
     ) -> Option<(Arc<ExtractionState>, usize)> {
-        for p in prints.iter().rev() {
-            let Some(origin) = cache.get_state(&self.origin_key(p.origin)) else {
+        for p in self.prints.iter().rev() {
+            let key = ExtractionKey::from_origin_fingerprint(p.origin, self.extraction);
+            let Some(origin) = cache.get_prefix(&key) else {
                 continue;
             };
             // Equal length means identical content to our prefix — the
@@ -709,67 +629,62 @@ impl Miner {
         None
     }
 
-    /// Runs what the probe left: a tail resume, a trim derivation (a
-    /// checkpoint below the full length yields a prefix state which is then
-    /// resumed over the appended tail — the trim-then-append case) or a
-    /// cold extraction. A found-but-underivable origin counts a fallback
-    /// and extracts cold.
-    fn run_plan(
+    /// Runs `plan` for the series and publishes the fresh state under its
+    /// content key and its origin-anchored key (full history, salted
+    /// domain), so later deeper-trimmed windows of this stream can derive
+    /// from it. One `Arc` goes under both keys: the cache shares the state,
+    /// it never copies it.
+    fn extract_and_publish(
         &self,
         s: &TimeSeries,
         plan: &Plan,
+        cache: &dyn EvolvingCache,
         tallies: &ExtractionTallies,
-    ) -> ExtractionState {
-        let (epsilon, seg_on, seg_error) = (
-            self.params.epsilon,
-            self.params.segmentation,
-            self.params.segmentation_error,
-        );
-        match plan {
-            Plan::Cold => extract_state(s, epsilon, seg_on, seg_error),
-            Plan::Resume(prev) => {
-                tallies.prefix_hits.fetch_add(1, Ordering::Relaxed);
-                extract_resume(s, epsilon, seg_on, seg_error, prev)
-            }
-            Plan::Trim { origin, at } => {
-                let dropped = origin.len() - at;
-                let derived = if *at == s.len() {
-                    derive_trimmed(s, epsilon, seg_on, seg_error, origin, dropped)
-                } else {
-                    derive_trimmed(
-                        &s.window(0, *at),
-                        epsilon,
-                        seg_on,
-                        seg_error,
-                        origin,
-                        dropped,
-                    )
-                    .map(|st| extract_resume(s, epsilon, seg_on, seg_error, &st))
-                };
-                match derived {
-                    Some(state) => {
-                        tallies.trim_hits.fetch_add(1, Ordering::Relaxed);
-                        state
-                    }
-                    None => {
-                        tallies.trim_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        extract_state(s, epsilon, seg_on, seg_error)
-                    }
+    ) -> EvolvingSets {
+        let state = Arc::new(run_plan(self.extraction, s, plan, tallies));
+        cache.put(self.key, Arc::clone(&state));
+        cache.put(self.origin_key, Arc::clone(&state));
+        state.sets.clone()
+    }
+}
+
+/// Runs what the probe left: a tail resume, a trim derivation (a
+/// checkpoint below the full length yields a prefix state which is then
+/// resumed over the appended tail — the trim-then-append case) or a cold
+/// extraction. A found-but-underivable origin counts a fallback and
+/// extracts cold.
+fn run_plan(
+    extraction: Extraction,
+    s: &TimeSeries,
+    plan: &Plan,
+    tallies: &ExtractionTallies,
+) -> ExtractionState {
+    match plan {
+        Plan::Cold => extract_state(s, extraction),
+        Plan::Resume(prev) => {
+            tallies.prefix_hits.fetch_add(1, Ordering::Relaxed);
+            extract_resume(s, extraction, prev)
+        }
+        Plan::Trim { origin, at } => {
+            let dropped = origin.len() - at;
+            let derived = if *at == s.len() {
+                derive_trimmed(s, extraction, origin, dropped)
+            } else {
+                derive_trimmed(&s.window(0, *at), extraction, origin, dropped)
+                    .map(|st| extract_resume(s, extraction, &st))
+            };
+            match derived {
+                Some(state) => {
+                    tallies.trim_hits.fetch_add(1, Ordering::Relaxed);
+                    state
+                }
+                None => {
+                    tallies.trim_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    extract_state(s, extraction)
                 }
             }
         }
     }
-}
-
-/// The cache keys of one series under one miner ([`Miner::keys`]).
-struct SeriesKeys {
-    /// Fingerprints at each recorded pre-append length below the series
-    /// length, then at the length itself.
-    prints: Vec<PrefixFingerprint>,
-    /// Content key of the whole series.
-    key: ExtractionKey,
-    /// Origin-anchored key of the whole series.
-    origin_key: ExtractionKey,
 }
 
 /// What the cache probe left to do for one series.
@@ -801,50 +716,46 @@ impl Plan {
     }
 }
 
-/// Steps (1)+(2) for every `(miner, series)` item — the extraction phase
-/// of [`Miner::mine_sweep`], one miner per extraction class. The cache is
+/// Steps (1)+(2) for every `(extraction, series)` item — the extraction
+/// phase of [`Miner::mine_sweep`], one extraction per class. The cache is
 /// probed for every item first; the items left then run on
 /// [`scheduler::workers_for`] workers of their estimated work, counting
 /// only series that need a cold extraction or a trim derivation (a resume
 /// is O(tail)). Without a cache every series is
 /// extracted cold and nothing is retained.
 fn extract_all(
-    items: &[(&Miner, &TimeSeries)],
+    items: &[(Extraction, &TimeSeries)],
     append_bases: &[usize],
     cache: Option<&dyn EvolvingCache>,
     cancel: &CancelToken,
     tallies: &ExtractionTallies,
 ) -> Result<Vec<EvolvingSets>, MiningError> {
-    let grid_words = |&(_, s): &(&Miner, &TimeSeries)| s.len().div_ceil(64);
+    let grid_words = |&(_, s): &(Extraction, &TimeSeries)| s.len().div_ceil(64);
     let Some(cache) = cache else {
         let work = items.iter().map(grid_words).sum();
         return scheduler::parallel_map_cancellable(
             items,
             scheduler::workers_for(work),
             cancel,
-            |&(miner, s)| {
-                let p = &miner.params;
-                Ok(extract_state(s, p.epsilon, p.segmentation, p.segmentation_error).sets)
-            },
+            |&(x, s)| Ok(extract_state(s, x).sets),
         );
     };
     let keys: Vec<SeriesKeys> = items
         .iter()
-        .map(|&(miner, s)| miner.keys(s, append_bases))
+        .map(|&(x, s)| SeriesKeys::new(x, s, append_bases))
         .collect();
     // Probe in item order. An item repeating the content of one still
     // pending in this batch (`None`) is probed only after the batch has
     // published that state — where a serial extraction would have probed
     // it — so it hits instead of extracting the same content twice.
-    let mut pending_keys: std::collections::HashSet<ExtractionKey> = Default::default();
-    let probes: Vec<Option<Probe>> = items
+    let mut pending_keys: HashSet<ExtractionKey> = HashSet::new();
+    let probes: Vec<Option<Probe>> = keys
         .iter()
-        .zip(&keys)
-        .map(|(&(miner, _), k)| {
+        .map(|k| {
             if pending_keys.contains(&k.key) {
                 return None;
             }
-            let probe = miner.probe(k, cache, tallies);
+            let probe = k.probe(cache, tallies);
             if matches!(probe, Probe::Extract(_)) {
                 pending_keys.insert(k.key);
             }
@@ -868,24 +779,18 @@ fn extract_all(
         &pending,
         scheduler::workers_for(work),
         cancel,
-        |&(i, plan)| {
-            let (miner, s) = items[i];
-            Ok(miner.extract_and_publish(s, plan, &keys[i], cache, tallies))
-        },
+        |&(i, plan)| Ok(keys[i].extract_and_publish(items[i].1, plan, cache, tallies)),
     )?
     .into_iter();
     let mut out = Vec::with_capacity(items.len());
-    for (i, probe) in probes.into_iter().enumerate() {
-        let (miner, s) = items[i];
+    for ((probe, k), &(_, s)) in probes.into_iter().zip(&keys).zip(items) {
         out.push(match probe {
             Some(Probe::Hit(sets)) => sets,
             Some(Probe::Extract(_)) => extracted.next().unwrap_or_else(|| EvolvingSets::new(0)),
-            None => match miner.probe(&keys[i], cache, tallies) {
+            None => match k.probe(cache, tallies) {
                 Probe::Hit(sets) => sets,
                 // Evicted in the meantime: extract it here.
-                Probe::Extract(plan) => {
-                    miner.extract_and_publish(s, &plan, &keys[i], cache, tallies)
-                }
+                Probe::Extract(plan) => k.extract_and_publish(s, &plan, cache, tallies),
             },
         });
     }
@@ -1000,9 +905,7 @@ mod tests {
     fn sequential_mine(ds: &Dataset, p: &MiningParams) -> MiningResult {
         let evolving: Vec<EvolvingSets> = ds
             .iter()
-            .map(|ss| {
-                extract_state(ss.series, p.epsilon, p.segmentation, p.segmentation_error).sets
-            })
+            .map(|ss| extract_state(ss.series, p.extraction()).sets)
             .collect();
         let attributes: Vec<AttributeId> = ds.iter().map(|ss| ss.sensor.attribute).collect();
         let graph = ProximityGraph::build(ds, p.eta_km);
@@ -1162,18 +1065,19 @@ mod tests {
 
     #[test]
     fn mine_with_cache_is_equivalent_and_reports_hits() {
-        use crate::evolving::EvolvingCache;
-        use std::collections::HashMap;
         use std::sync::Mutex;
 
         #[derive(Default)]
-        struct MapCache(Mutex<HashMap<ExtractionKey, EvolvingSets>>);
+        struct MapCache(Mutex<HashMap<ExtractionKey, Arc<ExtractionState>>>);
         impl EvolvingCache for MapCache {
-            fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets> {
+            fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
                 self.0.lock().unwrap().get(key).cloned()
             }
-            fn put(&self, key: ExtractionKey, sets: &EvolvingSets) {
-                self.0.lock().unwrap().insert(key, sets.clone());
+            fn get_prefix(&self, _key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+                None
+            }
+            fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
+                self.0.lock().unwrap().insert(key, state);
             }
         }
 
@@ -1202,31 +1106,17 @@ mod tests {
     /// A minimal state-retaining extraction cache for the append/trim
     /// equivalence tests.
     #[derive(Default)]
-    struct StateCache(std::sync::Mutex<std::collections::HashMap<ExtractionKey, ExtractionState>>);
+    struct StateCache(std::sync::Mutex<HashMap<ExtractionKey, Arc<ExtractionState>>>);
 
-    impl crate::evolving::EvolvingCache for StateCache {
-        fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets> {
-            self.0.lock().unwrap().get(key).map(|s| s.sets.clone())
+    impl EvolvingCache for StateCache {
+        fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+            self.0.lock().unwrap().get(key).cloned()
         }
-        fn put(&self, key: ExtractionKey, sets: &EvolvingSets) {
-            self.0.lock().unwrap().insert(
-                key,
-                ExtractionState {
-                    sets: sets.clone(),
-                    segmentation: None,
-                },
-            );
+        fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+            self.get(key)
         }
-        fn get_state(&self, key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
-            self.0
-                .lock()
-                .unwrap()
-                .get(key)
-                .cloned()
-                .map(std::sync::Arc::new)
-        }
-        fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
-            self.0.lock().unwrap().insert(key, (*state).clone());
+        fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
+            self.0.lock().unwrap().insert(key, state);
         }
     }
 
@@ -1441,8 +1331,6 @@ mod tests {
 
     #[test]
     fn mine_cancelled_mid_extraction_leaves_cache_consistent() {
-        use crate::evolving::EvolvingCache;
-
         // A cache wrapper that fires the cancel token from inside the N-th
         // extraction-state put: the mine deterministically aborts at the next
         // unit boundary with the cache only partially populated.
@@ -1453,20 +1341,17 @@ mod tests {
             puts: AtomicUsize,
         }
         impl EvolvingCache for CancellingCache {
-            fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets> {
+            fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
                 self.inner.get(key)
             }
-            fn put(&self, key: ExtractionKey, sets: &EvolvingSets) {
-                self.inner.put(key, sets)
+            fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+                self.inner.get_prefix(key)
             }
-            fn get_state(&self, key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
-                self.inner.get_state(key)
-            }
-            fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
+            fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
                 if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {
                     self.token.cancel();
                 }
-                self.inner.put_state(key, state);
+                self.inner.put(key, state);
             }
         }
 
@@ -1608,8 +1493,6 @@ mod tests {
 
     #[test]
     fn sweep_cancelled_mid_extraction_leaves_cache_consistent() {
-        use crate::evolving::EvolvingCache;
-
         // Fires the cancel token from inside the N-th extraction-state put,
         // mirroring the solo-mine cancellation test: the sweep aborts at the
         // next unit boundary with the cache only partially populated.
@@ -1620,20 +1503,17 @@ mod tests {
             puts: AtomicUsize,
         }
         impl EvolvingCache for CancellingCache {
-            fn get(&self, key: &ExtractionKey) -> Option<EvolvingSets> {
+            fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
                 self.inner.get(key)
             }
-            fn put(&self, key: ExtractionKey, sets: &EvolvingSets) {
-                self.inner.put(key, sets)
+            fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+                self.inner.get_prefix(key)
             }
-            fn get_state(&self, key: &ExtractionKey) -> Option<std::sync::Arc<ExtractionState>> {
-                self.inner.get_state(key)
-            }
-            fn put_state(&self, key: ExtractionKey, state: std::sync::Arc<ExtractionState>) {
+            fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
                 if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {
                     self.token.cancel();
                 }
-                self.inner.put_state(key, state);
+                self.inner.put(key, state);
             }
         }
 
@@ -1661,6 +1541,39 @@ mod tests {
         for (p, r) in grid.iter().zip(&retry.results) {
             assert_eq!(r.caps, sequential_mine(&ds, p).caps);
         }
+    }
+
+    /// Two sensors of different attributes about 110 m apart, each stepping
+    /// 0 ↔ 1.0000002: every step evolves at ε = 1.0 and none at
+    /// ε = 1.0000004, two rates that agree to six decimals.
+    fn stepping_pair() -> Dataset {
+        let n = 40;
+        let mut b = DatasetBuilder::new("steps");
+        b.set_grid(TimeGrid::new(Timestamp::EPOCH, ModelDuration::hours(1), n).unwrap());
+        for (i, attr) in ["temperature", "traffic"].into_iter().enumerate() {
+            let at = GeoPoint::new_unchecked(31.0, 121.0 + 0.001 * i as f64);
+            let s = b.add_sensor(format!("s{i}"), attr, at).unwrap();
+            let steps = (0..n).map(|t| (t % 2) as f64 * 1.0000002).collect();
+            b.set_series(s, TimeSeries::from_values(steps)).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn sweep_keeps_points_apart_below_a_millionth() {
+        let ds = stepping_pair();
+        let grid: Vec<MiningParams> = [1.0, 1.0000004]
+            .into_iter()
+            .map(|eps| params().with_epsilon(eps).with_psi(5))
+            .collect();
+        let out = Miner::mine_sweep(&ds, &grid, None, &CancelToken::never()).unwrap();
+        for (p, r) in grid.iter().zip(&out.results) {
+            let direct = Miner::new(p.clone()).unwrap().mine(&ds).unwrap();
+            assert_eq!(r.caps, direct.caps, "sweep diverged for {}", p.signature());
+        }
+        assert!(!out.results[0].caps.is_empty());
+        assert!(out.results[1].caps.is_empty());
+        assert_eq!(out.stats.unique_points, 2);
     }
 
     #[test]

@@ -16,13 +16,22 @@
 //! "multiple distinct attributes" restriction is enforced ("this restriction
 //! can be easily removed"), and a safety bound on CAP size for the
 //! exhaustive search.
+//!
+//! This module is also the one place that decides when two settings are
+//! the same: [`MiningParams`] compares and hashes exactly the values the
+//! pipeline reads, and [`Extraction`] is the part steps (1)+(2) read.
 
 use crate::error::MiningError;
+use std::hash::{Hash, Hasher};
 
-/// The parameter set of one CAP-mining request. Also the cache key
-/// (Section 3.3): two requests with equal parameters and equal dataset name
-/// hit the same cache entry.
-#[derive(Debug, Clone, PartialEq)]
+/// The parameter set of one CAP-mining request, and the identity of a
+/// mining point. Also the cache key (Section 3.3): two requests with equal
+/// parameters and equal dataset name hit the same cache entry.
+///
+/// Equality and hashing cover exactly the values the pipeline reads:
+/// floats compare by bit pattern, and the segmentation tolerance counts
+/// only when segmentation is effective (see [`Extraction`]).
+#[derive(Debug, Clone)]
 pub struct MiningParams {
     /// Evolving rate ε: minimum absolute change between consecutive
     /// timestamps for the change to count as evolution.
@@ -180,21 +189,113 @@ impl MiningParams {
         Ok(())
     }
 
-    /// A canonical textual signature of the parameters, used as part of the
-    /// cache key. Equal parameters always produce equal signatures.
+    /// What steps (1)+(2) read of this setting.
+    pub fn extraction(&self) -> Extraction {
+        Extraction::new(self.epsilon, self.segmentation, self.segmentation_error)
+    }
+
+    /// The text form of the identity, stored with each persisted result:
+    /// shortest round-trip floats, normalized like `Eq`, so equal
+    /// parameters give equal text and (NaN payloads aside, which no valid
+    /// setting holds) unequal parameters give unequal text.
     pub fn signature(&self) -> String {
+        let (x, eta_bits, mu, psi, min_attributes, max_sensors, max_delay) = self.identity();
+        let seg = x
+            .tolerance()
+            .map_or_else(|| "off".to_string(), |t| format!("{t:?}"));
+        let maxs = max_sensors.map_or_else(|| "none".to_string(), |m| m.to_string());
         format!(
-            "eps={:.6};eta={:.6};mu={};psi={};minattr={};seg={};segerr={:.6};maxs={};delay={}",
-            self.epsilon,
-            self.eta_km,
-            self.mu,
-            self.psi,
-            self.min_attributes,
-            self.segmentation,
-            self.segmentation_error,
-            self.max_sensors.map(|m| m as i64).unwrap_or(-1),
-            self.max_delay
+            "eps={:?};eta={:?};mu={mu};psi={psi};minattr={min_attributes};seg={seg};maxs={maxs};delay={max_delay}",
+            x.epsilon(),
+            f64::from_bits(eta_bits),
         )
+    }
+
+    /// The values `Eq`, `Hash` and the signature compare. Every field is
+    /// named here and every value is named in `signature`, so a new field
+    /// cannot be left out of the identity, or out of its text, by accident.
+    fn identity(&self) -> (Extraction, u64, usize, usize, usize, Option<usize>, usize) {
+        let MiningParams {
+            epsilon,
+            eta_km,
+            mu,
+            psi,
+            min_attributes,
+            segmentation,
+            segmentation_error,
+            max_sensors,
+            max_delay,
+        } = *self;
+        (
+            Extraction::new(epsilon, segmentation, segmentation_error),
+            eta_km.to_bits(),
+            mu,
+            psi,
+            min_attributes,
+            max_sensors,
+            max_delay,
+        )
+    }
+}
+
+impl PartialEq for MiningParams {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for MiningParams {}
+
+impl Hash for MiningParams {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
+    }
+}
+
+/// What steps (1)+(2) read of a parameter setting: the evolving rate ε and,
+/// when segmentation is effective (enabled with a positive tolerance), the
+/// segmentation tolerance. Both are held as bit patterns, so it compares
+/// and hashes exactly and keys extraction caches and sweep classes
+/// directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Extraction {
+    epsilon_bits: u64,
+    tolerance_bits: Option<u64>,
+}
+
+impl Extraction {
+    /// The extraction of a setting with evolving rate `epsilon`, the
+    /// segmentation flag and tolerance. An ineffective tolerance (flag off,
+    /// or tolerance not positive) is dropped.
+    pub fn new(epsilon: f64, segmentation: bool, tolerance: f64) -> Self {
+        Extraction {
+            epsilon_bits: epsilon.to_bits(),
+            tolerance_bits: (segmentation && tolerance > 0.0).then_some(tolerance.to_bits()),
+        }
+    }
+
+    /// The evolving rate ε.
+    fn epsilon(self) -> f64 {
+        f64::from_bits(self.epsilon_bits)
+    }
+
+    /// The segmentation tolerance, when segmentation is effective.
+    pub(crate) fn tolerance(self) -> Option<f64> {
+        self.tolerance_bits.map(f64::from_bits)
+    }
+
+    /// The smallest change that counts as evolution: ε, or the smallest
+    /// positive subnormal when ε is not positive, so that `d >= threshold`
+    /// holds exactly when `d > 0` (and `-d >= threshold` exactly when
+    /// `d < 0`) for every `f64`, subnormals and NaN included.
+    /// `f64::MIN_POSITIVE` would miss subnormal changes.
+    pub(crate) fn threshold(self) -> f64 {
+        let epsilon = self.epsilon();
+        if epsilon > 0.0 {
+            epsilon
+        } else {
+            f64::from_bits(1)
+        }
     }
 }
 
@@ -259,13 +360,25 @@ mod tests {
     }
 
     #[test]
-    fn signature_is_stable_and_distinguishes() {
+    fn identity_is_stable_and_distinguishes() {
         let a = MiningParams::default();
         let b = MiningParams::default();
+        assert_eq!(a, b);
         assert_eq!(a.signature(), b.signature());
         let c = MiningParams::default().with_psi(11);
+        assert_ne!(a, c);
         assert_ne!(a.signature(), c.signature());
         let d = MiningParams::default().with_max_sensors(None);
+        assert_ne!(a, d);
         assert_ne!(a.signature(), d.signature());
+    }
+
+    #[test]
+    fn threshold_is_epsilon_or_the_smallest_subnormal() {
+        let x = |eps: f64| Extraction::new(eps, false, 0.0).threshold();
+        assert_eq!(x(0.5), 0.5);
+        for eps in [0.0, -0.0, -1.0, f64::NAN] {
+            assert_eq!(x(eps).to_bits(), 1);
+        }
     }
 }

@@ -13,7 +13,7 @@
 //!   cost-weighted in-flight budget, per-dataset concurrency caps and a
 //!   bounded wait queue, shedding excess load with typed retryable errors
 //!   instead of queueing without bound;
-//! * [`shard`] — the sharded storage spine ([`shard::ShardedStore`]): every
+//! * [`shard`] — the sharded storage spine (a crate-private store): every
 //!   piece of per-dataset state (registry, caches, sessions, durability,
 //!   watch sequence) keyed by `tenant/dataset` and hashed into independent
 //!   shards with per-shard locks, plus per-tenant quotas and stats;
@@ -88,8 +88,8 @@ pub use client::{
 pub use message::{ApiError, ApiRequest, ApiResponse, Method, StatusCode};
 pub use router::Router;
 pub use service::{
-    AppendSession, AppendStatus, AppendSummary, BeginAppendOutcome, ChunkAck, DatasetSummary,
-    MineOutcome, MiscelaService, ProtocolStats, ReplayOutcome, SweepOutcome, SweepServed,
-    TenantCacheStats, UploadSession, WatchOutcome,
+    AppendStatus, AppendSummary, BeginAppendOutcome, ChunkAck, DatasetSummary, MineOutcome,
+    MiscelaService, ProtocolStats, ReplayOutcome, SweepOutcome, SweepServed, TenantCacheStats,
+    WatchOutcome,
 };
-pub use shard::{ShardedStore, TenantAdmissionStats, TenantQuota, DEFAULT_SHARDS, DEFAULT_TENANT};
+pub use shard::{TenantAdmissionStats, TenantQuota, DEFAULT_SHARDS, DEFAULT_TENANT};

@@ -1,14 +1,14 @@
 //! The Miscela-V service: uploads, dataset registry, cached mining.
 //!
 //! This is the component behind the API routes. [`MiscelaService`] is a
-//! **stateless facade**: every piece of state lives in one [`ShardedStore`]
+//! **stateless facade**: every piece of state lives in one sharded store
 //! (see [`crate::shard`]). It still owns the request semantics:
 //!
 //! * the shared document store ([`Database`]), holding the dataset registry
 //!   and the persistent CAP-result cache (Section 3.3: "data and CAPs are
 //!   stored in databases");
-//! * in-progress chunked uploads ([`UploadSession`]) and append sessions
-//!   ([`AppendSession`]), both speaking the 10,000-line `data.csv` chunk
+//! * in-progress chunked uploads and append sessions, both speaking the
+//!   10,000-line `data.csv` chunk
 //!   protocol of Section 3.2 — an append session targets an *existing*
 //!   dataset and extends it in place instead of building a fresh one;
 //! * the sharded dataset table with per-dataset **revision counters**:
@@ -87,12 +87,10 @@ const REPLAY_CACHE_CAPACITY: usize = 512;
 /// reasonable client could still retry replayable across a crash.
 const SNAPSHOT_REPLAY_LIMIT: usize = 32;
 
-/// An in-progress chunked upload of one dataset.
+/// An in-progress chunked upload of one dataset, held under the dataset's
+/// scoped key.
 #[derive(Debug)]
-pub struct UploadSession {
-    /// Scoped key (`tenant/name`; bare name for the default tenant) of the
-    /// dataset being uploaded.
-    pub dataset: String,
+pub(crate) struct UploadSession {
     /// `location.csv` and `attribute.csv`, parsed (and so validated) by the
     /// begin.
     locations: Vec<LocationRow>,
@@ -101,14 +99,12 @@ pub struct UploadSession {
     started: Instant,
 }
 
-/// An in-progress chunked append targeting an existing dataset. No
-/// `location.csv`/`attribute.csv` accompany an append — the sensors must
-/// already exist; only new `data.csv` rows stream in.
+/// An in-progress chunked append targeting an existing dataset, held under
+/// the dataset's scoped key. No `location.csv`/`attribute.csv` accompany
+/// an append — the sensors must already exist; only new `data.csv` rows
+/// stream in.
 #[derive(Debug)]
-pub struct AppendSession {
-    /// Scoped key (`tenant/name`; bare name for the default tenant) of the
-    /// dataset being appended to.
-    pub dataset: String,
+pub(crate) struct AppendSession {
     uploader: ChunkedUploader,
     started: Instant,
     /// Session id: durable (per-dataset monotone) on a durable service,
@@ -384,7 +380,7 @@ impl Scope {
 }
 
 /// The Miscela-V application service: a stateless facade over the
-/// [`ShardedStore`] holding every piece of state.
+/// sharded store holding every piece of state.
 pub struct MiscelaService {
     store: ShardedStore,
 }
@@ -658,7 +654,6 @@ impl MiscelaService {
                     self.store.shard(&scope.key).appends.lock().insert(
                         scope.key.clone(),
                         AppendSession {
-                            dataset: scope.key.clone(),
                             uploader,
                             started: Instant::now(),
                             session,
@@ -1651,7 +1646,6 @@ impl MiscelaService {
         self.store.shard(&scope.key).uploads.lock().insert(
             scope.key.clone(),
             UploadSession {
-                dataset: scope.key.clone(),
                 locations,
                 attributes,
                 uploader: ChunkedUploader::new(),
@@ -1782,7 +1776,6 @@ impl MiscelaService {
             appends.insert(
                 scope.key.clone(),
                 AppendSession {
-                    dataset: scope.key.clone(),
                     uploader: ChunkedUploader::new(),
                     started: Instant::now(),
                     session: 0,
@@ -2165,6 +2158,9 @@ impl MiscelaService {
         cancel: &CancelToken,
     ) -> Result<MineOutcome, ApiError> {
         let scope = Scope::new(tenant, dataset)?;
+        params
+            .validate()
+            .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         let one = std::slice::from_ref(params);
         let served = self.serve(&scope, one, deadline, cancel, "mine")?;
         let cache_hit = served.cache_hits == [true];
@@ -2221,14 +2217,21 @@ impl MiscelaService {
                 "sweep requires at least one grid point".into(),
             ));
         }
-        // Server-side dedup: repeated grid points cost one cache lookup and
-        // at most one mine, and always share one result.
-        let mut by_sig: HashMap<String, usize> = HashMap::new();
+        // Every point is validated before the dedup, so an invalid point
+        // cannot hide behind an equal valid one (a tolerance out of range
+        // with segmentation off is still out of range).
+        for p in points {
+            p.validate()
+                .map_err(|e| ApiError::BadRequest(e.to_string()))?;
+        }
+        // Server-side dedup: equal grid points cost one cache lookup and at
+        // most one mine, and always share one result.
+        let mut index: HashMap<&MiningParams, usize> = HashMap::new();
         let mut unique: Vec<MiningParams> = Vec::new();
         let point_of: Vec<usize> = points
             .iter()
             .map(|p| {
-                *by_sig.entry(p.signature()).or_insert_with(|| {
+                *index.entry(p).or_insert_with(|| {
                     unique.push(p.clone());
                     unique.len() - 1
                 })
@@ -2248,10 +2251,10 @@ impl MiscelaService {
         Ok(SweepServed::Fresh(out))
     }
 
-    /// The serving path of both mining operations, for distinct `points`:
-    /// one counted result-cache lookup per point, one admission for the
-    /// misses, one [`Miner::mine_sweep`] for those still missing after it.
-    /// `what` ("mine" or "sweep") names the operation in errors.
+    /// The serving path of both mining operations, for distinct, validated
+    /// `points`: one counted result-cache lookup per point, one admission
+    /// for the misses, one [`Miner::mine_sweep`] for those still missing
+    /// after it. `what` ("mine" or "sweep") names the operation in errors.
     fn serve(
         &self,
         scope: &Scope,
@@ -2261,10 +2264,6 @@ impl MiscelaService {
         what: &str,
     ) -> Result<SweepOutcome, ApiError> {
         let started = Instant::now();
-        for p in points {
-            p.validate()
-                .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        }
         // One registry snapshot drives both the cache keys and the content
         // that is mined: deriving the revision and the dataset Arc from the
         // same `DatasetEntry` means a concurrent append can never make this
@@ -3502,6 +3501,78 @@ mod tests {
         assert_eq!(out.cache_hits, [true, false, false, false, true]);
         assert_eq!(lookups(&svc), (2, 3));
         assert!((svc.cache_stats().hit_rate() - 0.4).abs() < 1e-12);
+    }
+
+    /// Two sensors of different attributes about 110 m apart, each stepping
+    /// 0 ↔ 1.0000002: every step evolves at ε = 1.0 and none at
+    /// ε = 1.0000004, two rates that agree to six decimals.
+    fn stepping_pair() -> Dataset {
+        use miscela_model::{DatasetBuilder, GeoPoint, TimeGrid, TimeSeries, Timestamp};
+        let n = 40;
+        let mut b = DatasetBuilder::new("steps");
+        let hour = miscela_model::Duration::hours(1);
+        b.set_grid(TimeGrid::new(Timestamp::EPOCH, hour, n).unwrap());
+        for (i, attr) in ["temperature", "traffic"].into_iter().enumerate() {
+            let at = GeoPoint::new_unchecked(31.0, 121.0 + 0.001 * i as f64);
+            let s = b.add_sensor(format!("s{i}"), attr, at).unwrap();
+            let steps = (0..n).map(|t| (t % 2) as f64 * 1.0000002).collect();
+            b.set_series(s, TimeSeries::from_values(steps)).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The stepping pair's mining point at evolving rate `epsilon`.
+    fn stepping_point(epsilon: f64) -> MiningParams {
+        MiningParams::new()
+            .with_epsilon(epsilon)
+            .with_psi(5)
+            .with_eta_km(1.0)
+            .with_segmentation(false)
+    }
+
+    #[test]
+    fn a_point_a_millionth_apart_misses_the_cache() {
+        let svc = MiscelaService::new();
+        let ds = stepping_pair();
+        register(&svc, ds.clone());
+        let (coarse, fine) = (stepping_point(1.0), stepping_point(1.0000004));
+        assert!(!mine(&svc, "steps", &coarse).unwrap().result.caps.is_empty());
+        let second = mine(&svc, "steps", &fine).unwrap();
+        assert!(!second.cache_hit);
+        let direct = Miner::new(fine).unwrap().mine(&ds).unwrap();
+        assert!(direct.caps.is_empty());
+        assert_eq!(second.result.caps, direct.caps);
+    }
+
+    #[test]
+    fn a_sweep_keeps_points_a_millionth_apart() {
+        let svc = MiscelaService::new();
+        register(&svc, stepping_pair());
+        let sweep = |points: &[MiningParams]| {
+            svc.mine_sweep_in(
+                DEFAULT_TENANT,
+                "steps",
+                points,
+                None,
+                &CancelToken::never(),
+                None,
+            )
+        };
+        let points = [stepping_point(1.0), stepping_point(1.0000004)];
+        let Ok(SweepServed::Fresh(out)) = sweep(&points) else {
+            panic!("an unkeyed sweep is served fresh");
+        };
+        assert_eq!(out.stats.unique_points, 2);
+        assert!(!out.results[0].caps.is_empty());
+        assert!(out.results[1].caps.is_empty());
+        // A tolerance out of range is rejected even where it is not read,
+        // so the invalid point cannot hide behind its valid twin.
+        let hidden = points[0].clone().with_segmentation_error(1.5);
+        assert_eq!(hidden, points[0]);
+        assert!(matches!(
+            sweep(&[points[0].clone(), hidden]),
+            Err(ApiError::BadRequest(_))
+        ));
     }
 
     #[test]

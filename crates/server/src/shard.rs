@@ -3,13 +3,13 @@
 //! Every piece of per-dataset state the service owns — the dataset registry
 //! with its revision counters, in-progress upload/append sessions, the
 //! per-dataset extraction caches, durable WAL states, and the watch
-//! sequence — lives in a [`ShardedStore`]: datasets are keyed by
+//! sequence — lives in a crate-private `ShardedStore`: datasets are keyed by
 //! `tenant/dataset` (the **default** tenant keeps the bare dataset name, so
 //! every pre-tenancy key, URL, and durability directory is unchanged) and
 //! hashed into a fixed set of `Shard`s, each with its own locks. Requests
 //! touching different datasets land on different shards with high
 //! probability and never contend; [`crate::MiscelaService`] itself is a
-//! stateless facade holding only an `Arc<ShardedStore>`.
+//! stateless facade holding only the store.
 //!
 //! Per-shard lock order (a request never takes locks from two shards):
 //!
@@ -305,7 +305,7 @@ impl Shard {
 /// The unified store behind the service facade: the shared database and
 /// result cache, the shard array, the tenant table, and the cross-cutting
 /// singletons (durability root, session-id counter, admission controller).
-pub struct ShardedStore {
+pub(crate) struct ShardedStore {
     pub(crate) db: Arc<Database>,
     pub(crate) cache: PersistentCache,
     pub(crate) shards: Vec<Shard>,
@@ -331,11 +331,6 @@ impl ShardedStore {
             session_ids: AtomicU64::new(1),
             admission,
         }
-    }
-
-    /// How many shards the store spreads its keys over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Rebuilds the shard array with `shards` fresh shards. Only callable
@@ -400,7 +395,7 @@ mod tests {
             AdmissionController::new(crate::admission::AdmissionConfig::default()),
             4,
         );
-        assert_eq!(store.shard_count(), 4);
+        assert_eq!(store.shards.len(), 4);
         let a = store.shard("acme/santander") as *const Shard;
         let b = store.shard("acme/santander") as *const Shard;
         assert_eq!(a, b, "the same key must always map to the same shard");

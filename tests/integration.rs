@@ -72,15 +72,7 @@ fn miscela_and_naive_baseline_agree_on_generated_data() {
 
     let evolving: Vec<_> = ds
         .iter()
-        .map(|ss| {
-            extract_state(
-                ss.series,
-                params.epsilon,
-                params.segmentation,
-                params.segmentation_error,
-            )
-            .sets
-        })
+        .map(|ss| extract_state(ss.series, params.extraction()).sets)
         .collect();
     let attributes: Vec<AttributeId> = ds.iter().map(|ss| ss.sensor.attribute).collect();
     let graph = ProximityGraph::build(&ds, params.eta_km);

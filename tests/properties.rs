@@ -11,6 +11,14 @@ use miscela_v::miscela_server::ApiError;
 use miscela_v::miscela_store::Json;
 use proptest::prelude::*;
 
+/// The digest of a value under one fixed-key hasher.
+fn hash_of<T: std::hash::Hash>(value: &T) -> u64 {
+    use std::hash::{DefaultHasher, Hasher};
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -128,19 +136,47 @@ proptest! {
         }
     }
 
-    /// Parameter signatures are injective over the fields users actually
-    /// change interactively (psi, mu, epsilon, eta).
+    /// Parameter identity (`Eq`, `Hash` and the signature text) is exact:
+    /// a change of ψ or μ, or a one-ulp step in ε, η or an effective
+    /// tolerance, makes two settings unequal with different text, while a
+    /// tolerance the pipeline does not read (segmentation off, or on at
+    /// tolerance 0) changes neither equality, hash nor text.
     #[test]
     fn params_signature_distinguishes(
         psi1 in 1usize..100, psi2 in 1usize..100,
         mu1 in 2usize..6, mu2 in 2usize..6,
+        eps in 0.0f64..5.0, eta in 0.001f64..10.0,
+        tol in 0.001f64..1.0, unread_tol in 0.0f64..1.0,
     ) {
         let p1 = MiningParams::new().with_psi(psi1).with_mu(mu1);
         let p2 = MiningParams::new().with_psi(psi2).with_mu(mu2);
-        prop_assert_eq!(
-            p1.signature() == p2.signature(),
-            psi1 == psi2 && mu1 == mu2
-        );
+        let same = psi1 == psi2 && mu1 == mu2;
+        prop_assert_eq!(p1 == p2, same);
+        prop_assert_eq!(p1.signature() == p2.signature(), same);
+
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let base = MiningParams::new()
+            .with_epsilon(eps)
+            .with_eta_km(eta)
+            .with_segmentation(true)
+            .with_segmentation_error(tol);
+        for stepped in [
+            base.clone().with_epsilon(next_up(eps)),
+            base.clone().with_eta_km(next_up(eta)),
+            base.clone().with_segmentation_error(next_up(tol)),
+        ] {
+            prop_assert_ne!(&base, &stepped);
+            prop_assert_ne!(base.signature(), stepped.signature());
+        }
+        let off = base.clone().with_segmentation(false);
+        for unread in [
+            off.clone().with_segmentation_error(unread_tol),
+            base.clone().with_segmentation_error(0.0),
+        ] {
+            prop_assert_eq!(&off, &unread);
+            prop_assert_eq!(hash_of(&off), hash_of(&unread));
+            prop_assert_eq!(off.signature(), unread.signature());
+        }
     }
 
     /// Every byte-level truncation of a WAL's last record recovers exactly
