@@ -63,14 +63,14 @@ MISCELA_OVERLOAD_SMOKE=1 cargo run --release -q -p miscela-bench --bin load_gene
 step "subscriber-storm smoke (watch wakeups on single-shard vs sharded stores)"
 MISCELA_OVERLOAD_SMOKE=1 cargo run --release -q -p miscela-bench --bin load_generator -- --subscribers >/dev/null
 
-step "recovery-matrix smoke (bounded kill-point subset of the crash-recovery matrix)"
-MISCELA_RECOVERY_SMOKE=1 cargo test --release -q -p miscela-v --test recovery_matrix
+step "recovery matrix in release (every kill point of the crash-recovery matrix, optimized build)"
+cargo test --release -q -p miscela-v --test recovery_matrix
 
-step "overload-matrix smoke (bounded chaos storms: shedding, cancellation, degraded mode)"
-MISCELA_OVERLOAD_SMOKE=1 cargo test --release -q -p miscela-v --test overload_matrix
+step "overload matrix in release (full storms: shedding, cancellation, degraded mode)"
+cargo test --release -q -p miscela-v --test overload_matrix
 
-step "chaos-matrix smoke (every transport fault class converges to the undisturbed twin)"
-MISCELA_CHAOS_SMOKE=1 cargo test --release -q -p miscela-v --test chaos_transport_matrix
+step "chaos matrix in release (every transport fault class, every seed, converges to the undisturbed twin)"
+cargo test --release -q -p miscela-v --test chaos_transport_matrix
 
 step "tenant-storm repeat (25 release runs; a watcher that misses its typed close fails the gate)"
 for run in $(seq 1 25); do

@@ -82,7 +82,7 @@ use miscela_csv::DatasetWriter;
 use miscela_model::{AppendRow, Dataset, RetentionPolicy, SERIES_BLOCK_LEN};
 use miscela_server::client::{ChaosConfig, ChaosTransport, ResilientClient, RouterTransport};
 use miscela_server::{AdmissionConfig, MiscelaService, Router, DEFAULT_TENANT};
-use miscela_store::{Database, Json};
+use miscela_store::Json;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -266,9 +266,7 @@ fn measure_recovery(name: &str, dataset: &Dataset, repeats: usize) -> (u128, u12
     let mut snapshot_ns: Vec<u128> = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let t = std::time::Instant::now();
-        let svc =
-            MiscelaService::with_database_and_durability(Arc::new(Database::new()), &replay_dir)
-                .expect("recovery with a WAL tail");
+        let svc = MiscelaService::with_durability(&replay_dir).expect("recovery with a WAL tail");
         replay_ns.push(t.elapsed().as_nanos());
         let stats = svc
             .durability_stats_in(DEFAULT_TENANT, "bench")
@@ -279,8 +277,7 @@ fn measure_recovery(name: &str, dataset: &Dataset, repeats: usize) -> (u128, u12
         );
         let t = std::time::Instant::now();
         let svc =
-            MiscelaService::with_database_and_durability(Arc::new(Database::new()), &snapshot_dir)
-                .expect("recovery from a snapshot alone");
+            MiscelaService::with_durability(&snapshot_dir).expect("recovery from a snapshot alone");
         snapshot_ns.push(t.elapsed().as_nanos());
         let stats = svc
             .durability_stats_in(DEFAULT_TENANT, "bench")

@@ -22,6 +22,10 @@
 //!   `data.csv` protocol), dataset registry backed by the document store,
 //!   mining with the parameter-keyed result cache, result retrieval, and the
 //!   `watch` long-poll feed;
+//! * `append` (crate-private) — one append session's rules as four steps
+//!   (screen a sequenced delivery, accept a chunk, ack it once its WAL record
+//!   is fsynced, apply the finished session), shared by the live path, the
+//!   WAL re-log and recovery;
 //! * [`router`] — dispatches requests to the service and serializes responses
 //!   as JSON, like the original URL configuration did;
 //! * [`durability`] — the snapshot codec and WAL record vocabulary behind
@@ -73,6 +77,7 @@
 )]
 
 pub mod admission;
+mod append;
 pub mod client;
 pub mod durability;
 pub mod message;

@@ -45,10 +45,12 @@ use miscela_core::{
 use miscela_csv::chunk::{Chunk, ChunkedUploader};
 use miscela_csv::loader::DatasetLoader;
 use miscela_csv::location_csv::{self, LocationRow};
+use miscela_csv::CsvError;
 use miscela_model::{Dataset, RetentionPolicy};
-use miscela_store::recovery::{DurabilityStats, RecoveryStore};
+use miscela_store::recovery::{DatasetLog, DurabilityStats, RecoveryStore};
 use miscela_store::wal::SinkOpener;
 use miscela_store::{Database, Filter, Json, StoreError};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -56,6 +58,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, Permit};
+use crate::append::{AppendSession, Screened};
 use crate::durability::{self, WalOp};
 use crate::message::ApiError;
 use crate::shard::{
@@ -97,35 +100,6 @@ pub(crate) struct UploadSession {
     attributes: Vec<String>,
     uploader: ChunkedUploader,
     started: Instant,
-}
-
-/// An in-progress chunked append targeting an existing dataset, held under
-/// the dataset's scoped key. No `location.csv`/`attribute.csv` accompany
-/// an append — the sensors must already exist; only new `data.csv` rows
-/// stream in.
-#[derive(Debug)]
-pub(crate) struct AppendSession {
-    uploader: ChunkedUploader,
-    started: Instant,
-    /// Session id: durable (per-dataset monotone) on a durable service,
-    /// from a service-wide counter otherwise. Chunk requests that carry a
-    /// different id are stale (they target a session that no longer
-    /// exists) and are rejected with the current watermark.
-    session: u64,
-    /// The idempotency key the begin carried (if any), kept so a
-    /// snapshot-triggered WAL reset re-logs the begin record with it.
-    key: Option<String>,
-    /// Raw chunks as acknowledged, kept only when durability is enabled so
-    /// a snapshot-triggered WAL reset can re-log the in-flight session.
-    chunks: Vec<Chunk>,
-    /// Highest chunk sequence number acknowledged so far (0 = none). A
-    /// sequenced chunk at or below this replays its original ack; one more
-    /// than one past it is a gap (typed 412 carrying this watermark).
-    acked_seq: u64,
-    /// The ack returned when each sequence number was first accepted —
-    /// `acks[seq - 1]` is `(chunk index, chunks still missing)` — so a
-    /// duplicate delivery replays the byte-identical acknowledgment.
-    acks: Vec<(usize, usize)>,
 }
 
 /// The outcome of one completed append session.
@@ -467,20 +441,13 @@ impl MiscelaService {
     /// recovered — snapshots reloaded, committed WAL sessions replayed with
     /// revision bumps, uncommitted sessions restored as in-progress.
     pub fn with_durability(dir: impl Into<PathBuf>) -> Result<Self, ApiError> {
-        Self::with_database_and_durability(Arc::new(Database::new()), dir)
+        Self::new().attach_durability(RecoveryStore::open(dir))
     }
 
-    /// Like [`MiscelaService::with_durability`] over an existing database.
-    pub fn with_database_and_durability(
-        db: Arc<Database>,
-        dir: impl Into<PathBuf>,
-    ) -> Result<Self, ApiError> {
-        Self::with_database(db).attach_durability(RecoveryStore::open(dir))
-    }
-
-    /// Like [`MiscelaService::with_database_and_durability`], but writing
-    /// through an injected [`SinkOpener`] — the hook the fault-injection
-    /// harness uses to kill the durable write path at a precise byte.
+    /// Like [`MiscelaService::with_durability`], but over an existing
+    /// database and writing through an injected [`SinkOpener`] — the hook
+    /// the fault-injection harness uses to kill the durable write path at a
+    /// precise byte.
     pub fn with_durability_opener(
         db: Arc<Database>,
         dir: impl Into<PathBuf>,
@@ -491,17 +458,8 @@ impl MiscelaService {
 
     /// Recovers every dataset logged under `store` — the default tenant's
     /// at the root, each other tenant's under `tenants/<tenant>/` — and
-    /// attaches the durability layer. For each dataset: load the snapshot,
-    /// replay the WAL's committed append sessions on top of it (bumping the
-    /// revision once per replayed commit, exactly as the live path did),
-    /// restore any uncommitted session as in-progress, and garbage-collect
-    /// cache entries keyed to the replayed-over revisions. Recovery itself
-    /// is read-only unless the replay sealed new blocks or trimmed the
-    /// window, in which case it compacts — so startup costs O(snapshot) +
-    /// O(rows since last snapshot), never O(full append history).
+    /// attaches the durability layer.
     fn attach_durability(mut self, store: RecoveryStore) -> Result<Self, ApiError> {
-        let replay_err =
-            |e: &dyn std::fmt::Display| ApiError::Internal(format!("durability replay: {e}"));
         let mut spaces: Vec<(String, RecoveryStore)> =
             vec![(DEFAULT_TENANT.to_string(), store.clone())];
         if let Ok(entries) = std::fs::read_dir(store.root().join(TENANTS_DIR)) {
@@ -519,175 +477,127 @@ impl MiscelaService {
         }
         for (tenant, space) in spaces {
             for name in space.dataset_names().map_err(wal_err)? {
-                let scope = Scope::new(&tenant, &name)?;
-                let mut log = space.dataset(&name).map_err(wal_err)?;
-                let Some(snapshot) = log.load_snapshot().map_err(wal_err)? else {
-                    // A WAL with no snapshot means the very first
-                    // registration crashed before its snapshot rename:
-                    // nothing was ever acknowledged for this dataset, so
-                    // there is nothing to recover.
-                    continue;
-                };
-                let restored = durability::restore_dataset(&snapshot.data)?;
-                let applied = restored.applied_session;
-                // Reinstall the snapshot's keyed responses first, then
-                // layer any the WAL tail re-derives (begin/commit records
-                // below) on top — a mutation retried across the crash
-                // replays its original response.
-                self.reinstall_replay(&scope, restored.replay);
-                let mut ds = restored.dataset;
-                let mut revision = restored.revision;
-                let sealed_at_load = ds.sealed_timestamps();
-                let mut max_session = applied;
-                let mut watermark = applied;
-                let mut replayed_commits = 0u64;
-                let mut replayed_trim = false;
-                // The in-flight (begun, not committed) session, with its
-                // raw chunks and whether each was sequenced. A begin for a
-                // session at or below the snapshot's watermark is stale —
-                // its outcome is already in the snapshot.
-                let mut outstanding: Option<(u64, Vec<(Chunk, bool)>)> = None;
-                let mut outstanding_key: Option<String> = None;
-                for record in log.take_replay() {
-                    match durability::parse_op(&record)? {
-                        WalOp::Begin { session, key } => {
-                            max_session = max_session.max(session);
-                            outstanding = (session > applied).then_some((session, Vec::new()));
-                            outstanding_key = if session > applied { key } else { None };
-                            if let Some(k) = &outstanding_key {
-                                // A begin retried across the crash must
-                                // replay the same session id.
-                                self.remember(Some(k), &scope, ReplayOutcome::Begin { session });
-                            }
-                        }
-                        WalOp::Chunk {
-                            session,
-                            chunk,
-                            sequenced,
-                            ..
-                        } => {
-                            if let Some((current, chunks)) = &mut outstanding {
-                                if *current == session {
-                                    // A chunk re-accepted after a failed ack
-                                    // is logged twice; the later record
-                                    // wins, as on the live path, and either
-                                    // delivery being sequenced acked it.
-                                    match chunks.iter_mut().find(|(c, _)| c.index == chunk.index) {
-                                        Some(slot) => *slot = (chunk, slot.1 || sequenced),
-                                        None => chunks.push((chunk, sequenced)),
-                                    }
-                                }
-                            }
-                        }
-                        WalOp::Commit {
-                            session,
-                            key,
-                            summary,
-                            elapsed_ns,
-                        } => {
-                            max_session = max_session.max(session);
-                            let Some((current, chunks)) = outstanding.take() else {
-                                continue;
-                            };
-                            outstanding_key = None;
-                            if current != session {
-                                continue;
-                            }
-                            let mut uploader = ChunkedUploader::new();
-                            for (chunk, _) in &chunks {
-                                uploader.accept(chunk).map_err(|e| replay_err(&e))?;
-                            }
-                            let batches = uploader.finish().map_err(|e| replay_err(&e))?;
-                            let stats = DatasetLoader::append(&mut ds, &batches)
-                                .map_err(|e| replay_err(&e))?;
-                            if stats.trimmed_timestamps > 0 {
-                                replayed_trim = true;
-                            }
-                            revision += 1;
-                            replayed_commits += 1;
-                            watermark = session;
-                            if let (Some(k), Some(mut s)) = (key, summary) {
-                                // A finish retried across the crash must
-                                // replay the original acknowledgment, not
-                                // re-commit.
-                                s.name = name.clone();
-                                self.remember(
-                                    Some(&k),
-                                    &scope,
-                                    ReplayOutcome::Finish {
-                                        summary: s,
-                                        elapsed_ns,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                let ds = Arc::new(ds);
-                self.put_entry(&scope, &ds, Some(revision));
-                if replayed_commits > 0 {
-                    // Revision GC on the replayed revisions: results keyed
-                    // to the revisions the replay superseded are
-                    // unreachable now.
-                    self.store.cache.evict_superseded(&scope.key, revision);
-                    for _ in 0..replayed_commits {
-                        self.age_extraction(&scope);
-                    }
-                }
-                if let Some((session, logged)) = outstanding {
-                    let mut uploader = ChunkedUploader::new();
-                    let mut acks = Vec::with_capacity(logged.len());
-                    let mut chunks = Vec::with_capacity(logged.len());
-                    for (chunk, sequenced) in logged {
-                        uploader.accept(&chunk).map_err(|e| replay_err(&e))?;
-                        // Rebuild the per-sequence acks exactly as the live
-                        // path produced them — sequenced chunks only — so
-                        // the watermark reads as it did live and duplicates
-                        // retried across the crash replay identical
-                        // acknowledgments.
-                        if sequenced {
-                            acks.push((chunk.index, uploader.missing().len()));
-                        }
-                        chunks.push(chunk);
-                    }
-                    let acked_seq = acks.len() as u64;
-                    self.store.shard(&scope.key).appends.lock().insert(
-                        scope.key.clone(),
-                        AppendSession {
-                            uploader,
-                            started: Instant::now(),
-                            session,
-                            key: outstanding_key,
-                            chunks,
-                            acked_seq,
-                            acks,
-                        },
-                    );
-                }
-                let mut state = DurableState {
-                    log,
-                    next_session: max_session + 1,
-                    watermark,
-                    sealed_at_snapshot: sealed_at_load,
-                    degraded: None,
-                };
-                if replayed_commits > 0
-                    && (replayed_trim || ds.sealed_timestamps() > sealed_at_load)
-                {
-                    // The replay sealed blocks (or trimmed): fold it into a
-                    // fresh snapshot, re-logging the in-flight session into
-                    // the reset WAL so its acked chunks stay durable.
-                    self.snapshot(&scope, &mut state, &ds, revision)?;
-                }
-                self.store
-                    .shard(&scope.key)
-                    .durable
-                    .lock()
-                    .insert(scope.key.clone(), state);
+                let log = space.dataset(&name).map_err(wal_err)?;
+                self.recover(&Scope::new(&tenant, &name)?, log)?;
             }
         }
         self.store.durability = Some(Durability { store });
         Ok(self)
+    }
+
+    /// Recovers one dataset from its log: load the snapshot, replay the
+    /// WAL's committed append sessions on top of it (bumping the revision
+    /// once per replayed commit, exactly as the live path did), restore any
+    /// uncommitted session as in-progress, and garbage-collect cached
+    /// results keyed to the replayed-over revisions. Recovery itself is
+    /// read-only unless the replay sealed new blocks or trimmed the window,
+    /// in which case it compacts — so startup costs O(snapshot) + O(rows
+    /// since last snapshot), never O(full append history).
+    fn recover(&self, scope: &Scope, mut log: DatasetLog) -> Result<(), ApiError> {
+        let replay_err = |e: CsvError| ApiError::Internal(format!("durability replay: {e}"));
+        let Some(snapshot) = log.load_snapshot().map_err(wal_err)? else {
+            // A WAL with no snapshot means the very first registration
+            // crashed before its snapshot rename: nothing was ever
+            // acknowledged for this dataset, so there is nothing to recover.
+            return Ok(());
+        };
+        let restored = durability::restore_dataset(&snapshot.data)?;
+        let applied = restored.applied_session;
+        // Reinstall the snapshot's keyed responses first, then layer any
+        // the WAL tail re-derives (begin/commit records below) on top — a
+        // mutation retried across the crash replays its original response.
+        for (key, outcome) in restored.replay {
+            self.remember(Some(&key), scope, outcome);
+        }
+        let mut ds = restored.dataset;
+        let mut revision = restored.revision;
+        let records = log.take_replay();
+        let mut state = DurableState {
+            log,
+            next_session: applied.saturating_add(1),
+            watermark: applied,
+            sealed_at_snapshot: ds.sealed_timestamps(),
+            degraded: None,
+        };
+        let (mut replayed, mut replayed_trim) = (false, false);
+        // The in-flight (begun, not committed) session, rebuilt by the live
+        // path's own steps: every logged chunk is accepted, and a sequenced
+        // one is acked as it was live.
+        let mut open: Option<AppendSession> = None;
+        for record in records {
+            match durability::parse_op(&record)? {
+                WalOp::Begin { session, key } => {
+                    state.next_session = state.next_session.max(session.saturating_add(1));
+                    // A begin at or below the snapshot's watermark is
+                    // stale: its outcome is in the snapshot.
+                    open = (session > applied).then(|| {
+                        // A begin retried across the crash must replay the
+                        // same session id.
+                        let begun = ReplayOutcome::Begin { session };
+                        self.remember(key.as_deref(), scope, begun);
+                        AppendSession::new(&scope.name, session, key, true)
+                    });
+                }
+                WalOp::Chunk {
+                    session,
+                    seq,
+                    sequenced,
+                    chunk,
+                } => {
+                    if let Some(s) = open.as_mut().filter(|s| s.session == session) {
+                        s.accept(&chunk).map_err(replay_err)?;
+                        if sequenced {
+                            s.ack(session, seq, chunk.index);
+                        }
+                    }
+                }
+                WalOp::Commit {
+                    session,
+                    key,
+                    summary,
+                    elapsed_ns,
+                } => {
+                    state.next_session = state.next_session.max(session.saturating_add(1));
+                    let Some(finished) = open.take().filter(|s| s.session == session) else {
+                        continue;
+                    };
+                    let stats = finished.apply(&mut ds).map_err(replay_err)?;
+                    replayed_trim |= stats.trimmed_timestamps > 0;
+                    revision += 1;
+                    replayed = true;
+                    state.watermark = session;
+                    if let (Some(k), Some(mut summary)) = (key, summary) {
+                        // A finish retried across the crash must replay the
+                        // original acknowledgment, not re-commit.
+                        summary.name = scope.name.clone();
+                        let finish = ReplayOutcome::Finish {
+                            summary,
+                            elapsed_ns,
+                        };
+                        self.remember(Some(&k), scope, finish);
+                    }
+                }
+            }
+        }
+        let ds = Arc::new(ds);
+        self.put_entry(scope, &ds, Some(revision));
+        let shard = self.store.shard(&scope.key);
+        if let Some(open) = open {
+            shard.appends.lock().insert(scope.key.clone(), open);
+        }
+        if replayed {
+            // Revision GC: results keyed to the revisions the replay
+            // superseded are unreachable now.
+            self.store.cache.evict_superseded(&scope.key, revision);
+            if replayed_trim || ds.sealed_timestamps() > state.sealed_at_snapshot {
+                // The replay sealed blocks (or trimmed): fold it into a
+                // fresh snapshot, re-logging the in-flight session into the
+                // reset WAL so its acked chunks stay durable.
+                self.snapshot(scope, &mut state, &ds, revision)?;
+            }
+        }
+        shard.durable.lock().insert(scope.key.clone(), state);
+        Ok(())
     }
 
     /// Runs `f` against the durable state for `scope` (creating a fresh log
@@ -706,31 +616,18 @@ impl MiscelaService {
         let d = self.store.durability.as_ref()?;
         let shard = self.store.shard(&scope.key);
         let mut states = shard.durable.lock();
-        if !states.contains_key(&scope.key) {
-            match d.store_for(&scope.tenant).dataset(&scope.name) {
-                Ok(log) => {
-                    states.insert(
-                        scope.key.clone(),
-                        DurableState {
-                            log,
-                            next_session: 1,
-                            watermark: 0,
-                            sealed_at_snapshot: 0,
-                            degraded: None,
-                        },
-                    );
-                }
+        let state = match states.entry(scope.key.clone()) {
+            Entry::Occupied(state) => state.into_mut(),
+            Entry::Vacant(slot) => match d.store_for(&scope.tenant).dataset(&scope.name) {
+                Ok(log) => slot.insert(DurableState {
+                    log,
+                    next_session: 1,
+                    watermark: 0,
+                    sealed_at_snapshot: 0,
+                    degraded: None,
+                }),
                 Err(e) => return Some(Err(wal_err(e))),
-            }
-        }
-        let Some(state) = states.get_mut(&scope.key) else {
-            // Unreachable (the state was inserted above under this same
-            // lock), but the request path must never panic: surface the
-            // impossible as a typed error instead.
-            return Some(Err(ApiError::Internal(format!(
-                "durability state for {:?} vanished while locked",
-                scope.key
-            ))));
+            },
         };
         let result = f(state);
         // A failed durable write flips the dataset into read-only degraded
@@ -747,27 +644,13 @@ impl MiscelaService {
     /// WAL — called after a snapshot reset the log, so acknowledged chunks
     /// of a session that has not committed yet stay durable.
     fn relog_inflight(&self, scope: &Scope, state: &mut DurableState) -> Result<(), ApiError> {
-        let inflight = {
-            let appends = self.store.shard(&scope.key).appends.lock();
-            appends
-                .get(&scope.key)
-                .map(|s| (s.session, s.key.clone(), s.chunks.clone(), s.acks.clone()))
-        };
-        let Some((session, key, chunks, acks)) = inflight else {
+        let appends = self.store.shard(&scope.key).appends.lock();
+        let Some(records) = appends.get(&scope.key).map(AppendSession::wal_records) else {
             return Ok(());
         };
-        state
-            .log
-            .log(&durability::begin_record(session, key.as_deref()))
-            .map_err(wal_err)?;
-        for (i, chunk) in chunks.iter().enumerate() {
-            // A chunk with an ack was sequenced; it keeps its sequence
-            // number so recovery rebuilds the same watermark.
-            let record = match acks.iter().position(|&(index, _)| index == chunk.index) {
-                Some(seq) => durability::chunk_record(session, seq as u64 + 1, true, chunk),
-                None => durability::chunk_record(session, i as u64 + 1, false, chunk),
-            };
-            state.log.log(&record).map_err(wal_err)?;
+        drop(appends);
+        for record in &records {
+            state.log.log(record).map_err(wal_err)?;
         }
         state.log.commit().map_err(wal_err)
     }
@@ -1032,14 +915,6 @@ impl MiscelaService {
         slice
     }
 
-    /// Reinstalls recovered keyed responses (snapshot slice plus WAL-tail
-    /// entries) into the tenant's replayed-response cache, oldest first.
-    fn reinstall_replay(&self, scope: &Scope, entries: Vec<(String, ReplayOutcome)>) {
-        for (key, outcome) in entries {
-            self.remember(Some(&key), scope, outcome);
-        }
-    }
-
     /// The observable state of the in-progress append session for a
     /// tenant's dataset (`Ok(None)` when no session is open), so a
     /// reconnecting client can resume from the acked-sequence watermark.
@@ -1051,12 +926,7 @@ impl MiscelaService {
         let scope = Scope::new(tenant, name)?;
         self.revision(&scope)?;
         let appends = self.store.shard(&scope.key).appends.lock();
-        Ok(appends.get(&scope.key).map(|s| AppendStatus {
-            session: s.session,
-            acked_seq: s.acked_seq,
-            received: s.uploader.chunks_received(),
-            missing: s.uploader.missing().len(),
-        }))
+        Ok(appends.get(&scope.key).map(AppendSession::status))
     }
 
     /// The extraction cache serving one dataset (created on first use,
@@ -1230,6 +1100,7 @@ impl MiscelaService {
         key: Option<&str>,
     ) -> Result<(DatasetSummary, bool), ApiError> {
         let scope = Scope::new(tenant, dataset.name())?;
+        self.ensure_durable_writable(&scope)?;
         if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Register { summary, .. } => Ok((summary, true)),
@@ -1477,15 +1348,16 @@ impl MiscelaService {
         key: Option<&str>,
     ) -> Result<(RetentionSummary, bool), ApiError> {
         let scope = Scope::new(tenant, name)?;
+        // A retention change is durable only through a snapshot write, so a
+        // degraded dataset refuses it (typed, retryable) until re-armed —
+        // its replay too, which waits for the probe's snapshot.
+        self.ensure_durable_writable(&scope)?;
         if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Retention { summary } => Ok((summary, true)),
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
             };
         }
-        // A retention change is durable only through a snapshot write, so a
-        // degraded dataset refuses it (typed, retryable) until re-armed.
-        self.ensure_durable_writable(&scope)?;
         let base = self.entry(&scope)?;
         let mut ds = (*base.dataset).clone();
         ds.set_retention(policy);
@@ -1690,6 +1562,7 @@ impl MiscelaService {
         key: Option<&str>,
     ) -> Result<(DatasetSummary, Duration, bool), ApiError> {
         let scope = Scope::new(tenant, dataset)?;
+        self.ensure_durable_writable(&scope)?;
         if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Register {
@@ -1773,18 +1646,9 @@ impl MiscelaService {
                     scope.name
                 )));
             }
-            appends.insert(
-                scope.key.clone(),
-                AppendSession {
-                    uploader: ChunkedUploader::new(),
-                    started: Instant::now(),
-                    session: 0,
-                    key: key.map(|k| k.to_string()),
-                    chunks: Vec::new(),
-                    acked_seq: 0,
-                    acks: Vec::new(),
-                },
-            );
+            let durable = self.store.durability.is_some();
+            let placeholder = AppendSession::new(&scope.name, 0, key.map(str::to_string), durable);
+            appends.insert(scope.key.clone(), placeholder);
         }
         // On a durable service the session id and its begin record are made
         // durable before any chunk is accepted: a crash right after this
@@ -1864,13 +1728,10 @@ impl MiscelaService {
         self.accept_append_chunk(&scope, chunk, Some((session_id, seq)))
     }
 
-    /// The accept-and-log step both append-chunk paths share. Under the
-    /// appends lock it screens a sequenced delivery (`seq` carries the
-    /// session id and sequence number) against the open session, accepts
-    /// the chunk and keeps a copy for re-logging. The WAL record is written
-    /// and fsynced outside that lock, before any ack, so an acknowledged
-    /// chunk survives a crash at any later point; a sequenced ack advances
-    /// the session's watermark only after the fsync.
+    /// The live path of both append-chunk calls (`seq` carries a sequenced
+    /// delivery's session id and number): screen and accept under the
+    /// appends lock, write and fsync the WAL record outside it, then ack —
+    /// so an acknowledged chunk survives a crash at any later point.
     fn accept_append_chunk(
         &self,
         scope: &Scope,
@@ -1886,102 +1747,39 @@ impl MiscelaService {
         let session = appends
             .get_mut(&scope.key)
             .ok_or_else(|| no_append(&scope.name))?;
-        if let Some((session_id, seq)) = seq {
-            let expected_session = session.session;
-            let expected_seq = session.acked_seq + 1;
-            let stale = expected_session != session_id;
-            let screened = if stale {
-                Some(Err(ApiError::SequenceGap {
-                    message: format!(
-                        "append session {session_id} for {:?} is stale; \
-                         the open session is {expected_session}",
-                        scope.name
-                    ),
-                    expected_session,
-                    expected_seq,
-                }))
-            } else if seq < expected_seq {
-                // Duplicate delivery: replay the original ack verbatim.
-                let (accepted, missing) = session.acks[(seq - 1) as usize];
-                Some(Ok(ChunkAck {
-                    accepted,
-                    missing,
-                    acked_seq: session.acked_seq,
-                    replayed: true,
-                }))
-            } else if seq > expected_seq {
-                Some(Err(ApiError::SequenceGap {
-                    message: format!(
-                        "chunk sequence gap for {:?}: got {seq}, expected {expected_seq}",
-                        scope.name
-                    ),
-                    expected_session,
-                    expected_seq,
-                }))
-            } else {
-                None
+        if let Some(Err(screened)) = seq.map(|(id, seq)| session.screen(id, seq)) {
+            // Count it once the appends lock (a leaf lock) is released.
+            drop(appends);
+            let tenant = self.store.tenant_state(&scope.tenant);
+            let mut p = tenant.protocol.lock();
+            let (counter, answer) = match screened {
+                Screened::Duplicate(ack) => (&mut p.chunk_duplicates, Ok(ack)),
+                Screened::Stale(e) => (&mut p.stale_sessions, Err(e)),
+                Screened::Gap(e) => (&mut p.sequence_gaps, Err(e)),
             };
-            if let Some(answer) = screened {
-                // Count it once the appends lock (a leaf lock) is released.
-                drop(appends);
-                let tenant = self.store.tenant_state(&scope.tenant);
-                let mut p = tenant.protocol.lock();
-                *match &answer {
-                    _ if stale => &mut p.stale_sessions,
-                    Ok(_) => &mut p.chunk_duplicates,
-                    Err(_) => &mut p.sequence_gaps,
-                } += 1;
-                return answer;
-            }
+            *counter += 1;
+            return answer;
         }
-        session
-            .uploader
+        let ack = session
             .accept(chunk)
             .map_err(|e| ApiError::BadRequest(format!("chunk {}: {e}", chunk.index)))?;
-        if self.store.durability.is_some() {
-            // A chunk re-sent after a lost ack replaces its earlier copy
-            // (the uploader already did), so the re-log list never grows
-            // duplicates.
-            match session.chunks.iter_mut().find(|c| c.index == chunk.index) {
-                Some(slot) => *slot = chunk.clone(),
-                None => session.chunks.push(chunk.clone()),
-            }
-        }
-        let session_id = session.session;
-        let record_seq = seq.map_or(session.chunks.len() as u64, |(_, seq)| seq);
-        let mut ack = ChunkAck {
-            accepted: chunk.index,
-            missing: session.uploader.missing().len(),
-            acked_seq: session.acked_seq,
-            replayed: false,
-        };
+        let record = session.last_record(seq.map(|(_, seq)| seq));
         drop(appends);
-        self.durable(scope, |state| {
-            state
-                .log
-                .log(&durability::chunk_record(
-                    session_id,
-                    record_seq,
-                    seq.is_some(),
-                    chunk,
-                ))
-                .map_err(wal_err)?;
-            state.log.commit().map_err(wal_err)
-        })
-        .unwrap_or(Ok(()))?;
-        if let Some((_, seq)) = seq {
-            let mut appends = shard.appends.lock();
-            let session = appends
-                .get_mut(&scope.key)
-                .ok_or_else(|| no_append(&scope.name))?;
-            ack.missing = session.uploader.missing().len();
-            if session.acked_seq < seq {
-                session.acked_seq = seq;
-                session.acks.push((chunk.index, ack.missing));
-            }
-            ack.acked_seq = session.acked_seq;
+        if let Some(record) = record {
+            self.durable(scope, |state| {
+                state.log.log(&record).map_err(wal_err)?;
+                state.log.commit().map_err(wal_err)
+            })
+            .unwrap_or(Ok(()))?;
         }
-        Ok(ack)
+        let Some((id, seq)) = seq else {
+            return Ok(ack);
+        };
+        let mut appends = shard.appends.lock();
+        let session = appends
+            .get_mut(&scope.key)
+            .ok_or_else(|| no_append(&scope.name))?;
+        Ok(session.ack(id, seq, chunk.index))
     }
 
     /// Completes an append to a tenant's dataset: applies the assembled
@@ -2004,6 +1802,7 @@ impl MiscelaService {
         key: Option<&str>,
     ) -> Result<(AppendSummary, Duration, bool), ApiError> {
         let scope = Scope::new(tenant, dataset)?;
+        self.ensure_durable_writable(&scope)?;
         if let Some(outcome) = self.replay_lookup(key, &scope)? {
             return match outcome {
                 ReplayOutcome::Finish {
@@ -2013,7 +1812,6 @@ impl MiscelaService {
                 _ => Err(Self::key_conflict(key.unwrap_or_default())),
             };
         }
-        self.ensure_durable_writable(&scope)?;
         // Applying the assembled rows is real work: it holds an admission
         // permit (fixed cost — the apply is O(tail)) so an append storm
         // cannot starve mines of budget. Admission happens before the
@@ -2030,17 +1828,14 @@ impl MiscelaService {
         let elapsed = session.started.elapsed();
         let elapsed_ns = elapsed.as_nanos() as u64;
         let session_id = session.session;
-        let batches = session
-            .uploader
-            .finish()
-            .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         // Clone the Arc under a read lock and apply the append outside any
         // lock — the clone is a copy-on-extend view (series blocks stay
         // `Arc`-shared; only the mutable tails are copied), so this costs
         // O(tail), not O(dataset), no matter how old the dataset is.
         let base = self.entry(&scope)?;
         let mut ds = (*base.dataset).clone();
-        let append = DatasetLoader::append(&mut ds, &batches)
+        let append = session
+            .apply(&mut ds)
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         // Append time is quota-check time: content over the tenant's
         // retained-timestamps budget is a typed 403. The session was
@@ -2058,9 +1853,9 @@ impl MiscelaService {
             revision,
         };
         // The append is applied: cache the keyed response *before* the
-        // durable commit, so even a retry that arrives while the commit
-        // record is still being written (or after it failed and the
-        // dataset degraded) replays this outcome instead of re-applying.
+        // durable commit, so a retry never re-applies. Should the commit
+        // fail, the dataset degrades, and the retry's probe must snapshot
+        // the applied state before the replay is served.
         self.remember(
             key,
             &scope,
@@ -3122,9 +2917,10 @@ mod tests {
         use miscela_model::RetentionPolicy;
 
         // Only sequenced chunks advance `acked_seq`. Recovery must rebuild
-        // it from those alone — across a mid-session snapshot that re-logs
-        // the session — and a recovered sequenced session must still replay
-        // duplicate acks.
+        // it from those alone — with or without a mid-session snapshot that
+        // re-logs the session — and a recovered sequenced session must
+        // still replay every duplicate ack. A re-sent chunk index under a
+        // new sequence number is a new delivery, live and recovered.
         let full = small_dataset();
         let n = full.timestamp_count();
         let split_t = full.grid().at(n - 12).unwrap();
@@ -3134,9 +2930,17 @@ mod tests {
         let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 40);
         assert!(chunks.len() > 3, "fixture must leave chunks missing");
 
-        for sequenced in [false, true] {
-            let dir = durable_dir(&format!("acked-seq-{sequenced}"));
-            let (live, live_ack) = {
+        // (label, sequenced, chunk index of deliveries 1–3, retention
+        // snapshot between deliveries 2 and 3)
+        let scripts = [
+            ("unsequenced", false, [0, 1, 2], true),
+            ("sequenced", true, [0, 1, 2], true),
+            ("reused-index", true, [0, 0, 1], false),
+            ("reused-index-relog", true, [0, 0, 1], true),
+        ];
+        for (label, sequenced, indices, relog) in scripts {
+            let dir = durable_dir(&format!("acked-seq-{label}"));
+            let (live, live_acks) = {
                 let svc = MiscelaService::with_durability(&dir).unwrap();
                 svc.upload_documents_in(
                     DEFAULT_TENANT,
@@ -3151,61 +2955,264 @@ mod tests {
                     .begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
                     .unwrap()
                     .session;
-                let send = |seq: u64| match sequenced {
-                    true => Some(
-                        svc.append_chunk_seq_in(
+                let mut acks = Vec::new();
+                for (seq, index) in (1..).zip(indices) {
+                    if seq == 3 && relog {
+                        // A retention snapshot resets the WAL and re-logs
+                        // the in-flight session.
+                        svc.set_retention_keyed_in(
                             DEFAULT_TENANT,
                             "santander",
-                            session,
-                            seq,
-                            &chunks[seq as usize - 1],
+                            RetentionPolicy::keep_last(n),
+                            None,
                         )
-                        .unwrap(),
-                    ),
-                    false => {
-                        svc.append_chunk_in(DEFAULT_TENANT, "santander", &chunks[seq as usize - 1])
-                            .unwrap();
-                        None
+                        .unwrap();
                     }
-                };
-                send(1);
-                let second = send(2);
-                // A retention snapshot resets the WAL and re-logs the
-                // in-flight session.
-                svc.set_retention_keyed_in(
-                    DEFAULT_TENANT,
-                    "santander",
-                    RetentionPolicy::keep_last(n),
-                    None,
-                )
-                .unwrap();
-                send(3);
+                    if sequenced {
+                        acks.push(
+                            svc.append_chunk_seq_in(
+                                DEFAULT_TENANT,
+                                "santander",
+                                session,
+                                seq,
+                                &chunks[index],
+                            )
+                            .unwrap(),
+                        );
+                    } else {
+                        svc.append_chunk_in(DEFAULT_TENANT, "santander", &chunks[index])
+                            .unwrap();
+                    }
+                }
                 let status = svc
                     .append_status_in(DEFAULT_TENANT, "santander")
                     .unwrap()
                     .unwrap();
-                (status, second)
+                (status, acks)
             };
-            assert_eq!(live.acked_seq, if sequenced { 3 } else { 0 });
+            assert_eq!(live.acked_seq, if sequenced { 3 } else { 0 }, "{label}");
             let svc = MiscelaService::with_durability(&dir).unwrap();
             let restarted = svc
                 .append_status_in(DEFAULT_TENANT, "santander")
                 .unwrap()
                 .unwrap();
-            assert_eq!(restarted, live, "sequenced={sequenced}");
-            if let Some(live_ack) = live_ack {
+            assert_eq!(restarted, live, "{label}");
+            for ((seq, index), live_ack) in (1..).zip(indices).zip(live_acks) {
                 let replayed = svc
-                    .append_chunk_seq_in(DEFAULT_TENANT, "santander", live.session, 2, &chunks[1])
+                    .append_chunk_seq_in(
+                        DEFAULT_TENANT,
+                        "santander",
+                        live.session,
+                        seq,
+                        &chunks[index],
+                    )
                     .unwrap();
-                assert!(replayed.replayed);
-                assert_eq!(
-                    (replayed.accepted, replayed.missing),
-                    (live_ack.accepted, live_ack.missing)
-                );
-                assert_eq!(replayed.acked_seq, 3);
+                let expected = ChunkAck {
+                    acked_seq: 3,
+                    replayed: true,
+                    ..live_ack
+                };
+                assert_eq!(replayed, expected, "{label}: seq {seq}");
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn keyed_retries_replay_only_once_the_mutation_is_durable() {
+        use miscela_model::RetentionPolicy;
+        use miscela_store::wal::{FailPoint, FailingOpener, SinkOpener};
+
+        // A keyed mutation whose durable write failed is applied in memory
+        // and remembered. Its retry must not replay that outcome while the
+        // disk is still dead: the degraded probe runs first, so the retry
+        // gets the same typed 503 until the probe's snapshot has made the
+        // mutation durable — then it replays, and a restart shows it.
+        let full = small_dataset();
+        let n = full.timestamp_count();
+        let split_t = full.grid().at(n - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let writer = DatasetWriter::new();
+
+        let dir = durable_dir("keyed-degraded");
+        let fail = FailPoint::unlimited();
+        let opener: Arc<dyn SinkOpener> = Arc::new(FailingOpener::new(fail.clone()));
+        let open = || {
+            MiscelaService::with_durability_opener(
+                Arc::new(Database::new()),
+                &dir,
+                Arc::clone(&opener),
+            )
+            .unwrap()
+        };
+        let dead_then_replayed = |what: &str, mutate: &dyn Fn() -> Result<bool, ApiError>| {
+            fail.exhaust();
+            for attempt in ["the call", "its keyed retry"] {
+                let err = mutate().unwrap_err();
+                assert!(
+                    matches!(err, ApiError::Unavailable { .. }),
+                    "{what}: {attempt} on a dead disk: {err:?}"
+                );
+            }
+            fail.heal();
+            assert!(
+                mutate().unwrap(),
+                "{what}: the retry after the heal replays"
+            );
+        };
+        let revision = |svc: &MiscelaService| svc.dataset_revision_in(DEFAULT_TENANT, "santander");
+
+        let svc = open();
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
+            "santander",
+            &writer.data_csv(&prefix),
+            &writer.location_csv(&prefix),
+            &writer.attribute_csv(&prefix),
+            10_000,
+        )
+        .unwrap();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
+        for chunk in miscela_csv::split_into_chunks(&writer.data_csv(&tail), 40) {
+            svc.append_chunk_in(DEFAULT_TENANT, "santander", &chunk)
+                .unwrap();
+        }
+        dead_then_replayed("finish_append", &|| {
+            svc.finish_append_keyed_in(DEFAULT_TENANT, "santander", Some("finish"))
+                .map(|(summary, _, replayed)| replayed && summary.revision == 2)
+        });
+        drop(svc);
+        let svc = open();
+        assert_eq!(revision(&svc).unwrap(), 2);
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
+        assert_eq!(ds.timestamp_count(), n);
+        assert_eq!(
+            svc.append_status_in(DEFAULT_TENANT, "santander").unwrap(),
+            None
+        );
+
+        // Trims one whole block, so the revision bumps.
+        let policy = RetentionPolicy::keep_last(n - miscela_model::SERIES_BLOCK_LEN);
+        dead_then_replayed("set_retention", &|| {
+            svc.set_retention_keyed_in(DEFAULT_TENANT, "santander", policy, Some("retention"))
+                .map(|(summary, replayed)| replayed && summary.revision == 3)
+        });
+        drop(svc);
+        let svc = open();
+        assert_eq!(revision(&svc).unwrap(), 3);
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
+        assert_eq!(*ds.retention(), policy);
+        assert_eq!(ds.timestamp_count(), n - miscela_model::SERIES_BLOCK_LEN);
+
+        dead_then_replayed("register_dataset", &|| {
+            svc.register_dataset_keyed_in(DEFAULT_TENANT, small_dataset(), Some("register"))
+                .map(|(_, replayed)| replayed)
+        });
+        drop(svc);
+        let svc = open();
+        assert_eq!(revision(&svc).unwrap(), 4);
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
+        assert_eq!(ds.timestamp_count(), n);
+
+        // A finished upload registers through the same path.
+        svc.begin_upload_keyed_in(
+            DEFAULT_TENANT,
+            "santander",
+            &writer.location_csv(&prefix),
+            &writer.attribute_csv(&prefix),
+            None,
+        )
+        .unwrap();
+        for chunk in miscela_csv::split_into_chunks(&writer.data_csv(&prefix), 10_000) {
+            svc.upload_chunk_in(DEFAULT_TENANT, "santander", &chunk)
+                .unwrap();
+        }
+        dead_then_replayed("finish_upload", &|| {
+            svc.finish_upload_keyed_in(DEFAULT_TENANT, "santander", Some("upload"))
+                .map(|(_, _, replayed)| replayed)
+        });
+        drop(svc);
+        let svc = open();
+        assert_eq!(revision(&svc).unwrap(), 5);
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
+        assert_eq!(ds.timestamp_count(), n - 12);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unacked_delivery_is_relogged_and_recovered_unacknowledged() {
+        use miscela_store::wal::{FailPoint, FailingOpener};
+
+        // A sequenced delivery accepted while the disk dies is never acked.
+        // The probe re-logs it as unacknowledged, so a restart keeps its
+        // rows but not its sequence number: the client's retry is taken in
+        // order, as it would be live.
+        let full = small_dataset();
+        let n = full.timestamp_count();
+        let split_t = full.grid().at(n - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let writer = DatasetWriter::new();
+        let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 40);
+        assert!(chunks.len() > 3, "fixture must leave chunks missing");
+
+        let dir = durable_dir("unacked");
+        let fail = FailPoint::unlimited();
+        let opener = Arc::new(FailingOpener::new(fail.clone()));
+        let svc = MiscelaService::with_durability_opener(Arc::new(Database::new()), &dir, opener)
+            .unwrap();
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
+            "santander",
+            &writer.data_csv(&prefix),
+            &writer.location_csv(&prefix),
+            &writer.attribute_csv(&prefix),
+            10_000,
+        )
+        .unwrap();
+        let session = svc
+            .begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap()
+            .session;
+        let deliver = |svc: &MiscelaService, seq: u64| {
+            let chunk = &chunks[seq as usize - 1];
+            svc.append_chunk_seq_in(DEFAULT_TENANT, "santander", session, seq, chunk)
+        };
+        let status = |svc: &MiscelaService| {
+            svc.append_status_in(DEFAULT_TENANT, "santander")
+                .unwrap()
+                .unwrap()
+        };
+        deliver(&svc, 1).unwrap();
+        fail.exhaust();
+        let err = deliver(&svc, 2).unwrap_err();
+        assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
+        fail.heal();
+        // The next delivery's probe re-arms the log, re-logging the session;
+        // its screen then refuses the gap the unacked delivery left.
+        let err = deliver(&svc, 3).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ApiError::SequenceGap {
+                    expected_seq: 2,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let live = status(&svc);
+        assert_eq!((live.acked_seq, live.received), (1, 2));
+        drop(svc);
+
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        assert_eq!(status(&svc), live);
+        let retried = deliver(&svc, 2).unwrap();
+        assert!(!retried.replayed);
+        assert_eq!((retried.accepted, retried.acked_seq), (1, 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

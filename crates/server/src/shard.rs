@@ -47,8 +47,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::admission::AdmissionController;
+use crate::append::AppendSession;
 use crate::message::ApiError;
-use crate::service::{AppendSession, ReplayOutcome, UploadSession};
+use crate::service::{ReplayOutcome, UploadSession};
 
 /// The tenant every pre-tenancy route, client, and test lives in. Its
 /// datasets keep bare names as store keys, bare URLs, and the root

@@ -17,10 +17,7 @@
 //! applied a request but before the response got out — recovers the
 //! directory from disk, and swaps the recovered router in behind the
 //! client's back; the retries must land on the restart and still converge
-//! to the twin.
-//!
-//! `MISCELA_CHAOS_SMOKE=1` keeps one seed per fault class for a bounded CI
-//! smoke run; the full matrix runs three.
+//! to the twin. Each fault class runs three seeds.
 
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::SantanderGenerator;
@@ -31,7 +28,7 @@ use miscela_v::miscela_server::client::{
 use miscela_v::miscela_server::durability::snapshot_data;
 use miscela_v::miscela_server::message::{ApiRequest, ApiResponse};
 use miscela_v::miscela_server::{MiscelaService, Router, DEFAULT_TENANT};
-use miscela_v::miscela_store::{Database, Json};
+use miscela_v::miscela_store::Json;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -200,11 +197,7 @@ fn chaos_dir(tag: &str) -> PathBuf {
 }
 
 fn seeds() -> Vec<u64> {
-    if std::env::var("MISCELA_CHAOS_SMOKE").is_ok_and(|v| v == "1") {
-        vec![11]
-    } else {
-        vec![11, 29, 47]
-    }
+    vec![11, 29, 47]
 }
 
 /// One lossy episode: the workflow through seeded chaos against a fresh
@@ -343,9 +336,8 @@ impl Transport for CrashOnce {
             && request.body.get("seq").and_then(|s| s.as_i64()) == Some(self.crash_on_seq);
         if is_target {
             self.crashed = true;
-            let service =
-                MiscelaService::with_database_and_durability(Arc::new(Database::new()), &self.dir)
-                    .expect("mid-chaos recovery must succeed");
+            let service = MiscelaService::with_durability(&self.dir)
+                .expect("mid-chaos recovery must succeed");
             self.inner.swap(Arc::new(Router::new(Arc::new(service))));
             return Err(TransportError::Lost(
                 "server crashed after applying the request, before responding".to_string(),
@@ -390,8 +382,7 @@ fn mid_chaos_crash_and_recovery_converges_to_the_twin() {
         "the crash retry must have exercised dedup on the recovered server: {protocol:?}"
     );
     drop(recovered);
-    let reopened = MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir)
-        .expect("final restart");
+    let reopened = MiscelaService::with_durability(&dir).expect("final restart");
     let ds = reopened
         .dataset_in(DEFAULT_TENANT, DATASET)
         .expect("dataset survives restart");

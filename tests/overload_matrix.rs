@@ -29,8 +29,6 @@
 //!    flips and delete/re-register churn on a second dataset completes
 //!    without deadlock, keeps append revisions strictly monotonic, and the
 //!    post-storm re-mine equals a cold twin's mine byte for byte.
-//!
-//! `MISCELA_OVERLOAD_SMOKE=1` shrinks the storms for a bounded CI run.
 
 use miscela_v::miscela_cache::codec::capset_to_json;
 use miscela_v::miscela_core::{CancelToken, CapSet, MiningParams};
@@ -49,10 +47,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const DATASET: &str = "santander";
-
-fn smoke() -> bool {
-    std::env::var("MISCELA_OVERLOAD_SMOKE").is_ok_and(|v| v == "1")
-}
 
 fn generate(scale: f64) -> Dataset {
     SantanderGenerator::small().with_scale(scale).generate()
@@ -247,8 +241,8 @@ fn oversubscribed_storm_bounds_admitted_latency() {
         .expect("baseline mine")
         .elapsed;
 
-    let clients = if smoke() { 4 } else { 8 };
-    let per_client = if smoke() { 3 } else { 6 };
+    let clients = 8;
+    let per_client = 6;
     let latencies = Mutex::new(Vec::new());
     let refused = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
@@ -389,8 +383,7 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
             // Crash in the middle of the session, after the degraded
             // episode: recovery must replay every acknowledged chunk.
             drop(svc);
-            svc = MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir)
-                .unwrap();
+            svc = MiscelaService::with_durability(&dir).unwrap();
             assert_eq!(svc.degraded_reason_in(DEFAULT_TENANT, DATASET), None);
         }
     }
@@ -402,8 +395,7 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
     // One more restart: everything acknowledged must survive recovery and
     // mine identically to the uninterrupted twin.
     drop(svc);
-    let svc =
-        MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir).unwrap();
+    let svc = MiscelaService::with_durability(&dir).unwrap();
     let recovered = svc.dataset_in(DEFAULT_TENANT, DATASET).unwrap();
     assert_eq!(
         recovered.timestamp_count(),
@@ -456,8 +448,8 @@ fn concurrent_storm_stays_consistent() {
     upload(&svc, DATASET, &prefix);
     let scratch = generate(0.01);
 
-    let mine_rounds = if smoke() { 8 } else { 24 };
-    let churn_rounds = if smoke() { 3 } else { 8 };
+    let mine_rounds = 24;
+    let churn_rounds = 8;
     let finish_revisions = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         let svc = &svc;

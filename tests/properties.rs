@@ -1175,3 +1175,202 @@ proptest! {
         prop_assert_eq!(revision, fx.twin_revision, "revision diverged under chaos");
     }
 }
+
+// ---------------------------------------------------------------------------
+// append sessions across a restart
+// ---------------------------------------------------------------------------
+
+/// The location/attribute/prefix documents of a small registered dataset
+/// and the tail chunks an append session streams into it, generated once.
+struct AppendFixture {
+    location_csv: String,
+    attribute_csv: String,
+    prefix_csv: String,
+    chunks: Vec<miscela_v::miscela_csv::chunk::Chunk>,
+}
+
+fn append_fixture() -> &'static AppendFixture {
+    use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
+    use miscela_v::miscela_datagen::SantanderGenerator;
+    static FIXTURE: std::sync::OnceLock<AppendFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let full = SantanderGenerator::small().with_scale(0.01).generate();
+        let n = full.timestamp_count();
+        let split_t = full.grid().at(n - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let writer = DatasetWriter::new();
+        let chunks = split_into_chunks(&writer.data_csv(&tail), 20);
+        assert!(chunks.len() >= 4, "the tail must span several chunks");
+        AppendFixture {
+            location_csv: writer.location_csv(&prefix),
+            attribute_csv: writer.attribute_csv(&prefix),
+            prefix_csv: writer.data_csv(&prefix),
+            chunks,
+        }
+    })
+}
+
+/// One step of an append-session script. Sequence numbers and session ids
+/// are drawn relative to the session's state when the step runs.
+#[derive(Debug, Clone)]
+enum AppendStep {
+    /// The next sequence number.
+    InOrder(usize),
+    /// A sequence number `back` below the next one (the next one itself
+    /// while nothing is acknowledged yet).
+    Duplicate(usize, u64),
+    /// A sequence number `ahead + 1` past the next one.
+    Gap(usize, u64),
+    /// The next sequence number, under a session id `ahead + 1` past the
+    /// open one.
+    Stale(usize, u64),
+    /// An unsequenced delivery.
+    Unsequenced(usize),
+    /// A keyed retention change: a snapshot that re-logs the session.
+    Retention,
+}
+
+fn append_step_strategy() -> impl Strategy<Value = AppendStep> {
+    (0u8..6, 0usize..8, 0u64..3).prop_map(|(kind, index, offset)| match kind {
+        0 => AppendStep::InOrder(index),
+        1 => AppendStep::Duplicate(index, offset),
+        2 => AppendStep::Gap(index, offset),
+        3 => AppendStep::Stale(index, offset),
+        4 => AppendStep::Unsequenced(index),
+        _ => AppendStep::Retention,
+    })
+}
+
+/// What a client can observe of a chunk answer: the ack, or the error's
+/// status with the watermark a typed 412 carries.
+fn observed<T: std::fmt::Debug>(
+    answer: Result<T, ApiError>,
+) -> Result<String, (u16, Option<(u64, u64)>)> {
+    answer.map(|ok| format!("{ok:?}")).map_err(|e| {
+        let watermark = match e {
+            ApiError::SequenceGap {
+                expected_session,
+                expected_seq,
+                ..
+            } => Some((expected_session, expected_seq)),
+            _ => None,
+        };
+        (e.status().as_u16(), watermark)
+    })
+}
+
+/// Runs `script` on two durable services in two directories, restarting the
+/// second before step `restart_at` (after the last step when it is past
+/// the end), and finishes the session on both. Every status, delivery
+/// answer and final state must agree.
+fn append_twins_agree(script: &[AppendStep], restart_at: usize) {
+    use miscela_v::miscela_model::RetentionPolicy;
+    use miscela_v::miscela_server::{MiscelaService, DEFAULT_TENANT};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let fx = append_fixture();
+    let root = std::env::temp_dir().join(format!(
+        "miscela-append-twins-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let (dir_a, dir_b) = (root.join("a"), root.join("b"));
+    let name = "prop";
+    let open = |dir: &std::path::Path| MiscelaService::with_durability(dir).unwrap();
+    let (a, mut b) = (open(&dir_a), open(&dir_b));
+    for svc in [&a, &b] {
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
+            name,
+            &fx.prefix_csv,
+            &fx.location_csv,
+            &fx.attribute_csv,
+            10_000,
+        )
+        .unwrap();
+        svc.begin_append_keyed_in(DEFAULT_TENANT, name, None)
+            .unwrap();
+    }
+    let status = |svc: &MiscelaService| svc.append_status_in(DEFAULT_TENANT, name).unwrap();
+    for (i, step) in script.iter().enumerate() {
+        if i == restart_at {
+            drop(b);
+            b = open(&dir_b);
+        }
+        let live = status(&a).unwrap();
+        assert_eq!(
+            Some(live),
+            status(&b),
+            "status before step {i} of {script:?}"
+        );
+        let chunk = |index: usize| &fx.chunks[index % fx.chunks.len()];
+        let deliver = |svc: &MiscelaService, index: usize, session: u64, seq: u64| {
+            observed(svc.append_chunk_seq_in(DEFAULT_TENANT, name, session, seq, chunk(index)))
+        };
+        let next = live.acked_seq + 1;
+        let answers = match *step {
+            AppendStep::InOrder(index) => {
+                [&a, &b].map(|svc| deliver(svc, index, live.session, next))
+            }
+            AppendStep::Duplicate(index, back) => {
+                let seq = live.acked_seq.saturating_sub(back).max(1);
+                [&a, &b].map(|svc| deliver(svc, index, live.session, seq))
+            }
+            AppendStep::Gap(index, ahead) => {
+                [&a, &b].map(|svc| deliver(svc, index, live.session, next + 1 + ahead))
+            }
+            AppendStep::Stale(index, ahead) => {
+                [&a, &b].map(|svc| deliver(svc, index, live.session + 1 + ahead, next))
+            }
+            AppendStep::Unsequenced(index) => [&a, &b]
+                .map(|svc| observed(svc.append_chunk_in(DEFAULT_TENANT, name, chunk(index)))),
+            AppendStep::Retention => [&a, &b].map(|svc| {
+                let key = format!("retention-{i}");
+                let policy = RetentionPolicy::keep_last(100_000);
+                observed(svc.set_retention_keyed_in(DEFAULT_TENANT, name, policy, Some(&key)))
+            }),
+        };
+        assert_eq!(answers[0], answers[1], "step {i} ({step:?}) of {script:?}");
+    }
+    if restart_at >= script.len() {
+        drop(b);
+        b = open(&dir_b);
+    }
+    assert_eq!(status(&a), status(&b), "status after {script:?}");
+    let mut finished = Vec::new();
+    for svc in [&a, &b] {
+        for chunk in &fx.chunks {
+            svc.append_chunk_in(DEFAULT_TENANT, name, chunk).unwrap();
+        }
+        svc.finish_append_keyed_in(DEFAULT_TENANT, name, None)
+            .unwrap();
+        finished.push((
+            svc.dataset_revision_in(DEFAULT_TENANT, name).unwrap(),
+            svc.dataset_in(DEFAULT_TENANT, name)
+                .unwrap()
+                .timestamp_count(),
+        ));
+    }
+    assert_eq!(finished[0], finished[1], "finished state after {script:?}");
+    drop((a, b));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A durable append session answers every status request and every
+    /// sequenced or unsequenced delivery — in order, duplicated, reusing a
+    /// chunk index, gapped or for a stale session, across keyed retention
+    /// snapshots that re-log it — the same after a restart as a twin that
+    /// never restarted, and both finish to the same revision and rows.
+    #[test]
+    fn append_sessions_answer_the_same_after_a_restart(
+        script in proptest::collection::vec(append_step_strategy(), 1..14),
+        restart_at in 0usize..16,
+    ) {
+        append_twins_agree(&script, restart_at);
+    }
+}

@@ -21,9 +21,6 @@
 //! The fixture's tail deliberately crosses the 256-point series-block
 //! boundary, so the finishing append seals a block and triggers the
 //! snapshot + WAL-compaction path mid-matrix.
-//!
-//! `MISCELA_RECOVERY_SMOKE=1` strides the budget list (every 5th point,
-//! keeping the first and last) for a bounded CI smoke run.
 
 use miscela_v::miscela_cache::codec::capset_to_json;
 use miscela_v::miscela_core::{CancelToken, CapSet, MiningParams};
@@ -191,17 +188,7 @@ fn kill_budgets(boundaries: &[u64]) -> Vec<u64> {
         budgets.insert(b); // the write completes; the *next* one dies
         prev = b;
     }
-    let budgets: Vec<u64> = budgets.into_iter().collect();
-    if std::env::var("MISCELA_RECOVERY_SMOKE").is_ok_and(|v| v == "1") {
-        let last = *budgets.last().unwrap();
-        let mut smoke: Vec<u64> = budgets.iter().copied().step_by(5).collect();
-        if smoke.last() != Some(&last) {
-            smoke.push(last);
-        }
-        smoke
-    } else {
-        budgets
-    }
+    budgets.into_iter().collect()
 }
 
 /// Runs the workflow with a crash at `budget` bytes, restarts, resumes, and
@@ -233,8 +220,7 @@ fn run_with_kill(fx: &Fixture, budget: u64) -> CapSet {
                 // "Restart the process": recover the directory through the
                 // real disk opener into a fresh in-memory database, then
                 // retry the op whose acknowledgement never arrived.
-                svc = MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir)
-                    .unwrap();
+                svc = MiscelaService::with_durability(&dir).unwrap();
                 if ops[i] == Op::Finish {
                     // The retried finish carries the same idempotency key
                     // as the attempt whose acknowledgement never arrived,
@@ -272,8 +258,7 @@ fn run_with_kill(fx: &Fixture, budget: u64) -> CapSet {
     // A final restart regardless of where (or whether) the kill landed:
     // whatever the workflow acknowledged must survive one more recovery.
     drop(svc);
-    let svc =
-        MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir).unwrap();
+    let svc = MiscelaService::with_durability(&dir).unwrap();
     assert_eq!(
         svc.dataset_in(DEFAULT_TENANT, DATASET)
             .unwrap()
