@@ -25,6 +25,9 @@ cargo test --release -q -p miscela-core
 step "cargo test --release properties (never-panic and identity properties in the optimized build the service and the benchmark use)"
 cargo test --release -q -p miscela-v --test properties
 
+step "cargo test --release server (durability, recovery and exactly-once protocol tests in the optimized build the service uses)"
+cargo test --release -q -p miscela-server
+
 step "cargo doc --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

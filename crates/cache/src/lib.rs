@@ -15,11 +15,12 @@
 //! settings are the same;
 //! [`ResultCache`] is the in-memory cache with hit/miss statistics;
 //! [`PersistentCache`] stores entries as JSON documents in a
-//! [`miscela_store::Database`] collection (the MongoDB substitute), so
-//! cached results survive across sessions and can be inspected with the
-//! store's query interface. Each entry is a [`CachedCaps`]: the CAPs plus
-//! their JSON text, encoded once and shared by both tiers and the
-//! responses.
+//! [`miscela_store::Database`] collection (the MongoDB substitute), where
+//! the store's query interface can inspect them. Cached results survive a
+//! restart when a durable service reopens over the saved store: recovery
+//! brings each dataset back at its revision, so its keys match again. Each
+//! entry is a [`CachedCaps`]: the CAPs plus their JSON text, encoded once
+//! and shared by both tiers and the responses.
 //!
 //! [`EvolvingSetsCache`] is the front-end companion: a per-series cache of
 //! extraction results keyed by series content fingerprint and the

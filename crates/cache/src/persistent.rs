@@ -3,12 +3,13 @@
 //! This is the faithful counterpart of the paper's mechanism: results live
 //! in a database collection (`cap_results`) keyed by dataset name and
 //! parameter signature ([`miscela_core::MiningParams::signature`], the text
-//! form of the parameters' identity), so that a freshly started server can
-//! still answer a repeated request without re-mining, and the documents can
-//! be inspected through the store's query API. A stored document whose
-//! signature is not this exact text (older stores wrote 6-decimal text)
-//! simply misses; dataset invalidation and the revision GC still collect
-//! it.
+//! form of the parameters' identity), and the documents can be inspected
+//! through the store's query API. Cached results survive a restart when a
+//! durable service reopens over the saved store: recovery re-registers each
+//! dataset at its revision, so a repeated request is answered without
+//! re-mining. A stored document whose signature is not this exact text
+//! (older stores wrote 6-decimal text) simply misses; dataset invalidation
+//! and the revision GC still collect it.
 //!
 //! Each result is encoded once: the memory tier keeps its [`CachedCaps`],
 //! and the stored document's `caps` field is the same shared text as a

@@ -19,9 +19,9 @@
 //!   shards with per-shard locks, plus per-tenant quotas and stats;
 //! * [`service`] — [`service::MiscelaService`]: a stateless facade over the
 //!   sharded store — dataset upload (including the 10,000-line chunked
-//!   `data.csv` protocol), dataset registry backed by the document store,
-//!   mining with the parameter-keyed result cache, result retrieval, and the
-//!   `watch` long-poll feed;
+//!   `data.csv` protocol), the dataset registry (the shard registry, the
+//!   only dataset table), mining with the parameter-keyed result cache,
+//!   result retrieval, and the `watch` long-poll feed;
 //! * `append` (crate-private) — one append session's rules as four steps
 //!   (screen a sequenced delivery, accept a chunk, ack it once its WAL record
 //!   is fsynced, apply the finished session), shared by the live path, the

@@ -4,9 +4,9 @@
 //! **stateless facade**: every piece of state lives in one sharded store
 //! (see [`crate::shard`]). It still owns the request semantics:
 //!
-//! * the shared document store ([`Database`]), holding the dataset registry
-//!   and the persistent CAP-result cache (Section 3.3: "data and CAPs are
-//!   stored in databases");
+//! * the shared document store ([`Database`]), holding the persistent
+//!   CAP-result cache (Section 3.3: "data and CAPs are stored in
+//!   databases");
 //! * in-progress chunked uploads and append sessions, both speaking the
 //!   10,000-line `data.csv` chunk
 //!   protocol of Section 3.2 — an append session targets an *existing*
@@ -30,10 +30,12 @@
 //!   retention and delete bumps instead of forcing clients to hammer
 //!   `/mine`.
 //!
-//! The shard registry is the one owner of dataset metadata. Its entries'
-//! store records (the `datasets` collection, which lets a reloaded store
-//! serve persisted results for datasets that are not resident) are derived
-//! and written by one function wherever a revision is installed.
+//! The shard registry is the only dataset table: it alone says whether a
+//! dataset exists, which revision it is at, and how many datasets a tenant
+//! holds. The document store keeps no copy of it, so a dataset is served
+//! only once it is registered — by an upload, a registration, or recovery
+//! from a durability directory, which re-registers it at its revision and so
+//! reaches the results a saved store holds for it.
 
 use miscela_cache::{
     CacheKey, CacheStats, CachedCaps, EvolvingSetsCache, ExtractionCacheStats,
@@ -49,7 +51,7 @@ use miscela_csv::CsvError;
 use miscela_model::{Dataset, RetentionPolicy};
 use miscela_store::recovery::{DatasetLog, DurabilityStats, RecoveryStore};
 use miscela_store::wal::SinkOpener;
-use miscela_store::{Database, Filter, Json, StoreError};
+use miscela_store::{Database, StoreError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -65,9 +67,6 @@ use crate::shard::{
     key_tenant, scoped_key, validate_tenant, DatasetEntry, Durability, DurableState, ReplayEntry,
     ShardedStore, TenantAdmissionStats, TenantQuota, DEFAULT_SHARDS, DEFAULT_TENANT, TENANTS_DIR,
 };
-
-/// Name of the store collection recording uploaded datasets.
-pub const DATASETS_COLLECTION: &str = "datasets";
 
 /// Back-off hint attached to degraded-durability (503) responses, in
 /// milliseconds.
@@ -146,6 +145,22 @@ pub struct DatasetSummary {
     pub records: usize,
     /// Attribute names.
     pub attributes: Vec<String>,
+}
+
+impl DatasetSummary {
+    /// The summary of a registered dataset's current content.
+    fn of(dataset: &Dataset) -> Self {
+        DatasetSummary {
+            name: dataset.name().to_string(),
+            sensors: dataset.sensor_count(),
+            records: dataset.record_count(),
+            attributes: dataset
+                .attributes()
+                .names()
+                .map(|s| s.to_string())
+                .collect(),
+        }
+    }
 }
 
 /// The response payload cached for one caller-supplied idempotency key: a
@@ -316,7 +331,7 @@ pub struct WatchOutcome {
 /// `GET /tenants/{tenant}/cache/stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantCacheStats {
-    /// Datasets the tenant has resident in the sharded registry.
+    /// Datasets registered under the tenant.
     pub datasets: usize,
     /// The tenant's per-dataset extraction caches, aggregated.
     pub extraction: ExtractionCacheStats,
@@ -380,12 +395,6 @@ fn no_append(name: &str) -> ApiError {
     ApiError::NotFound(format!("no append in progress for {name:?}"))
 }
 
-/// The typed 404 for a dataset known only from its store record: cached
-/// results stay servable, but a miss has no series to mine.
-fn not_resident(name: &str) -> ApiError {
-    ApiError::NotFound(format!("dataset {name:?} is not resident; re-upload it"))
-}
-
 /// Maps a cancelled or failed mine (`what` is "mine" or "sweep") into its
 /// typed API error.
 fn mining_err(what: &str, name: &str, e: MiningError) -> ApiError {
@@ -403,15 +412,12 @@ fn mining_err(what: &str, name: &str, e: MiningError) -> ApiError {
 impl MiscelaService {
     /// Creates a service over a fresh in-memory database.
     pub fn new() -> Self {
-        Self::with_database(Arc::new(Database::new()))
+        Self::over(Arc::new(Database::new()))
     }
 
-    /// Creates a service over an existing (possibly persisted) database.
-    pub fn with_database(db: Arc<Database>) -> Self {
-        db.create_collection(DATASETS_COLLECTION);
-        db.create_index(DATASETS_COLLECTION, "name");
-        db.create_index(DATASETS_COLLECTION, "key");
-        db.create_index(DATASETS_COLLECTION, "tenant");
+    /// A service whose result cache lives in `db`, with the default
+    /// admission configuration and shard count.
+    fn over(db: Arc<Database>) -> Self {
         MiscelaService {
             store: ShardedStore::new(
                 db,
@@ -444,16 +450,18 @@ impl MiscelaService {
         Self::new().attach_durability(RecoveryStore::open(dir))
     }
 
-    /// Like [`MiscelaService::with_durability`], but over an existing
-    /// database and writing through an injected [`SinkOpener`] — the hook
-    /// the fault-injection harness uses to kill the durable write path at a
-    /// precise byte.
+    /// Like [`MiscelaService::with_durability`], but with the result cache
+    /// in an existing database and writing through an injected
+    /// [`SinkOpener`] — the hook the fault-injection harness uses to kill
+    /// the durable write path at a precise byte. Over a store saved by an
+    /// earlier session (`persist::load`), the datasets recovered from `dir`
+    /// come back at their revisions, so their cached results are hits.
     pub fn with_durability_opener(
         db: Arc<Database>,
         dir: impl Into<PathBuf>,
         opener: Arc<dyn SinkOpener>,
     ) -> Result<Self, ApiError> {
-        Self::with_database(db).attach_durability(RecoveryStore::with_opener(dir, opener))
+        Self::over(db).attach_durability(RecoveryStore::with_opener(dir, opener))
     }
 
     /// Recovers every dataset logged under `store` — the default tenant's
@@ -773,7 +781,7 @@ impl MiscelaService {
                 "durability is not enabled for this service".to_string(),
             ));
         }
-        self.revision(&scope)?;
+        self.entry(&scope)?;
         let states = self.store.shard(&scope.key).durable.lock();
         let state = states.get(&scope.key).ok_or_else(|| {
             ApiError::NotFound(format!("dataset {:?} has no durability log", scope.name))
@@ -924,7 +932,7 @@ impl MiscelaService {
         name: &str,
     ) -> Result<Option<AppendStatus>, ApiError> {
         let scope = Scope::new(tenant, name)?;
-        self.revision(&scope)?;
+        self.entry(&scope)?;
         let appends = self.store.shard(&scope.key).appends.lock();
         Ok(appends.get(&scope.key).map(AppendSession::status))
     }
@@ -964,9 +972,9 @@ impl MiscelaService {
         cache.collect_superseded(DEFAULT_KEEP_GENERATIONS);
     }
 
-    /// The shared document store.
+    /// The shared document store holding the persistent result cache.
     pub fn database(&self) -> &Arc<Database> {
-        &self.store.db
+        self.store.cache.database()
     }
 
     /// Cache statistics (in-memory tier).
@@ -1001,26 +1009,13 @@ impl MiscelaService {
         total
     }
 
-    /// One tenant's slice of the cache statistics — its resident dataset
+    /// One tenant's slice of the cache statistics — its registered dataset
     /// count plus its extraction caches aggregated — served by
     /// `GET /tenants/{tenant}/cache/stats`.
     pub fn tenant_cache_stats(&self, tenant: &str) -> Result<TenantCacheStats, ApiError> {
         validate_tenant(tenant)?;
-        let datasets = self
-            .store
-            .shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .datasets
-                    .read()
-                    .keys()
-                    .filter(|key| key_tenant(key) == tenant)
-                    .count()
-            })
-            .sum();
         Ok(TenantCacheStats {
-            datasets,
+            datasets: self.tenant_entries(tenant).len(),
             extraction: self.extraction_stats_where(|key| key_tenant(key) == tenant),
         })
     }
@@ -1046,16 +1041,10 @@ impl MiscelaService {
     /// must fit under `max_datasets`, and the registered content must fit
     /// under `max_retained_timestamps`.
     fn check_register_quota(&self, scope: &Scope, dataset: &Dataset) -> Result<(), ApiError> {
-        let tenant = self.store.tenant_state(&scope.tenant);
-        let max_datasets = tenant.quota.read().max_datasets;
-        if let Some(max) = max_datasets {
-            let exists = self
-                .store
-                .shard(&scope.key)
-                .datasets
-                .read()
-                .contains_key(&scope.key);
-            if !exists && tenant.dataset_count.load(Ordering::Relaxed) >= max {
+        let quota = *self.store.tenant_state(&scope.tenant).quota.read();
+        if let Some(max) = quota.max_datasets {
+            let exists = self.entry(scope).is_ok();
+            if !exists && self.tenant_entries(&scope.tenant).len() >= max {
                 return Err(ApiError::QuotaExceeded(format!(
                     "tenant {:?} is at its quota of {max} datasets",
                     scope.tenant
@@ -1112,8 +1101,8 @@ impl MiscelaService {
     }
 
     /// Installs `dataset` as a new revision of `scope` (registration and
-    /// finished uploads): quota check, cache invalidation, registry entry
-    /// and store record, keyed response, durable snapshot.
+    /// finished uploads): quota check, cache invalidation, registry entry,
+    /// keyed response, durable snapshot.
     fn register(
         &self,
         scope: &Scope,
@@ -1129,16 +1118,7 @@ impl MiscelaService {
         self.age_extraction(scope);
         let dataset = Arc::new(dataset);
         let revision = self.put_entry(scope, &dataset, None);
-        let summary = DatasetSummary {
-            name: scope.name.clone(),
-            sensors: dataset.sensor_count(),
-            records: dataset.record_count(),
-            attributes: dataset
-                .attributes()
-                .names()
-                .map(|s| s.to_string())
-                .collect(),
-        };
+        let summary = DatasetSummary::of(&dataset);
         // Cache the keyed response before the durable snapshot below, so
         // the snapshot persists it and a retry replayed across a crash
         // still finds it.
@@ -1166,9 +1146,8 @@ impl MiscelaService {
     }
 
     /// Puts `dataset` into the registry as `scope`'s entry — at `revision`,
-    /// or one past the current entry's when `None` — counting a new
-    /// dataset against its tenant, writes the store record and wakes the
-    /// shard's watchers. Returns the installed revision.
+    /// or one past the current entry's when `None` — and wakes the shard's
+    /// watchers. Returns the installed revision.
     fn put_entry(&self, scope: &Scope, dataset: &Arc<Dataset>, revision: Option<u64>) -> u64 {
         let shard = self.store.shard(&scope.key);
         let revision = {
@@ -1179,15 +1158,9 @@ impl MiscelaService {
                 dataset: Arc::clone(dataset),
                 revision,
             };
-            if registry.insert(scope.key.clone(), entry).is_none() {
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .dataset_count
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            registry.insert(scope.key.clone(), entry);
             revision
         };
-        self.write_record(scope, dataset, revision);
         // The datasets lock is released (see the shard lock order).
         shard.notify_watchers();
         revision
@@ -1200,9 +1173,9 @@ impl MiscelaService {
     /// caller to retry `what`, never silently overwritten). With `bump`,
     /// the revision advances: results of superseded revisions are evicted
     /// (already unreachable by key; collecting them keeps the store from
-    /// growing one dead generation per append), the extraction tier ages,
-    /// the store record is rewritten and the shard's watchers wake. Every
-    /// step reads only O(1) dataset accessors, so an append stays O(tail).
+    /// growing one dead generation per append), the extraction tier ages
+    /// and the shard's watchers wake. No step reads more than O(1) dataset
+    /// accessors, so an append stays O(tail).
     /// Returns the dataset's revision after the swap.
     fn install_revision(
         &self,
@@ -1234,34 +1207,9 @@ impl MiscelaService {
         if bump {
             self.store.cache.evict_superseded(&scope.key, revision);
             self.age_extraction(scope);
-            self.write_record(scope, ds, revision);
             shard.notify_watchers();
         }
         Ok(revision)
-    }
-
-    /// Derives the `datasets` store record of one installed revision and
-    /// writes it, replacing the previous one — the only writer of that
-    /// collection's records. Reads only O(1) dataset accessors. `name`
-    /// stays the tenant-local dataset name; `tenant` and the scoped `key`
-    /// make the record addressable per namespace.
-    fn write_record(&self, scope: &Scope, ds: &Dataset, revision: u64) {
-        let mut doc = Json::object();
-        doc.set("name", Json::from(ds.name()));
-        doc.set("tenant", Json::from(scope.tenant.as_str()));
-        doc.set("key", Json::from(scope.key.as_str()));
-        doc.set("revision", Json::from(revision as i64));
-        doc.set("trimmed", Json::from(ds.trimmed()));
-        doc.set("sensors", Json::from(ds.sensor_count()));
-        doc.set("records", Json::from(ds.record_count()));
-        doc.set("timestamps", Json::from(ds.timestamp_count()));
-        doc.set(
-            "attributes",
-            Json::Array(ds.attributes().names().map(Json::from).collect()),
-        );
-        let db = &self.store.db;
-        db.delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
-        db.insert(DATASETS_COLLECTION, doc);
     }
 
     /// Fetches a registered dataset from a tenant's namespace.
@@ -1271,45 +1219,9 @@ impl MiscelaService {
 
     /// The current revision counter of a tenant's registered dataset.
     /// Revisions start at 1 and bump on every re-registration and every
-    /// completed append; the mining cache keys results by them. Datasets
-    /// whose series are not resident (a reloaded store from a previous
-    /// session) resolve through their store record, so cached results stay
-    /// servable without a re-upload.
+    /// completed append; the mining cache keys results by them.
     pub fn dataset_revision_in(&self, tenant: &str, name: &str) -> Result<u64, ApiError> {
-        self.revision(&Scope::new(tenant, name)?)
-    }
-
-    fn revision(&self, scope: &Scope) -> Result<u64, ApiError> {
-        match self.entry(scope) {
-            Ok(e) => Ok(e.revision),
-            Err(_) => Ok(self.stored_version(scope)?.0),
-        }
-    }
-
-    /// Resolves `(revision, trimmed)` for a dataset whose series are not
-    /// resident, from its store record (datasets recorded before the trim
-    /// field existed resolve as untrimmed).
-    fn stored_version(&self, scope: &Scope) -> Result<(u64, u64), ApiError> {
-        let doc = self
-            .store
-            .db
-            .find_one(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()))
-            .ok_or_else(|| not_registered(&scope.name))?;
-        let revision = doc
-            .get("revision")
-            .and_then(|r| r.as_i64())
-            .ok_or_else(|| not_registered(&scope.name))?;
-        let trimmed = doc.get("trimmed").and_then(|t| t.as_i64()).unwrap_or(0);
-        Ok((revision as u64, trimmed as u64))
-    }
-
-    /// `(revision, trimmed)` of a dataset's current state, from its
-    /// registry entry when resident and its store record otherwise.
-    fn version(&self, scope: &Scope, entry: Option<&DatasetEntry>) -> Result<(u64, u64), ApiError> {
-        match entry {
-            Some(e) => Ok((e.revision, e.dataset.trimmed() as u64)),
-            None => self.stored_version(scope),
-        }
+        Ok(self.entry(&Scope::new(tenant, name)?)?.revision)
     }
 
     fn entry(&self, scope: &Scope) -> Result<DatasetEntry, ApiError> {
@@ -1397,30 +1309,29 @@ impl MiscelaService {
         Ok((summary, false))
     }
 
-    /// Lists a tenant's registered datasets (from the store, so names
-    /// uploaded by previous sessions appear even if their series are not
-    /// resident).
+    /// Lists a tenant's registered datasets, sorted by name.
     pub fn list_datasets_in(&self, tenant: &str) -> Result<Vec<DatasetSummary>, ApiError> {
         validate_tenant(tenant)?;
-        Ok(self
-            .store
-            .db
-            .find(DATASETS_COLLECTION, &Filter::eq("tenant", tenant))
-            .into_iter()
-            .filter_map(|doc| {
-                Some(DatasetSummary {
-                    name: doc.get("name")?.as_str()?.to_string(),
-                    sensors: doc.get("sensors")?.as_i64()? as usize,
-                    records: doc.get("records")?.as_i64()? as usize,
-                    attributes: doc
-                        .get("attributes")?
-                        .as_array()?
-                        .iter()
-                        .filter_map(|a| a.as_str().map(|s| s.to_string()))
-                        .collect(),
-                })
-            })
-            .collect())
+        let mut listed: Vec<DatasetSummary> = self
+            .tenant_entries(tenant)
+            .iter()
+            .map(|e| DatasetSummary::of(&e.dataset))
+            .collect();
+        listed.sort_by(|a, b| a.name.cmp(&b.name));
+        Ok(listed)
+    }
+
+    /// Every registry entry of `tenant`, across all shards, in no
+    /// particular order — what the listing, the dataset quota and the
+    /// tenant's cache stats count.
+    fn tenant_entries(&self, tenant: &str) -> Vec<DatasetEntry> {
+        let mut entries = Vec::new();
+        for shard in &self.store.shards {
+            let registry = shard.datasets.read();
+            let mine = registry.iter().filter(|(key, _)| key_tenant(key) == tenant);
+            entries.extend(mine.map(|(_, entry)| entry.clone()));
+        }
+        entries
     }
 
     /// Removes a tenant's dataset and its cached results (including its
@@ -1450,12 +1361,6 @@ impl MiscelaService {
         }
         let shard = self.store.shard(&scope.key);
         let existed = shard.datasets.write().remove(&scope.key).is_some();
-        if existed {
-            self.store
-                .tenant_state(&scope.tenant)
-                .dataset_count
-                .fetch_sub(1, Ordering::Relaxed);
-        }
         shard.extraction.write().remove(&scope.key);
         shard.uploads.lock().remove(&scope.key);
         shard.appends.lock().remove(&scope.key);
@@ -1465,24 +1370,17 @@ impl MiscelaService {
                 .remove_dataset(&scope.name)
                 .map_err(wal_err)?;
         }
-        let stored = self
-            .store
-            .db
-            .delete_where(DATASETS_COLLECTION, &Filter::eq("key", scope.key.as_str()));
         self.store.cache.invalidate_dataset(&scope.key);
         self.forget_sweeps(&scope);
-        if existed {
-            // Wake parked watchers: they re-read the registry, find the
-            // dataset gone, and return the typed `NotFound` close instead
-            // of idling until their deadline.
-            shard.notify_watchers();
+        if !existed {
+            return Err(not_registered(&scope.name));
         }
-        if existed || stored > 0 {
-            self.remember(key, &scope, ReplayOutcome::Delete);
-            Ok(false)
-        } else {
-            Err(not_registered(&scope.name))
-        }
+        // Wake parked watchers: they re-read the registry, find the dataset
+        // gone, and return the typed `NotFound` close instead of idling
+        // until their deadline.
+        shard.notify_watchers();
+        self.remember(key, &scope, ReplayOutcome::Delete);
+        Ok(false)
     }
 
     // ----- chunked upload ------------------------------------------------
@@ -1869,6 +1767,11 @@ impl MiscelaService {
         // window) a snapshot follows, compacting the WAL so recovery stays
         // O(rows since last snapshot).
         self.durable(&scope, |state| {
+            // The registry already holds the applied rows, so the watermark
+            // names this session before the commit is attempted: should the
+            // commit fail, the degraded probe's snapshot carries both, and
+            // a restart never hands this session id out again.
+            state.watermark = session_id;
             state
                 .log
                 .log(&durability::commit_record(
@@ -1876,7 +1779,6 @@ impl MiscelaService {
                 ))
                 .map_err(wal_err)?;
             state.log.commit().map_err(wal_err)?;
-            state.watermark = session_id;
             if summary.trimmed_timestamps > 0 || ds.sealed_timestamps() > state.sealed_at_snapshot {
                 self.snapshot(&scope, state, &ds, revision)?;
             }
@@ -2063,13 +1965,9 @@ impl MiscelaService {
         // that is mined: deriving the revision and the dataset Arc from the
         // same `DatasetEntry` means a concurrent append can never make this
         // request cache one revision's CAPs under another revision's key
-        // (its bumped entry simply is not this snapshot). Datasets whose
-        // series are not resident (a reloaded store) have no entry but
-        // still resolve a revision through their store record, so their
-        // persisted results can be served from the cache without a
-        // re-upload.
-        let entry = self.entry(scope).ok();
-        let (revision, trimmed) = self.version(scope, entry.as_ref())?;
+        // (its bumped entry simply is not this snapshot).
+        let entry = self.entry(scope)?;
+        let (revision, trimmed) = (entry.revision, entry.dataset.trimmed() as u64);
         let keys: Vec<CacheKey> = points
             .iter()
             .map(|p| CacheKey::for_state(&scope.key, revision, trimmed, p))
@@ -2079,7 +1977,6 @@ impl MiscelaService {
         let misses = cached.iter().filter(|slot| slot.is_none()).count();
         let mut fresh = SweepOutput::default();
         if misses > 0 {
-            let entry = entry.ok_or_else(|| not_resident(&scope.name))?;
             // Misses do real work: hold one cost-weighted admission permit
             // for the rest of the request, shedding (typed, retryable)
             // instead of queueing without bound.
@@ -2259,17 +2156,35 @@ mod tests {
     fn register_list_delete() {
         let svc = MiscelaService::new();
         assert!(svc.list_datasets_in(DEFAULT_TENANT).unwrap().is_empty());
-        let summary = register(&svc, small_dataset());
+        let ds = small_dataset();
+        let summary = register(&svc, ds.clone());
         assert_eq!(summary.name, "santander");
         assert!(summary.sensors > 0);
         let listed = svc.list_datasets_in(DEFAULT_TENANT).unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0], summary);
-        assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_ok());
+        // Registered second but named first: the listing is in name order.
+        let writer = DatasetWriter::new();
+        let uploaded = svc
+            .upload_documents_in(
+                DEFAULT_TENANT,
+                "aarhus",
+                &writer.data_csv(&ds),
+                &writer.location_csv(&ds),
+                &writer.attribute_csv(&ds),
+                10_000,
+            )
+            .unwrap();
+        let listed = svc.list_datasets_in(DEFAULT_TENANT).unwrap();
+        assert_eq!(listed, vec![uploaded.clone(), summary]);
         assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_ok());
         svc.delete_dataset_keyed_in(DEFAULT_TENANT, "santander", None)
             .unwrap();
         assert!(svc.dataset_in(DEFAULT_TENANT, "santander").is_err());
+        let listed = svc.list_datasets_in(DEFAULT_TENANT).unwrap();
+        assert_eq!(listed, vec![uploaded]);
+        let stats = svc.tenant_cache_stats(DEFAULT_TENANT).unwrap();
+        assert_eq!(stats.datasets, listed.len());
         assert!(svc
             .delete_dataset_keyed_in(DEFAULT_TENANT, "santander", None)
             .is_err());
@@ -3138,6 +3053,99 @@ mod tests {
         assert_eq!(revision(&svc).unwrap(), 5);
         let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
         assert_eq!(ds.timestamp_count(), n - 12);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_commit_never_hands_its_session_id_out_again() {
+        use miscela_model::RetentionPolicy;
+        use miscela_store::wal::{FailPoint, FailingOpener, SinkOpener};
+
+        // A finish whose commit record failed has already applied its rows,
+        // so the degraded probe's snapshot must record its session as
+        // applied. Otherwise a restart hands that id to the next begin, and
+        // a retried keyed begin replays an id that names the new session.
+        let full = small_dataset();
+        let n = full.timestamp_count();
+        let split_t = full.grid().at(n - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let writer = DatasetWriter::new();
+        let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 40);
+
+        let dir = durable_dir("failed-commit");
+        let fail = FailPoint::unlimited();
+        let opener: Arc<dyn SinkOpener> = Arc::new(FailingOpener::new(fail.clone()));
+        let open = || {
+            MiscelaService::with_durability_opener(
+                Arc::new(Database::new()),
+                &dir,
+                Arc::clone(&opener),
+            )
+            .unwrap()
+        };
+
+        let svc = open();
+        svc.upload_documents_in(
+            DEFAULT_TENANT,
+            "santander",
+            &writer.data_csv(&prefix),
+            &writer.location_csv(&prefix),
+            &writer.attribute_csv(&prefix),
+            10_000,
+        )
+        .unwrap();
+        let begun = svc
+            .begin_append_keyed_in(DEFAULT_TENANT, "santander", Some("begin-1"))
+            .unwrap();
+        assert_eq!(begun.session, 1);
+        for chunk in &chunks {
+            svc.append_chunk_in(DEFAULT_TENANT, "santander", chunk)
+                .unwrap();
+        }
+        fail.exhaust();
+        let err = svc
+            .finish_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap_err();
+        assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
+        fail.heal();
+        // A retention change runs the degraded probe, whose snapshot holds
+        // the applied rows.
+        svc.set_retention_keyed_in(
+            DEFAULT_TENANT,
+            "santander",
+            RetentionPolicy::keep_last(n),
+            None,
+        )
+        .unwrap();
+        drop(svc);
+
+        let svc = open();
+        let ds = svc.dataset_in(DEFAULT_TENANT, "santander").unwrap();
+        assert_eq!(ds.timestamp_count(), n);
+        let next = svc
+            .begin_append_keyed_in(DEFAULT_TENANT, "santander", None)
+            .unwrap();
+        assert_eq!(next.session, 2, "the applied session's id was reused");
+        let retried = svc
+            .begin_append_keyed_in(DEFAULT_TENANT, "santander", Some("begin-1"))
+            .unwrap();
+        assert_eq!((retried.session, retried.replayed), (1, true));
+        // A client resuming the old session is told it is stale, instead of
+        // feeding its chunks into the new one.
+        let err = svc
+            .append_chunk_seq_in(DEFAULT_TENANT, "santander", 1, 1, &chunks[0])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ApiError::SequenceGap {
+                    expected_session: 2,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,7 +43,7 @@ use miscela_store::Database;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::admission::AdmissionController;
@@ -86,8 +86,8 @@ pub(crate) fn validate_tenant(tenant: &str) -> Result<(), ApiError> {
 }
 
 /// The store key for `name` in `tenant`: the bare name for the default
-/// tenant (backward compatible with every pre-tenancy cache key, admission
-/// key, and store record), `tenant/name` otherwise.
+/// tenant (backward compatible with every pre-tenancy cache key and
+/// admission key), `tenant/name` otherwise.
 pub(crate) fn scoped_key(tenant: &str, name: &str) -> String {
     if tenant == DEFAULT_TENANT {
         name.to_string()
@@ -180,10 +180,6 @@ pub(crate) struct TenantState {
     pub(crate) protocol: Mutex<ProtocolState>,
     /// The tenant's resource limits.
     pub(crate) quota: RwLock<TenantQuota>,
-    /// Datasets currently registered under the tenant (maintained under the
-    /// owning shard's `datasets` write lock, so the quota check-and-reserve
-    /// at registration is race-free per shard).
-    pub(crate) dataset_count: AtomicUsize,
     /// Admission permits granted to this tenant's requests.
     pub(crate) admitted: AtomicU64,
     /// This tenant's requests shed by admission control.
@@ -197,7 +193,6 @@ impl TenantState {
         TenantState {
             protocol: Mutex::new(ProtocolState::default()),
             quota: RwLock::new(TenantQuota::default()),
-            dataset_count: AtomicUsize::new(0),
             admitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
@@ -303,11 +298,11 @@ impl Shard {
     }
 }
 
-/// The unified store behind the service facade: the shared database and
-/// result cache, the shard array, the tenant table, and the cross-cutting
-/// singletons (durability root, session-id counter, admission controller).
+/// The unified store behind the service facade: the result cache (over
+/// the shared database), the shard array, the tenant table, and the
+/// cross-cutting singletons (durability root, session-id counter, admission
+/// controller).
 pub(crate) struct ShardedStore {
-    pub(crate) db: Arc<Database>,
     pub(crate) cache: PersistentCache,
     pub(crate) shards: Vec<Shard>,
     pub(crate) tenants: RwLock<HashMap<String, Arc<TenantState>>>,
@@ -324,8 +319,7 @@ pub(crate) struct ShardedStore {
 impl ShardedStore {
     pub(crate) fn new(db: Arc<Database>, admission: AdmissionController, shards: usize) -> Self {
         ShardedStore {
-            cache: PersistentCache::new(Arc::clone(&db)),
-            db,
+            cache: PersistentCache::new(db),
             shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
             tenants: RwLock::new(HashMap::new()),
             durability: None,

@@ -8,10 +8,14 @@ use miscela_v::miscela_core::{CancelToken, CapSet, Miner, MiningParams, Proximit
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::{CovidGenerator, PlantedGenerator, SantanderGenerator};
 use miscela_v::miscela_model::AttributeId;
-use miscela_v::miscela_server::{ApiRequest, MiscelaService, Router, DEFAULT_TENANT};
-use miscela_v::miscela_store::{persist, Json};
+use miscela_v::miscela_server::{
+    ApiError, ApiRequest, MineOutcome, MiscelaService, Router, DEFAULT_TENANT,
+};
+use miscela_v::miscela_store::wal::DiskOpener;
+use miscela_v::miscela_store::{persist, Database, Json};
 use miscela_v::miscela_viz::{Dashboard, MapConfig, MapView};
 use miscela_v::MiscelaV;
+use std::path::Path;
 use std::sync::Arc;
 
 fn quick_params() -> MiningParams {
@@ -146,58 +150,82 @@ fn planted_patterns_survive_the_whole_pipeline() {
     }
 }
 
+/// Registers the small Santander dataset on `service`, mines it once at
+/// `quick_params` (a cache miss), and saves the service's store to
+/// `store_dir`.
+fn mine_and_save(service: &MiscelaService, store_dir: &Path) -> MineOutcome {
+    let ds = SantanderGenerator::small().with_scale(0.02).generate();
+    service
+        .register_dataset_keyed_in(DEFAULT_TENANT, ds, None)
+        .unwrap();
+    let outcome = mine_santander(service).unwrap();
+    assert!(!outcome.cache_hit);
+    persist::save(service.database(), store_dir).unwrap();
+    outcome
+}
+
+fn mine_santander(service: &MiscelaService) -> Result<MineOutcome, ApiError> {
+    service.mine_cancellable_in(
+        DEFAULT_TENANT,
+        "santander",
+        &quick_params(),
+        None,
+        &CancelToken::never(),
+    )
+}
+
+/// A durable service over `db`, recovering whatever `durable_dir` holds.
+fn durable_over(db: Database, durable_dir: &Path) -> MiscelaService {
+    MiscelaService::with_durability_opener(Arc::new(db), durable_dir, Arc::new(DiskOpener)).unwrap()
+}
+
 #[test]
 fn cache_survives_store_persistence() {
-    // Mine once, persist the store to disk, reload it into a fresh service,
-    // and check the repeated request is a cache hit without the dataset's
-    // series even being resident (the CAPs come from the persisted cache).
+    // Section 3.3: cached results survive across sessions. A durable
+    // service mines once and its store is saved; a service reopened over
+    // the loaded store and the same durability directory recovers the
+    // dataset at its revision, so the repeated request is a hit served from
+    // the persisted cache.
     let dir = std::env::temp_dir().join(format!("miscela-integration-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let (store_dir, durable_dir) = (dir.join("store"), dir.join("durable"));
 
-    let ds = SantanderGenerator::small().with_scale(0.02).generate();
-    let params = quick_params();
-    let (first_caps, first_text);
-    {
-        let service = Arc::new(MiscelaService::new());
-        service
-            .register_dataset_keyed_in(DEFAULT_TENANT, ds, None)
-            .unwrap();
-        let outcome = service
-            .mine_cancellable_in(
-                DEFAULT_TENANT,
-                "santander",
-                &params,
-                None,
-                &CancelToken::never(),
-            )
-            .unwrap();
-        assert!(!outcome.cache_hit);
-        first_caps = outcome.result.caps.clone();
-        first_text = outcome.caps_text;
-        persist::save(service.database(), &dir).unwrap();
-    }
+    let first = mine_and_save(&durable_over(Database::new(), &durable_dir), &store_dir);
     // On disk the document holds the bytes the tree encoding writes.
-    let saved = std::fs::read_to_string(dir.join("cap_results.jsonl")).unwrap();
-    let tree = capset_to_json(&first_caps).to_string_compact();
+    let saved = std::fs::read_to_string(store_dir.join("cap_results.jsonl")).unwrap();
+    let tree = capset_to_json(&first.result.caps).to_string_compact();
     assert!(saved.contains(&format!("\"caps\":{tree},")), "{saved}");
 
-    let reloaded = Arc::new(persist::load(&dir).unwrap());
-    let service = MiscelaService::with_database(reloaded);
-    // The dataset itself is not re-registered, but the cached result is
-    // available for the same (dataset, parameters) key.
-    let outcome = service
-        .mine_cancellable_in(
-            DEFAULT_TENANT,
-            "santander",
-            &params,
-            None,
-            &CancelToken::never(),
-        )
-        .unwrap();
+    let service = durable_over(persist::load(&store_dir).unwrap(), &durable_dir);
+    let outcome = mine_santander(&service).unwrap();
     assert!(outcome.cache_hit);
-    assert_eq!(outcome.result.caps, first_caps);
+    assert_eq!(outcome.result.caps, first.result.caps);
     // The reloaded document holds a parsed tree; it serves the same text.
-    assert_eq!(outcome.caps_text, first_text);
+    assert_eq!(outcome.caps_text, first.caps_text);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_loaded_store_serves_only_registered_datasets() {
+    // The shard registry is the only dataset table: a loaded store still
+    // holds the cached results of a dataset no durability directory
+    // recovers, but nothing serves them.
+    let dir = std::env::temp_dir().join(format!(
+        "miscela-integration-unregistered-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_dir = dir.join("store");
+    mine_and_save(&MiscelaService::new(), &store_dir);
+
+    let service = durable_over(persist::load(&store_dir).unwrap(), &dir.join("empty"));
+    let err = mine_santander(&service).unwrap_err();
+    assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
+    let err = service
+        .dataset_revision_in(DEFAULT_TENANT, "santander")
+        .unwrap_err();
+    assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
+    assert!(service.list_datasets_in(DEFAULT_TENANT).unwrap().is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
