@@ -22,6 +22,9 @@ cargo test --workspace -q
 step "cargo test --release (miner oracles in the optimized build: no debug assertions, wrapping overflow)"
 cargo test --release -q -p miscela-core
 
+step "cargo test --release cache (extraction-cache and result-cache tests in the optimized build the service uses)"
+cargo test --release -q -p miscela-cache
+
 step "cargo test --release properties (never-panic and identity properties in the optimized build the service and the benchmark use)"
 cargo test --release -q -p miscela-v --test properties
 

@@ -246,6 +246,9 @@ impl EvolvingCache for ReadOnlyExtractionCache<'_> {
     fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
         self.0.get_prefix(key)
     }
+    fn get_sibling(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+        self.0.get_sibling(key)
+    }
     fn put(&self, _key: ExtractionKey, _state: Arc<ExtractionState>) {}
 }
 

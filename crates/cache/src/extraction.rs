@@ -16,7 +16,16 @@
 //! prefix-fingerprint keys of appended series — a hit seeds
 //! `miscela_core::evolving::extract_resume`, which re-extracts only the
 //! appended tail. [`ExtractionCacheStats::prefix_hits`] counts those
-//! resumptions.
+//! resumptions, and the origin probes of trimmed series.
+//!
+//! A retuned ε misses the content key but skips step (1): a state
+//! segmented from scratch is also published under its series' *sibling*
+//! key (content fingerprint and tolerance, ε left out), and an extraction
+//! of the same series at another ε finds it there and reruns only step (2)
+//! over its segmentation (`miscela_core::evolving::extract_rescan`),
+//! sharing its segment runs. Sibling probes count in none of the
+//! [`ExtractionCacheStats`] counters; the miner's report tallies the
+//! rescans (`MiningReport::extraction_rescans`).
 
 use miscela_core::evolving::{EvolvingCache, ExtractionKey, ExtractionState};
 use parking_lot::Mutex;
@@ -92,7 +101,7 @@ pub struct EvolvingSetsCache {
 }
 
 // Entries are the `Arc`s the miner publishes, never copies: one state
-// cached under both its content and origin keys is one allocation, and its
+// cached under its content, origin and sibling keys is one allocation, and its
 // segment runs are shared with the states of neighbouring revisions. The
 // critical section of a hit is one reference bump: the miner copies the
 // sets it needs outside the lock, keeping the parallel warm-extraction
@@ -173,18 +182,20 @@ impl EvolvingSetsCache {
         removed
     }
 
-    fn lookup(&self, key: &ExtractionKey, prefix: bool) -> Option<Arc<ExtractionState>> {
+    fn lookup(&self, key: &ExtractionKey, probe: Probe) -> Option<Arc<ExtractionState>> {
         let mut inner = self.inner.lock();
         let generation = inner.generation;
         let found = inner.entries.get_mut(key).map(|(state, touched)| {
             *touched = generation;
             Arc::clone(state)
         });
-        match (prefix, found.is_some()) {
-            (false, true) => inner.stats.hits += 1,
-            (false, false) => inner.stats.misses += 1,
-            (true, true) => inner.stats.prefix_hits += 1,
-            (true, false) => inner.stats.prefix_misses += 1,
+        let stats = &mut inner.stats;
+        match (probe, found.is_some()) {
+            (Probe::Content, true) => stats.hits += 1,
+            (Probe::Content, false) => stats.misses += 1,
+            (Probe::Prefix, true) => stats.prefix_hits += 1,
+            (Probe::Prefix, false) => stats.prefix_misses += 1,
+            (Probe::Sibling, _) => {}
         }
         found
     }
@@ -211,13 +222,28 @@ impl Default for EvolvingSetsCache {
     }
 }
 
+/// Which [`EvolvingCache`] probe a lookup answers, for the counters.
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    /// Counted in `hits`/`misses`.
+    Content,
+    /// Counted in `prefix_hits`/`prefix_misses`.
+    Prefix,
+    /// Counted nowhere: the miner tallies the rescans it runs.
+    Sibling,
+}
+
 impl EvolvingCache for EvolvingSetsCache {
     fn get(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
-        self.lookup(key, false)
+        self.lookup(key, Probe::Content)
     }
 
     fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
-        self.lookup(key, true)
+        self.lookup(key, Probe::Prefix)
+    }
+
+    fn get_sibling(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+        self.lookup(key, Probe::Sibling)
     }
 
     fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
@@ -295,6 +321,22 @@ mod tests {
     }
 
     #[test]
+    fn sibling_probes_count_in_no_counter() {
+        let cache = EvolvingSetsCache::new();
+        let s = series(0.0);
+        let x = Extraction::new(0.5, true, 0.05);
+        let sibling = ExtractionKey::sibling(series_fingerprint(&s), x);
+        assert!(cache.get_sibling(&sibling).is_none());
+        let state = Arc::new(extract_state(&s, x));
+        cache.put(sibling, Arc::clone(&state));
+        assert!(Arc::ptr_eq(&cache.get_sibling(&sibling).unwrap(), &state));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
+        assert_eq!((stats.prefix_hits, stats.prefix_misses), (0, 0));
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
     fn keys_distinguish_content_and_parameters() {
         let a = series(0.0);
         let b = series(1.0);
@@ -312,6 +354,28 @@ mod tests {
         let mut gapped = a.clone();
         gapped.clear(10);
         assert_ne!(base, key_of(&gapped, 0.5, false, 0.0));
+
+        // The three key families of one fingerprint never meet, at ε 0
+        // (which a sibling key leaves out) as at any other ε.
+        let fp = series_fingerprint(&a);
+        for eps in [0.0, 0.5] {
+            let x = Extraction::new(eps, true, 0.05);
+            let content = ExtractionKey::from_fingerprint(fp, x);
+            let origin = ExtractionKey::from_origin_fingerprint(fp, x);
+            let sibling = ExtractionKey::sibling(fp, x);
+            assert_ne!(content, origin);
+            assert_ne!(content, sibling);
+            assert_ne!(origin, sibling);
+        }
+        // A sibling key ignores ε but not the content or the tolerance.
+        let sibling_of = |s: &TimeSeries, eps: f64, tol: f64| {
+            ExtractionKey::sibling(series_fingerprint(s), Extraction::new(eps, true, tol))
+        };
+        let sibling = sibling_of(&a, 0.5, 0.05);
+        assert_eq!(sibling, sibling_of(&a, 0.0, 0.05));
+        assert_eq!(sibling, sibling_of(&a, 2.5, 0.05));
+        assert_ne!(sibling, sibling_of(&b, 0.5, 0.05));
+        assert_ne!(sibling, sibling_of(&a, 0.5, 0.1));
     }
 
     #[test]

@@ -272,7 +272,8 @@ fn scan_words_from(
 /// makes extraction *resumable* — when the series is later appended to,
 /// [`extract_resume`] re-segments only from the last unstable segment
 /// boundary and extends the bitset words in place instead of recomputing
-/// steps (1)+(2) from scratch.
+/// steps (1)+(2) from scratch — and lets an extraction of the same series
+/// at another ε skip step (1) ([`extract_rescan`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionState {
     /// The extracted evolving sets (what the search consumes).
@@ -314,6 +315,31 @@ pub fn extract_state(series: &TimeSeries, extraction: Extraction) -> ExtractionS
             sets: evolving_sets(series, threshold),
             segmentation: None,
         },
+    }
+}
+
+/// Step (2) alone for a series whose segmentation is already known: the
+/// state of `series` under `extraction`, reconstructed and rescanned from
+/// the segmentation of `sibling`, byte-identical to [`extract_state`].
+///
+/// `sibling` must be the [`ExtractionState`] of this same series under an
+/// extraction with the **same** tolerance and any ε (the miner enforces
+/// both with sibling keys, [`ExtractionKey::sibling`]): step (1) reads
+/// only the series and its tolerance, so the segmentation is the one
+/// [`extract_state`] would compute. The new state shares every sealed
+/// segment run of the sibling. A state of another length or without a
+/// segmentation cannot seed a rescan: the series is extracted cold.
+pub fn extract_rescan(
+    series: &TimeSeries,
+    extraction: Extraction,
+    sibling: &ExtractionState,
+) -> ExtractionState {
+    match (&sibling.segmentation, extraction.tolerance()) {
+        (Some(seg), Some(_)) if seg.len == series.len() => ExtractionState {
+            sets: evolving_sets(&seg.reconstruct(series), extraction.threshold()),
+            segmentation: Some(seg.clone()),
+        },
+        _ => extract_state(series, extraction),
     }
 }
 
@@ -522,10 +548,15 @@ fn resume_scan(
 /// re-uploaded dataset hits for every unchanged series and misses only for
 /// the ones whose data actually changed, and that parameter changes which
 /// do not affect extraction — ψ, η, μ, the delay bound — keep hitting.
+///
+/// Three key families share one key space, kept apart by salts: content
+/// keys ([`ExtractionKey::from_fingerprint`]), origin-anchored keys of
+/// trimmed series ([`ExtractionKey::from_origin_fingerprint`]) and sibling
+/// keys, which leave ε out ([`ExtractionKey::sibling`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExtractionKey {
     /// 128-bit fingerprint of the series contents (bit patterns + length),
-    /// salted for origin-anchored keys.
+    /// salted for origin-anchored and sibling keys.
     pub fingerprint: u128,
     /// What steps (1)+(2) read of the parameters.
     pub extraction: Extraction,
@@ -564,6 +595,24 @@ impl ExtractionKey {
     pub fn from_origin_fingerprint(fingerprint: u128, extraction: Extraction) -> Self {
         Self::from_fingerprint(fingerprint ^ Self::ORIGIN_KEY_SALT, extraction)
     }
+
+    /// XOR salt separating **sibling** keys from content and origin keys.
+    /// A sibling key carries ε cleared, so without the salt the sibling key
+    /// of a series would be its own content key at ε 0, and a state
+    /// extracted at another ε would answer that content probe.
+    const SIBLING_KEY_SALT: u128 = 0xc2b2_ae3d_27d4_eb4f_1656_67b1_9e37_79f9;
+
+    /// Builds the **sibling** key of a series: its content fingerprint
+    /// with ε cleared from the extraction, in a salted domain. Every
+    /// extraction of one series at one tolerance shares it, so the state
+    /// published under it lends its segmentation to an extraction of the
+    /// series at any other ε ([`extract_rescan`]).
+    pub fn sibling(fingerprint: u128, extraction: Extraction) -> Self {
+        Self::from_fingerprint(
+            fingerprint ^ Self::SIBLING_KEY_SALT,
+            extraction.without_epsilon(),
+        )
+    }
 }
 
 pub use miscela_model::SeriesFingerprinter;
@@ -582,7 +631,8 @@ pub fn series_fingerprint(series: &TimeSeries) -> u128 {
 /// `miscela-cache`'s `EvolvingSetsCache`; `Sync` because lookups happen
 /// from the parallel extraction map's worker threads. States are shared as
 /// `Arc`s: a hit is a reference bump, and the miner publishes one state
-/// under several keys (content and origin-anchored) without copying it.
+/// under several keys (content, origin-anchored and sibling) without
+/// copying it.
 pub trait EvolvingCache: Sync {
     /// The whole-content probe: the state cached under a series' content
     /// key. Counted as a hit or a miss.
@@ -591,6 +641,9 @@ pub trait EvolvingCache: Sync {
     /// seed [`extract_resume`]) or an origin-anchored key (to seed
     /// [`derive_trimmed`]). Counted as a prefix hit or a prefix miss.
     fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>>;
+    /// The sibling probe: the state cached under a sibling key (to seed
+    /// [`extract_rescan`]). Counted neither as a hit nor as a prefix probe.
+    fn get_sibling(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>>;
     /// Stores the state computed for a key.
     fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>);
 }
@@ -839,19 +892,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resume_over_many_segment_runs_matches_full() {
-        // Long enough for several sealed segment runs, with gaps; splits
-        // straddle word and block boundaries far from the start, where the
-        // resume reconstructs and rescans only the changed window.
-        let series = TimeSeries::from_options(
+    /// A gappy 3,000-point series long enough for several sealed segment
+    /// runs at tolerance 0.02.
+    fn many_runs_series() -> TimeSeries {
+        TimeSeries::from_options(
             &(0..3000)
                 .map(|i| {
                     ((i * 7 + 3) % 29 != 0)
                         .then_some((i as f64 * 0.37).sin() * 3.0 + ((i * 7919) % 13) as f64 * 0.4)
                 })
                 .collect::<Vec<_>>(),
-        );
+        )
+    }
+
+    #[test]
+    fn resume_over_many_segment_runs_matches_full() {
+        // Splits straddle word and block boundaries far from the start,
+        // where the resume reconstructs and rescans only the changed window.
+        let series = many_runs_series();
         for eps in [0.0, 0.5, 2.0] {
             assert_resume_chain(
                 &series,
@@ -885,6 +943,94 @@ mod tests {
             extract_resume(&short, raw, &long_state),
             extract_state(&short, raw)
         );
+    }
+
+    /// Asserts that rescanning `series` at `to` from its state at `from`
+    /// (one tolerance) is byte-identical to a cold extraction at `to` and
+    /// shares every sealed segment run of the state it came from.
+    fn assert_rescan_matches(series: &TimeSeries, from: Extraction, to: Extraction) {
+        let sibling = extract_state(series, from);
+        let rescanned = extract_rescan(series, to, &sibling);
+        assert_eq!(rescanned, extract_state(series, to));
+        let (seg, sibling_seg) = (
+            rescanned.segmentation.as_ref().expect("segmented"),
+            sibling.segmentation.as_ref().expect("segmented"),
+        );
+        assert_eq!(seg.shares_runs_with(sibling_seg), sibling_seg.sealed_runs());
+    }
+
+    #[test]
+    fn rescan_matches_full_over_many_segment_runs() {
+        let series = many_runs_series();
+        let at = |eps: f64| Extraction::new(eps, true, 0.02);
+        assert!(
+            extract_state(&series, at(0.5))
+                .segmentation
+                .is_some_and(|seg| seg.sealed_runs() >= 2),
+            "fixture must span several sealed runs"
+        );
+        for (from, to) in [(0.5, 0.0), (0.0, 2.0), (2.0, 0.5)] {
+            assert_rescan_matches(&series, at(from), at(to));
+        }
+    }
+
+    #[test]
+    fn rescan_with_mismatched_state_falls_back_to_full() {
+        let series =
+            TimeSeries::from_values((0..150).map(|i| ((i as f64) * 0.7).sin() * 3.0).collect());
+        let seg = Extraction::new(0.3, true, 0.05);
+        // A raw state has no segmentation to lend, a shorter state covers
+        // another series, and a raw extraction has nothing to rescan.
+        let raw_state = extract_state(&series, Extraction::new(0.6, false, 0.0));
+        assert_eq!(
+            extract_rescan(&series, seg, &raw_state),
+            extract_state(&series, seg)
+        );
+        let short_state = extract_state(&series.window(0, 100), Extraction::new(0.6, true, 0.05));
+        assert_eq!(
+            extract_rescan(&series, seg, &short_state),
+            extract_state(&series, seg)
+        );
+        let raw = Extraction::new(0.3, false, 0.0);
+        let seg_state = extract_state(&series, Extraction::new(0.6, true, 0.05));
+        assert_eq!(
+            extract_rescan(&series, raw, &seg_state),
+            extract_state(&series, raw)
+        );
+    }
+
+    mod rescan_proptest {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Rescanning a series at ε₂ from its segmented state at ε₁ ≠ ε₂
+            /// (ε 0 included) is byte-identical to a cold extraction at ε₂,
+            /// for random series, gap patterns and tolerances.
+            #[test]
+            fn rescan_matches_full(
+                values in proptest::collection::vec(-20.0f64..20.0, 0..400),
+                gap_seed in 0usize..11,
+                eps_a in prop_oneof![Just(0.0f64), 0.0f64..3.0],
+                eps_b in prop_oneof![Just(0.0f64), 0.0f64..3.0],
+                seg_error in 0.001f64..0.25,
+            ) {
+                let eps_b = if eps_b == eps_a { eps_a + 1.0 } else { eps_b };
+                let options: Vec<Option<f64>> = values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| ((i * 5 + gap_seed) % 11 != 0).then_some(v))
+                    .collect();
+                let series = TimeSeries::from_options(&options);
+                assert_rescan_matches(
+                    &series,
+                    Extraction::new(eps_a, true, seg_error),
+                    Extraction::new(eps_b, true, seg_error),
+                );
+            }
+        }
     }
 
     #[test]

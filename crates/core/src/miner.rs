@@ -26,14 +26,16 @@
 //! With an [`EvolvingCache`] ([`Miner::mine_with_cache`], or any sweep
 //! given one), per-series extraction states are keyed by series
 //! fingerprint and extraction parameters, so interactive re-mining with
-//! tweaked ψ/η/μ skips steps (1)+(2) entirely on unchanged series.
+//! tweaked ψ/η/μ skips steps (1)+(2) entirely on unchanged series, and
+//! re-mining at a new ε skips step (1): the series' cached segmentation
+//! is reconstructed and rescanned at the new rate.
 
 use crate::cancel::CancelToken;
 use crate::delayed::{mine_delayed, DelayedCap};
 use crate::error::MiningError;
 use crate::evolving::{
-    derive_trimmed, extract_resume, extract_state, EvolvingCache, EvolvingSets, ExtractionKey,
-    ExtractionState,
+    derive_trimmed, extract_rescan, extract_resume, extract_state, EvolvingCache, EvolvingSets,
+    ExtractionKey, ExtractionState,
 };
 use crate::params::{Extraction, MiningParams};
 use crate::pattern::{Cap, CapSet};
@@ -70,6 +72,12 @@ pub struct MiningReport {
     /// the derivation could not be proven byte-identical (e.g. the trim
     /// changed the segmentation tolerance), forcing a cold re-extraction.
     pub extraction_trim_fallbacks: usize,
+    /// Number of series whose extraction was *rescanned* from the cached
+    /// segmentation of the same series at another ε — the retuned-ε path:
+    /// a sibling key found a state of the same content and tolerance, and
+    /// [`extract_rescan`] reran step (2) over its segmentation instead of
+    /// segmenting again.
+    pub extraction_rescans: usize,
     /// Time spent building the proximity graph and its components.
     pub spatial_time: Duration,
     /// Time spent in the CAP search.
@@ -132,6 +140,9 @@ pub struct SweepStats {
     /// Origin states found after a trim but not provably derivable,
     /// forcing a cold re-extraction.
     pub extraction_trim_fallbacks: usize,
+    /// Series extractions rescanned from the cached segmentation of the
+    /// same series at another ε.
+    pub extraction_rescans: usize,
 }
 
 /// The result of one batch parameter sweep ([`Miner::mine_sweep`]):
@@ -158,6 +169,7 @@ impl SweepOutput {
         report.extraction_prefix_hits = self.stats.extraction_prefix_hits;
         report.extraction_trim_hits = self.stats.extraction_trim_hits;
         report.extraction_trim_fallbacks = self.stats.extraction_trim_fallbacks;
+        report.extraction_rescans = self.stats.extraction_rescans;
         result
     }
 }
@@ -170,6 +182,7 @@ struct ExtractionTallies {
     prefix_hits: AtomicUsize,
     trim_hits: AtomicUsize,
     trim_fallbacks: AtomicUsize,
+    rescans: AtomicUsize,
 }
 
 /// The MISCELA miner.
@@ -249,7 +262,9 @@ impl Miner {
     ///   extractions fan through the shared scheduler as one
     ///   work-stealing batch, probing the extraction cache (when given)
     ///   for each series: full content, then a pre-append prefix to
-    ///   resume from, then a pre-trim origin to derive from;
+    ///   resume from, then a pre-trim origin to derive from, then the same
+    ///   content at another ε to rescan (only states segmented from
+    ///   scratch are published for that last probe);
     /// * **one proximity graph per distinct η** — step (3) ignores every
     ///   other parameter;
     /// * **search groups** — distinct points that are equal with ψ cleared
@@ -474,6 +489,7 @@ impl Miner {
                 extraction_prefix_hits: 0,
                 extraction_trim_hits: 0,
                 extraction_trim_fallbacks: 0,
+                extraction_rescans: 0,
                 evolving_events: class_sets.iter().map(|e| e.total()).sum(),
                 proximity_edges: graph.edge_count(),
                 searchable_components: graph.components_at_least(2).count(),
@@ -512,6 +528,7 @@ impl Miner {
                 extraction_prefix_hits: tallies.prefix_hits.into_inner(),
                 extraction_trim_hits: tallies.trim_hits.into_inner(),
                 extraction_trim_fallbacks: tallies.trim_fallbacks.into_inner(),
+                extraction_rescans: tallies.rescans.into_inner(),
             },
         })
     }
@@ -547,13 +564,15 @@ struct SeriesKeys {
     key: ExtractionKey,
     /// Origin-anchored key of the whole series.
     origin_key: ExtractionKey,
+    /// Sibling key of the whole series, when the extraction segments.
+    sibling_key: Option<ExtractionKey>,
 }
 
 impl SeriesKeys {
     /// The series' prefix fingerprints (block digests folded, only partial
     /// groups hashed) give the full-content key, the checkpoint at every
-    /// recorded pre-append length, and the origin-anchored checkpoints at
-    /// the same positions.
+    /// recorded pre-append length, the origin-anchored checkpoints at the
+    /// same positions and, when the extraction segments, the sibling key.
     fn new(extraction: Extraction, s: &TimeSeries, append_bases: &[usize]) -> Self {
         let n = s.len();
         let mut ends: Vec<usize> = append_bases
@@ -569,13 +588,17 @@ impl SeriesKeys {
             extraction,
             key: ExtractionKey::from_fingerprint(whole.content, extraction),
             origin_key: ExtractionKey::from_origin_fingerprint(whole.origin, extraction),
+            sibling_key: extraction
+                .tolerance()
+                .map(|_| ExtractionKey::sibling(whole.content, extraction)),
             prints,
         }
     }
 
     /// The cache probe of steps (1)+(2) for one series: full content, then
     /// a content prefix to resume over the appended tail, then an origin
-    /// state to derive the trimmed window from.
+    /// state to derive the trimmed window from, then a sibling state to
+    /// rescan at this ε.
     fn probe(&self, cache: &dyn EvolvingCache, tallies: &ExtractionTallies) -> Probe {
         if let Some(state) = cache.get(&self.key) {
             tallies.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -585,6 +608,8 @@ impl SeriesKeys {
             Plan::Resume(prev)
         } else if let Some((origin, at)) = self.lookup_origin_state(cache) {
             Plan::Trim { origin, at }
+        } else if let Some(sibling) = self.lookup_sibling_state(cache) {
+            Plan::Rescan(sibling)
         } else {
             Plan::Cold
         })
@@ -629,11 +654,19 @@ impl SeriesKeys {
         None
     }
 
+    /// Probes the extraction cache with the sibling key for a state of the
+    /// same content and tolerance at another ε, whose segmentation can
+    /// seed a rescan.
+    fn lookup_sibling_state(&self, cache: &dyn EvolvingCache) -> Option<Arc<ExtractionState>> {
+        cache.get_sibling(self.sibling_key.as_ref()?)
+    }
+
     /// Runs `plan` for the series and publishes the fresh state under its
     /// content key and its origin-anchored key (full history, salted
     /// domain), so later deeper-trimmed windows of this stream can derive
-    /// from it. One `Arc` goes under both keys: the cache shares the state,
-    /// it never copies it.
+    /// from it. A state segmented from scratch also goes under the sibling
+    /// key, for extractions of the series at other ε. One `Arc` goes under
+    /// every key: the cache shares the state, it never copies it.
     fn extract_and_publish(
         &self,
         s: &TimeSeries,
@@ -644,15 +677,18 @@ impl SeriesKeys {
         let state = Arc::new(run_plan(self.extraction, s, plan, tallies));
         cache.put(self.key, Arc::clone(&state));
         cache.put(self.origin_key, Arc::clone(&state));
+        if let (Plan::Cold, Some(sibling_key)) = (plan, self.sibling_key) {
+            cache.put(sibling_key, Arc::clone(&state));
+        }
         state.sets.clone()
     }
 }
 
 /// Runs what the probe left: a tail resume, a trim derivation (a
 /// checkpoint below the full length yields a prefix state which is then
-/// resumed over the appended tail — the trim-then-append case) or a cold
-/// extraction. A found-but-underivable origin counts a fallback and
-/// extracts cold.
+/// resumed over the appended tail — the trim-then-append case), a rescan
+/// over a sibling's segmentation or a cold extraction. A
+/// found-but-underivable origin counts a fallback and extracts cold.
 fn run_plan(
     extraction: Extraction,
     s: &TimeSeries,
@@ -684,6 +720,10 @@ fn run_plan(
                 }
             }
         }
+        Plan::Rescan(sibling) => {
+            tallies.rescans.fetch_add(1, Ordering::Relaxed);
+            extract_rescan(s, extraction, sibling)
+        }
     }
 }
 
@@ -707,6 +747,9 @@ enum Plan {
         origin: Arc<ExtractionState>,
         at: usize,
     },
+    /// Reconstructed and rescanned from the cached segmentation of the
+    /// same content at another ε.
+    Rescan(Arc<ExtractionState>),
 }
 
 impl Plan {
@@ -720,8 +763,8 @@ impl Plan {
 /// phase of [`Miner::mine_sweep`], one extraction per class. The cache is
 /// probed for every item first; the items left then run on
 /// [`scheduler::workers_for`] workers of their estimated work, counting
-/// only series that need a cold extraction or a trim derivation (a resume
-/// is O(tail)). Without a cache every series is
+/// only series that need a cold extraction, a trim derivation or a rescan
+/// (a resume is O(tail)). Without a cache every series is
 /// extracted cold and nothing is retained.
 fn extract_all(
     items: &[(Extraction, &TimeSeries)],
@@ -1076,6 +1119,9 @@ mod tests {
             fn get_prefix(&self, _key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
                 None
             }
+            fn get_sibling(&self, _key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+                None
+            }
             fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
                 self.0.lock().unwrap().insert(key, state);
             }
@@ -1113,6 +1159,9 @@ mod tests {
             self.0.lock().unwrap().get(key).cloned()
         }
         fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+            self.get(key)
+        }
+        fn get_sibling(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
             self.get(key)
         }
         fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
@@ -1183,6 +1232,66 @@ mod tests {
     }
 
     #[test]
+    fn new_epsilon_rescans_the_cached_segmentation() {
+        // One cluster: three distinct series, long enough for sealed
+        // segment runs at these tolerances.
+        let ds = clustered_dataset(1, 1600);
+        let at = |eps: f64, tolerance: f64| {
+            params()
+                .with_epsilon(eps)
+                .with_psi(5)
+                .with_segmentation(true)
+                .with_segmentation_error(tolerance)
+        };
+        let cache = StateCache::default();
+        let mine = |p: &MiningParams| {
+            let warm = Miner::new(p.clone())
+                .unwrap()
+                .mine_with_cache(&ds, Some(&cache))
+                .unwrap();
+            assert_eq!(
+                warm.caps,
+                Miner::new(p.clone()).unwrap().mine(&ds).unwrap().caps,
+                "{} diverged from a cache-less mine",
+                p.signature()
+            );
+            warm.report
+        };
+        assert_eq!(mine(&at(0.5, 0.05)).extraction_rescans, 0);
+        // Each new ε at the cached tolerance rescans every series; a new
+        // tolerance segments from scratch.
+        for (eps, tolerance, rescans) in [
+            (0.0, 0.05, ds.sensor_count()),
+            (2.0, 0.05, ds.sensor_count()),
+            (0.5, 0.1, 0),
+        ] {
+            let report = mine(&at(eps, tolerance));
+            assert_eq!(
+                report.extraction_rescans, rescans,
+                "ε {eps}, tol {tolerance}"
+            );
+            assert_eq!(report.extraction_cache_hits, 0);
+            assert_eq!(report.extraction_prefix_hits, 0);
+        }
+        // The retuned states share every sealed segment run of the state
+        // they were rescanned from.
+        for ss in ds.iter() {
+            let state = |p: MiningParams| {
+                let key = ExtractionKey::from_fingerprint(ss.series.fingerprint(), p.extraction());
+                cache.get(&key).expect("cached state")
+            };
+            let first = state(at(0.5, 0.05));
+            let first = first.segmentation.as_ref().expect("segmented");
+            assert!(first.sealed_runs() >= 1, "fixture must seal a segment run");
+            for eps in [0.0, 2.0] {
+                let retuned = state(at(eps, 0.05));
+                let retuned = retuned.segmentation.as_ref().expect("segmented");
+                assert_eq!(retuned.shares_runs_with(first), first.sealed_runs());
+            }
+        }
+    }
+
+    #[test]
     fn append_trim_interleavings_mine_identical_to_cold_window() {
         use miscela_model::{AppendRow, RetentionPolicy, SERIES_BLOCK_LEN};
 
@@ -1215,6 +1324,8 @@ mod tests {
                 .with_segmentation(true)
                 .with_segmentation_error(0.05),
         ] {
+            let x = p.extraction();
+            let segmenting = p.segmentation;
             let miner = Miner::new(p).unwrap();
             let cache = StateCache::default();
             let mut ds = source
@@ -1276,6 +1387,25 @@ mod tests {
                 );
                 // The cache-less path over the shared storage agrees too.
                 assert_eq!(miner.mine(&ds).unwrap().caps, cold.caps);
+                // Only cold extractions publish under the sibling key:
+                // resumed and trim-derived states never do.
+                let r = &warm.report;
+                let cold_extractions = ds.sensor_count()
+                    - r.extraction_cache_hits
+                    - r.extraction_prefix_hits
+                    - r.extraction_trim_hits
+                    - r.extraction_trim_fallbacks
+                    - r.extraction_rescans;
+                let published: HashSet<ExtractionKey> = ds
+                    .iter()
+                    .map(|ss| ExtractionKey::sibling(ss.series.fingerprint(), x))
+                    .filter(|key| cache.get(key).is_some())
+                    .collect();
+                assert_eq!(
+                    published.len(),
+                    if segmenting { cold_extractions } else { 0 },
+                    "append={is_append} k={k} published a sibling for a derived state"
+                );
             }
 
             // Trim *and* append between two mines: the origin probe lands on
@@ -1346,6 +1476,9 @@ mod tests {
             }
             fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
                 self.inner.get_prefix(key)
+            }
+            fn get_sibling(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+                self.inner.get_sibling(key)
             }
             fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
                 if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {
@@ -1508,6 +1641,9 @@ mod tests {
             }
             fn get_prefix(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
                 self.inner.get_prefix(key)
+            }
+            fn get_sibling(&self, key: &ExtractionKey) -> Option<Arc<ExtractionState>> {
+                self.inner.get_sibling(key)
             }
             fn put(&self, key: ExtractionKey, state: Arc<ExtractionState>) {
                 if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {

@@ -284,6 +284,14 @@ impl Extraction {
         self.tolerance_bits.map(f64::from_bits)
     }
 
+    /// The same extraction with ε cleared: what step (1) alone reads.
+    pub(crate) fn without_epsilon(self) -> Extraction {
+        Extraction {
+            epsilon_bits: 0,
+            ..self
+        }
+    }
+
     /// The smallest change that counts as evolution: ε, or the smallest
     /// positive subnormal when ε is not positive, so that `d >= threshold`
     /// holds exactly when `d > 0` (and `-d >= threshold` exactly when

@@ -2779,6 +2779,43 @@ mod tests {
     }
 
     #[test]
+    fn names_that_differ_only_in_punctuation_survive_a_restart_apart() {
+        // "a.b" and "a_b" once shared one durability directory, and "" logged
+        // into the durability root, which recovery never scans: after a
+        // restart only "a_b" was listed. Each name now keeps its own log and
+        // comes back under its own name with its own rows.
+        let full = small_dataset();
+        let writer = DatasetWriter::new();
+        let names = ["a.b", "a_b", ""];
+        let dir = durable_dir("punctuation");
+        let live = {
+            let svc = MiscelaService::with_durability(&dir).unwrap();
+            for (i, name) in names.into_iter().enumerate() {
+                let end = full.grid().at(full.timestamp_count() - 10 * i - 1).unwrap();
+                let window = full.slice_time(full.grid().start(), end).unwrap();
+                svc.upload_documents_in(
+                    DEFAULT_TENANT,
+                    name,
+                    &writer.data_csv(&window),
+                    &writer.location_csv(&window),
+                    &writer.attribute_csv(&window),
+                    10_000,
+                )
+                .unwrap();
+            }
+            svc.list_datasets_in(DEFAULT_TENANT).unwrap()
+        };
+        assert_eq!(live.len(), names.len());
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        assert_eq!(svc.list_datasets_in(DEFAULT_TENANT).unwrap(), live);
+        for (i, name) in names.into_iter().enumerate() {
+            let ds = svc.dataset_in(DEFAULT_TENANT, name).unwrap();
+            assert_eq!(ds.timestamp_count(), full.timestamp_count() - 10 * i - 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn append_status_reads_the_same_before_and_after_a_restart() {
         // `received` counts distinct chunks however they arrived, so a
         // durable session fed unsequenced chunks (which leave no sequenced

@@ -169,8 +169,13 @@ impl Json {
     /// Serializes to compact JSON.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact JSON text to `out`.
+    pub(crate) fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serializes to pretty-printed JSON with 2-space indentation.

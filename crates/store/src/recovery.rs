@@ -25,6 +25,7 @@
 use crate::error::StoreError;
 use crate::json::Json;
 use crate::wal::{scan, DiskOpener, SinkOpener, TornTail, Wal};
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -73,7 +74,9 @@ impl RecoveryStore {
         }
     }
 
-    /// Names of datasets with a durability log on disk, sorted.
+    /// Names of datasets with a durability log on disk, sorted. Each is
+    /// read back from its directory name ([`RecoveryStore::dataset`]); a
+    /// directory this store would never create for any name is skipped.
     pub fn dataset_names(&self) -> Result<Vec<String>, StoreError> {
         if !self.root.exists() {
             return Ok(Vec::new());
@@ -86,8 +89,8 @@ impl RecoveryStore {
             }
             let dir = entry.path();
             if dir.join(SNAPSHOT_FILE).exists() || dir.join(WAL_FILE).exists() {
-                if let Some(name) = entry.file_name().to_str() {
-                    names.push(name.to_string());
+                if let Some(name) = entry.file_name().to_str().and_then(name_of_dir) {
+                    names.push(name);
                 }
             }
         }
@@ -98,8 +101,14 @@ impl RecoveryStore {
     /// Opens the log for `name`, scanning its WAL: valid records become the
     /// replay tail, and a torn final record (crash mid-append) is truncated
     /// away so subsequent appends keep the log cleanly framed.
+    ///
+    /// The log lives in its own directory under the root. A non-empty name
+    /// made only of ASCII letters, digits, `_` and `-` is its directory's
+    /// name; any other name, the empty one included, is stored as `%`
+    /// followed by the name with every other byte written `%XX`. No two
+    /// names share a directory, and none writes into the root itself.
     pub fn dataset(&self, name: &str) -> Result<DatasetLog, StoreError> {
-        let dir = self.root.join(safe_component(name));
+        let dir = self.root.join(dir_of_name(name));
         fs::create_dir_all(&dir)?;
         let wal_path = dir.join(WAL_FILE);
         let scanned = scan(&wal_path)?;
@@ -128,7 +137,7 @@ impl RecoveryStore {
 
     /// Deletes the durability log for `name`, if present.
     pub fn remove_dataset(&self, name: &str) -> Result<(), StoreError> {
-        let dir = self.root.join(safe_component(name));
+        let dir = self.root.join(dir_of_name(name));
         if dir.exists() {
             fs::remove_dir_all(&dir)?;
         }
@@ -225,14 +234,18 @@ impl DatasetLog {
     /// already covers, which the caller's replay must tolerate.
     pub fn install_snapshot(&mut self, data: &Json) -> Result<(), StoreError> {
         let generation = self.generation + 1;
-        let mut doc = Json::object();
-        doc.set("generation", Json::from(generation as i64));
-        doc.set("data", data.clone());
+        // The document `{"data":…,"generation":…}`, in the key order a
+        // `Json` object writes, written straight from the borrowed tree.
+        let mut doc = String::from(r#"{"data":"#);
+        data.write_compact(&mut doc);
+        doc.push_str(r#","generation":"#);
+        Json::from(generation as i64).write_compact(&mut doc);
+        doc.push('}');
         let snapshot_path = self.dir.join(SNAPSHOT_FILE);
         let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
         {
             let mut sink = self.opener.open_truncate(&tmp)?;
-            sink.write_all(doc.to_string_compact().as_bytes())?;
+            sink.write_all(doc.as_bytes())?;
             sink.sync()?;
         }
         fs::rename(&tmp, &snapshot_path)?;
@@ -265,14 +278,14 @@ fn load_snapshot_at(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
         return Ok(None);
     }
     let text = fs::read_to_string(&path)?;
-    let doc = Json::parse(&text)?;
+    let mut doc = Json::parse(&text)?;
     let generation = doc
         .get("generation")
         .and_then(|g| g.as_i64())
         .ok_or_else(|| StoreError::Corrupt("snapshot missing generation".to_string()))?;
     let data = doc
-        .get("data")
-        .cloned()
+        .as_object_mut()
+        .and_then(|fields| fields.remove("data"))
         .ok_or_else(|| StoreError::Corrupt("snapshot missing data".to_string()))?;
     Ok(Some(Snapshot {
         generation: generation as u64,
@@ -280,18 +293,54 @@ fn load_snapshot_at(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     }))
 }
 
-/// Sanitizes a dataset name into a directory component (same mapping as the
-/// persistence layer uses for collection files).
-fn safe_component(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
+/// Whether a byte stands for itself in a log directory name.
+fn is_plain(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
+}
+
+/// The directory component holding `name`'s log (see
+/// [`RecoveryStore::dataset`]). Plain names never start with `%`, and the
+/// escaped form spells every byte, so the mapping is one-to-one.
+fn dir_of_name(name: &str) -> String {
+    if !name.is_empty() && name.bytes().all(is_plain) {
+        return name.to_string();
+    }
+    let mut dir = String::with_capacity(1 + 3 * name.len());
+    dir.push('%');
+    for b in name.bytes() {
+        if is_plain(b) {
+            dir.push(char::from(b));
+        } else {
+            // Writing into a `String` cannot fail.
+            let _ = write!(dir, "%{b:02X}");
+        }
+    }
+    dir
+}
+
+/// The dataset name whose log lives in directory `dir`: the inverse of
+/// [`dir_of_name`], `None` for a directory name it never produces.
+fn name_of_dir(dir: &str) -> Option<String> {
+    let name = match dir.strip_prefix('%') {
+        None => dir.to_string(),
+        Some(escaped) => {
+            let mut bytes = Vec::with_capacity(escaped.len());
+            let mut rest = escaped.as_bytes();
+            while let Some((&b, tail)) = rest.split_first() {
+                rest = if b == b'%' {
+                    let hex = std::str::from_utf8(tail.get(..2)?).ok()?;
+                    bytes.push(u8::from_str_radix(hex, 16).ok()?);
+                    &tail[2..]
+                } else {
+                    bytes.push(b);
+                    tail
+                };
             }
-        })
-        .collect()
+            String::from_utf8(bytes).ok()?
+        }
+    };
+    // Only the one spelling `dir_of_name` writes maps back.
+    (dir_of_name(&name) == dir).then_some(name)
 }
 
 #[cfg(test)]
@@ -365,6 +414,33 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_bytes_are_the_compact_wrapper_document() {
+        let root = temp_root("bytes");
+        let store = RecoveryStore::open(&root);
+        let mut log = store.dataset("d").unwrap();
+        let data = Json::from_pairs([
+            ("revision", Json::from(7i64)),
+            ("name", Json::from("a \"quoted\" name")),
+            (
+                "values",
+                Json::Array(vec![Json::from(1.5), Json::Null, Json::from(-2i64)]),
+            ),
+            ("empty", Json::object()),
+        ]);
+        for generation in 1..=2i64 {
+            log.install_snapshot(&data).unwrap();
+            let doc = Json::from_pairs([
+                ("generation", Json::from(generation)),
+                ("data", data.clone()),
+            ]);
+            let written = fs::read_to_string(root.join("d").join(SNAPSHOT_FILE)).unwrap();
+            assert_eq!(written, doc.to_string_compact());
+        }
+        assert_eq!(log.load_snapshot().unwrap().unwrap().data, data);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn torn_wal_tail_is_truncated_on_open() {
         let root = temp_root("torn");
         let store = RecoveryStore::open(&root);
@@ -420,6 +496,56 @@ mod tests {
         let snap = log.load_snapshot().unwrap().unwrap();
         assert_eq!(snap.data, old, "old snapshot must survive");
         assert_eq!(log.take_replay(), vec![record(0)], "WAL must survive");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn every_name_gets_its_own_directory_and_reads_back() {
+        let names = [
+            "santander",
+            "a_b",
+            "-_-",
+            "a.b",
+            "",
+            "%",
+            "%41",
+            "a/b",
+            "a b",
+            "é",
+        ];
+        let dirs: std::collections::HashSet<String> =
+            names.iter().map(|name| dir_of_name(name)).collect();
+        assert_eq!(dirs.len(), names.len(), "two names share a directory");
+        for name in names {
+            let dir = dir_of_name(name);
+            assert!(!dir.is_empty() && !dir.contains('/'), "{name:?} -> {dir:?}");
+            assert_eq!(name_of_dir(&dir).as_deref(), Some(name));
+        }
+        // Plain names keep the directory they always had.
+        assert_eq!(dir_of_name("a_b"), "a_b");
+        // Directories the store never writes are no dataset's.
+        for dir in ["", "a.b", "%a", "%2e", "%2", "%zz", "%+1", "%FF"] {
+            assert_eq!(name_of_dir(dir), None, "{dir:?}");
+        }
+
+        let root = temp_root("names");
+        let store = RecoveryStore::open(&root);
+        for (i, name) in ["a.b", "a_b", ""].into_iter().enumerate() {
+            let mut log = store.dataset(name).unwrap();
+            log.log(&record(i as i64)).unwrap();
+            log.commit().unwrap();
+        }
+        assert_eq!(store.dataset_names().unwrap(), vec!["", "a.b", "a_b"]);
+        for (i, name) in ["a.b", "a_b", ""].into_iter().enumerate() {
+            let mut log = store.dataset(name).unwrap();
+            assert_eq!(log.take_replay(), vec![record(i as i64)], "{name:?}");
+        }
+        assert!(
+            !root.join(WAL_FILE).exists(),
+            "a log was written into the root"
+        );
+        store.remove_dataset("a.b").unwrap();
+        assert_eq!(store.dataset_names().unwrap(), vec!["", "a_b"]);
         fs::remove_dir_all(&root).unwrap();
     }
 
