@@ -25,6 +25,9 @@ cargo test --release -q -p miscela-core
 step "cargo test --release cache (extraction-cache and result-cache tests in the optimized build the service uses)"
 cargo test --release -q -p miscela-cache
 
+step "cargo test --release store (WAL scan, recovery and JSON word-scan tests in the optimized build the service uses)"
+cargo test --release -q -p miscela-store
+
 step "cargo test --release properties (never-panic and identity properties in the optimized build the service and the benchmark use)"
 cargo test --release -q -p miscela-v --test properties
 

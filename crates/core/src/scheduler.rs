@@ -4,9 +4,9 @@
 //! steps (1)+(2) and the per-component/per-seed CAP search of step (4) —
 //! have the same shape: a fixed slice of independent work units of uneven
 //! cost, workers that each own a reusable scratch state, and a result that
-//! must not depend on thread timing. This module factors that shape out of
-//! the step-(4) search (where PR 2 introduced it) into one reusable
-//! primitive:
+//! must not depend on thread timing. [`run_units_cancellable`] implements
+//! that shape once, and [`parallel_map_cancellable`] is its scratch-free
+//! form:
 //!
 //! * units are claimed through a shared **atomic cursor** — work stealing
 //!   rather than a static split, so a fast worker drains the tail instead
@@ -16,11 +16,13 @@
 //!   it claims, preserving the allocation-free steady state of the search
 //!   core;
 //! * results are reassembled in **unit order**, so the output is
-//!   deterministic regardless of which worker ran which unit.
+//!   deterministic regardless of which worker ran which unit;
+//! * the [`CancelToken`] is polled at every unit boundary and the first
+//!   error aborts the batch, so a cancelled or failed phase stops within
+//!   one unit.
 
 use crate::cancel::CancelToken;
 use crate::error::MiningError;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Number of workers the host offers (`available_parallelism`, 1 on error).
@@ -49,13 +51,20 @@ pub fn workers_for(work_words: usize) -> usize {
     }
 }
 
-/// Cancellation-aware form of [`run_units`]: the token is polled at every
-/// unit boundary, `run` may fail, and the first error (from any worker)
-/// aborts the whole batch — remaining workers stop claiming units at their
-/// next boundary, so the abort latency is bounded by one unit.
+/// Runs every unit in `units` through `run`, on up to `workers` threads
+/// claiming units through a shared atomic cursor.
 ///
-/// On success the result equals the infallible [`run_units`] output; on
-/// failure partial results are discarded.
+/// `new_scratch` is called once per worker; the scratch value is reused
+/// across all units that worker claims. Results are concatenated in unit
+/// order (not completion order), so the output equals the serial
+/// `for unit in units { run(unit, scratch, out)? }` regardless of thread
+/// timing. With `workers <= 1` (or a single unit) no threads are spawned.
+///
+/// The token is polled at every unit boundary, `run` may fail, and the
+/// first error (from any worker) aborts the whole batch: remaining workers
+/// stop claiming units at their next boundary, so the abort latency is
+/// bounded by one unit, and partial results are discarded. A worker's
+/// panic is propagated to the caller unchanged.
 pub fn run_units_cancellable<U, S, R, NS, RU>(
     units: &[U],
     workers: usize,
@@ -69,28 +78,10 @@ where
     NS: Fn() -> S + Sync,
     RU: Fn(&U, &mut S, &mut Vec<R>) -> Result<(), MiningError> + Sync,
 {
-    run_batch(units, workers, new_scratch, |unit, scratch, out| {
+    let run = |unit: &U, scratch: &mut S, out: &mut Vec<R>| {
         cancel.check()?;
         run(unit, scratch, out)
-    })
-}
-
-/// The shared batch runner: work-stealing claims through an atomic
-/// cursor, the first error poisons the batch, results in unit order. A
-/// worker's panic is propagated to the caller unchanged.
-fn run_batch<U, S, R, E, NS, RU>(
-    units: &[U],
-    workers: usize,
-    new_scratch: NS,
-    run: RU,
-) -> Result<Vec<R>, E>
-where
-    U: Sync,
-    R: Send,
-    E: Send,
-    NS: Fn() -> S + Sync,
-    RU: Fn(&U, &mut S, &mut Vec<R>) -> Result<(), E> + Sync,
-{
+    };
     if units.is_empty() {
         return Ok(Vec::new());
     }
@@ -109,7 +100,7 @@ where
     // their next unit boundary and stop claiming work.
     let poisoned = AtomicBool::new(false);
     let mut indexed: Vec<(usize, Vec<R>)> = Vec::with_capacity(units.len());
-    let mut first_error: Option<E> = None;
+    let mut first_error: Option<MiningError> = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..workers {
@@ -151,34 +142,11 @@ where
     Ok(indexed.into_iter().flat_map(|(_, out)| out).collect())
 }
 
-/// Runs every unit in `units` through `run`, on up to `workers` threads
-/// claiming units through a shared atomic cursor.
-///
-/// `new_scratch` is called once per worker; the scratch value is reused
-/// across all units that worker claims. Results are concatenated in unit
-/// order (not completion order), so the output equals the serial
-/// `for unit in units { run(unit, scratch, out) }` regardless of thread
-/// timing. With `workers <= 1` (or a single unit) no threads are spawned.
-pub fn run_units<U, S, R, NS, RU>(units: &[U], workers: usize, new_scratch: NS, run: RU) -> Vec<R>
-where
-    U: Sync,
-    R: Send,
-    NS: Fn() -> S + Sync,
-    RU: Fn(&U, &mut S, &mut Vec<R>) + Sync,
-{
-    let done: Result<Vec<R>, Infallible> =
-        run_batch(units, workers, new_scratch, |unit, scratch, out| {
-            run(unit, scratch, out);
-            Ok(())
-        });
-    match done {
-        Ok(out) => out,
-        Err(never) => match never {},
-    }
-}
-
-/// Cancellation-aware form of [`parallel_map`]: the token is polled before
-/// each item and the first `Err` from `f` (or the token) aborts the map.
+/// Order-preserving parallel map over a slice: `out[i] == f(&items[i])`,
+/// computed by up to `workers` work-stealing threads. The scratch-free
+/// form of [`run_units_cancellable`] used by the extraction front-end: the
+/// token is polled before each item and the first `Err` from `f` (or the
+/// token) aborts the map.
 pub fn parallel_map_cancellable<T, R, F>(
     items: &[T],
     workers: usize,
@@ -202,18 +170,6 @@ where
     )
 }
 
-/// Order-preserving parallel map over a slice: `out[i] == f(&items[i])`,
-/// computed by up to `workers` work-stealing threads. The scratch-free
-/// convenience form of [`run_units`] used by the extraction front-end.
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_units(items, workers, || (), |item, (), out| out.push(f(item)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,36 +177,41 @@ mod tests {
 
     #[test]
     fn empty_and_single_unit() {
-        let out: Vec<i32> = run_units(&[] as &[i32], 8, || (), |_, (), _| unreachable!());
-        assert!(out.is_empty());
-        let out = parallel_map(&[7], 8, |&x| x * 2);
-        assert_eq!(out, vec![14]);
+        let never = CancelToken::never();
+        let out: Result<Vec<i32>, _> =
+            run_units_cancellable(&[] as &[i32], 8, &never, || (), |_, (), _| unreachable!());
+        assert_eq!(out, Ok(Vec::new()));
+        let out = parallel_map_cancellable(&[7], 8, &never, |&x| Ok(x * 2));
+        assert_eq!(out, Ok(vec![14]));
     }
 
     #[test]
     fn preserves_unit_order_across_workers() {
         let items: Vec<usize> = (0..500).collect();
         for workers in [1, 2, 4, 8] {
-            let out = parallel_map(&items, workers, |&i| i * i);
-            assert_eq!(out, items.iter().map(|&i| i * i).collect::<Vec<_>>());
+            let out =
+                parallel_map_cancellable(&items, workers, &CancelToken::never(), |&i| Ok(i * i));
+            assert_eq!(out, Ok(items.iter().map(|&i| i * i).collect::<Vec<_>>()));
         }
     }
 
     #[test]
     fn units_can_emit_zero_or_many_results() {
         let items: Vec<usize> = (0..100).collect();
-        let out = run_units(
+        let out = run_units_cancellable(
             &items,
             4,
+            &CancelToken::never(),
             || (),
             |&i, (), out| {
                 for _ in 0..(i % 3) {
                     out.push(i);
                 }
+                Ok(())
             },
         );
         let expected: Vec<usize> = items.iter().flat_map(|&i| vec![i; i % 3]).collect();
-        assert_eq!(out, expected);
+        assert_eq!(out, Ok(expected));
     }
 
     #[test]
@@ -260,9 +221,10 @@ mod tests {
         // `new_scratch`.
         let built = AtomicUsize::new(0);
         let items: Vec<usize> = (0..200).collect();
-        let out = run_units(
+        let out = run_units_cancellable(
             &items,
             4,
+            &CancelToken::never(),
             || {
                 built.fetch_add(1, Ordering::Relaxed);
                 0usize
@@ -270,8 +232,10 @@ mod tests {
             |&i, count, out| {
                 *count += 1;
                 out.push((i, *count));
+                Ok(())
             },
-        );
+        )
+        .expect("no failures injected");
         assert_eq!(out.len(), items.len());
         // Unit order is preserved even though per-worker counts interleave.
         assert!(out.iter().enumerate().all(|(idx, &(i, _))| idx == i));
@@ -328,11 +292,12 @@ mod tests {
     #[test]
     fn cancellable_success_matches_infallible_output() {
         let items: Vec<usize> = (0..300).collect();
+        let sequential: Vec<usize> = items.iter().map(|&i| i * 7).collect();
         for workers in [1, 3, 8] {
             let cancellable =
                 parallel_map_cancellable(&items, workers, &CancelToken::never(), |&i| Ok(i * 7))
                     .expect("no failures injected");
-            assert_eq!(cancellable, parallel_map(&items, workers, |&i| i * 7));
+            assert_eq!(cancellable, sequential);
         }
     }
 
@@ -345,8 +310,11 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped() {
-        assert_eq!(parallel_map(&[1, 2], 1000, |&x: &i32| x + 1), vec![2, 3]);
-        assert_eq!(parallel_map(&[1, 2], 0, |&x: &i32| x + 1), vec![2, 3]);
+        let never = CancelToken::never();
+        for workers in [1000, 0] {
+            let out = parallel_map_cancellable(&[1, 2], workers, &never, |&x: &i32| Ok(x + 1));
+            assert_eq!(out, Ok(vec![2, 3]));
+        }
         assert!(available_workers() >= 1);
     }
 }

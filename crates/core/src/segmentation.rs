@@ -29,6 +29,20 @@
 //! property tests assert both produce identical segmentations and identical
 //! evolving sets downstream.
 //!
+//! # One flattening pass, one reconstruction
+//!
+//! A series is flattened once: one pass over its storage blocks in place
+//! reads the value range and whether any value is missing, and the values
+//! the cone loop runs over are then laid out as one slice, gaps
+//! interpolated in place. The cold run ([`segment_series`]) and the front-trim
+//! derivation ([`segment_series_trimmed`]) share that pass; the
+//! derivation checks the range before it lays out any value. A cold
+//! extraction reconstructs from the same slice when no value is missing.
+//! `Segmentation::reconstruct_from` is the one reconstruction: it
+//! evaluates exactly the grid range a caller asks for, reading the raw
+//! values of that range for missingness. [`Segmentation::reconstruct`]
+//! wraps it for a whole [`TimeSeries`].
+//!
 //! # Shared segment runs
 //!
 //! A [`Segmentation`] keeps its segments in `Arc`-shared runs of
@@ -42,6 +56,7 @@
 //! runs.
 
 use miscela_model::TimeSeries;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Segments per sealed run of a [`Segmentation`].
@@ -232,39 +247,34 @@ impl Segmentation {
             .count()
     }
 
-    /// Reconstructs the smoothed series from the segments. Indices that were
-    /// missing in the original series stay missing.
+    /// Reconstructs the smoothed series from the segments over the whole of
+    /// `original`, the series they were fitted to: the one-series form of
+    /// `Segmentation::reconstruct_from`. Indices that were missing in the
+    /// original stay missing.
+    pub fn reconstruct(&self, original: &TimeSeries) -> TimeSeries {
+        TimeSeries::from_values(self.reconstruct_from(0, &original.contiguous()))
+    }
+
+    /// Reconstructs the smoothed values of grid indices exactly
+    /// `[lo, lo + raw.len())` into a fresh buffer (`out[i - lo]`), reading
+    /// `raw` (the original values of the same range) for missingness: an
+    /// index missing in the original stays `NaN`. Where two segments share
+    /// a breakpoint, the later one's value stands.
     ///
     /// Deliberately evaluates [`Segment::value_at`] per point (division and
     /// all): a hoisted per-segment reciprocal would be faster but rounds
     /// differently in the last bit, and the reconstruction must stay
     /// bit-identical to the pre-refactor pipeline so the segmentation
     /// equivalence oracles extend through the evolving sets downstream.
-    pub fn reconstruct(&self, original: &TimeSeries) -> TimeSeries {
-        // One contiguous view of the original (borrowed for single-chunk
-        // series) and one flat output buffer: the per-point work stays a
-        // plain array read/write instead of a per-index block lookup.
-        let orig = original.contiguous();
-        let mut out = vec![f64::NAN; self.len];
-        for seg in self.segments() {
-            for i in seg.start..=seg.end {
-                if i < orig.len() && !orig[i].is_nan() {
-                    out[i] = seg.value_at(i);
-                }
-            }
-        }
-        TimeSeries::from_values(out)
-    }
-
-    /// Reconstructs the smoothed values of grid indices `[lo, len)` into a
-    /// fresh buffer (`out[i - lo]`), reading `raw` (the original values of
-    /// the same range) for missingness. The tail twin of
-    /// [`Segmentation::reconstruct`], with the same per-point arithmetic.
     pub(crate) fn reconstruct_from(&self, lo: usize, raw: &[f64]) -> Vec<f64> {
-        let mut out = vec![f64::NAN; self.len.saturating_sub(lo)];
+        let hi = lo + raw.len();
+        let mut out = vec![f64::NAN; raw.len()];
         for seg in self.segments_covering_from(lo) {
-            for i in seg.start.max(lo)..=seg.end.min(self.len.saturating_sub(1)) {
-                if raw.get(i - lo).is_some_and(|v| !v.is_nan()) {
+            if seg.start >= hi {
+                break;
+            }
+            for i in seg.start.max(lo)..(seg.end + 1).min(hi) {
+                if !raw[i - lo].is_nan() {
                     out[i - lo] = seg.value_at(i);
                 }
             }
@@ -278,62 +288,107 @@ impl Segmentation {
     }
 }
 
+/// The absolute deviation tolerance for `error_fraction` of a value range.
+fn tolerance_of(error_fraction: f64, (min, max): (f64, f64)) -> f64 {
+    error_fraction.max(0.0) * (max - min).max(1e-12)
+}
+
+/// A series flattened for step (1). One pass over its storage blocks in
+/// place reads the value range and whether any value is missing, so a
+/// caller can decide on the range before [`Flat::values`] lays out the
+/// values the cone loop runs over.
+pub(crate) struct Flat<'a> {
+    series: &'a TimeSeries,
+    /// `(min, max)` of the present values, `None` when none is present.
+    /// Interpolation never leaves this range.
+    range: Option<(f64, f64)>,
+    /// Whether interpolation changes the values: some but not all are
+    /// missing.
+    gappy: bool,
+}
+
+impl<'a> Flat<'a> {
+    /// Flattens `series`.
+    pub(crate) fn new(series: &'a TimeSeries) -> Self {
+        let n = series.len();
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        let mut missing = 0usize;
+        for chunk in series.chunks() {
+            for &v in chunk {
+                if v.is_nan() {
+                    missing += 1;
+                } else {
+                    min = min.min(v);
+                    max = max.max(v);
+                }
+            }
+        }
+        Flat {
+            series,
+            range: (missing < n).then_some((min, max)),
+            gappy: missing > 0 && missing < n,
+        }
+    }
+
+    /// The values the cone loop reads, as one slice: borrowed from a
+    /// single-chunk series without gaps, otherwise copied once, with the
+    /// gaps linearly interpolated in place.
+    pub(crate) fn values(&self) -> Cow<'a, [f64]> {
+        let mut values = self.series.contiguous();
+        if self.gappy {
+            miscela_model::interpolate_in_place(values.to_mut());
+        }
+        values
+    }
+
+    /// The raw values (`NaN` where missing) a reconstruction reads, given
+    /// the cone loop's `values`: those same values when interpolation left
+    /// them unchanged, so a cold extraction flattens the series once for
+    /// both; otherwise the series' values laid out again.
+    pub(crate) fn raw(&self, values: Cow<'a, [f64]>) -> Cow<'a, [f64]> {
+        if self.gappy {
+            self.series.contiguous()
+        } else {
+            values
+        }
+    }
+
+    /// The cold segmentation of the flattened series ([`segment_series`])
+    /// over `values`, the slice [`Flat::values`] laid out.
+    pub(crate) fn segment(&self, values: &[f64], error_fraction: f64) -> Segmentation {
+        let n = values.len();
+        let Some(range) = self.range else {
+            // Empty or entirely missing series: nothing to segment.
+            return Segmentation::empty(n, 0.0, None).finish();
+        };
+        let tolerance = tolerance_of(error_fraction, range);
+        let mut seg = Segmentation::empty(n, tolerance, Some(range));
+        if n == 1 {
+            seg.push(Segment {
+                start: 0,
+                end: 0,
+                start_value: values[0],
+                end_value: values[0],
+            });
+        } else {
+            segment_values(values, tolerance, 0, 0, &mut seg);
+        }
+        seg.finish()
+    }
+}
+
 /// Greedy linear segmentation of a series in O(n).
 ///
 /// `error_fraction` is interpreted relative to the series' value range: an
 /// error tolerance of `0.02` allows each segment to deviate from the data by
 /// up to 2% of `max - min`. Missing values are linearly interpolated before
 /// segmentation (and stay missing in the reconstruction); fully-present
-/// series are segmented straight off the raw value slice without any copy.
+/// single-chunk series are segmented straight off the raw value slice
+/// without any copy.
 pub fn segment_series(series: &TimeSeries, error_fraction: f64) -> Segmentation {
-    let n = series.len();
-    if n == 0 {
-        return Segmentation::empty(0, 0.0, None).finish();
-    }
-    // One pass over the storage chunks: value range (interpolation never
-    // leaves the range of the present values) and missingness.
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut missing = 0usize;
-    for chunk in series.chunks() {
-        for &v in chunk {
-            if v.is_nan() {
-                missing += 1;
-            } else {
-                min = min.min(v);
-                max = max.max(v);
-            }
-        }
-    }
-    if missing == n {
-        // Entirely missing series: nothing to segment.
-        return Segmentation::empty(n, 0.0, None).finish();
-    }
-    // The cone loop wants one contiguous slice: fully-present single-chunk
-    // series borrow it straight from storage; multi-block or gappy series
-    // materialize (and interpolate) one flat copy.
-    let storage: std::borrow::Cow<'_, [f64]> = if missing == 0 {
-        series.contiguous()
-    } else {
-        let mut filled = series.copy_values();
-        miscela_model::interpolate_in_place(&mut filled);
-        std::borrow::Cow::Owned(filled)
-    };
-    let values: &[f64] = &storage;
-    let tolerance = error_fraction.max(0.0) * (max - min).max(1e-12);
-
-    let mut seg = Segmentation::empty(n, tolerance, Some((min, max)));
-    if n == 1 {
-        seg.push(Segment {
-            start: 0,
-            end: 0,
-            start_value: values[0],
-            end_value: values[0],
-        });
-    } else {
-        segment_values(values, tolerance, 0, 0, &mut seg);
-    }
-    seg.finish()
+    let flat = Flat::new(series);
+    flat.segment(&flat.values(), error_fraction)
 }
 
 /// Runs the greedy feasible-slope-cone loop over `values[from..]`, pushing
@@ -488,7 +543,7 @@ pub fn segment_series_tail(
     if window.iter().any(|v| v.is_nan()) {
         miscela_model::interpolate_in_place(&mut window);
     }
-    let tolerance = error_fraction.max(0.0) * (pmax - pmin).max(1e-12);
+    let tolerance = tolerance_of(error_fraction, (pmin, pmax));
     let mut open = Vec::with_capacity(SEGMENT_RUN_LEN);
     open.extend_from_slice(&prev.open[..prev.open.len() - 1]);
     let mut seg = Segmentation {
@@ -540,50 +595,23 @@ pub fn segment_series_trimmed(
     if prev.len != n + dropped {
         return None;
     }
-    if n < 2 {
+    // The cold run's flattening pass reads the window's range; no value is
+    // laid out before the range check below.
+    let flat = Flat::new(series);
+    let range = match flat.range {
+        Some(range) if n >= 2 => range,
         // Degenerate windows are as cheap cold as derived.
-        return Some((segment_series(series, error_fraction), n));
-    }
-    // Range, missingness and first present index of the trimmed window, one
-    // chunk pass as in the cold path.
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut missing = 0usize;
-    let mut first_present = n;
-    let mut idx = 0usize;
-    for chunk in series.chunks() {
-        for &v in chunk {
-            if v.is_nan() {
-                missing += 1;
-            } else {
-                if first_present == n {
-                    first_present = idx;
-                }
-                min = min.min(v);
-                max = max.max(v);
-            }
-            idx += 1;
-        }
-    }
-    if missing == n {
-        return Some((segment_series(series, error_fraction), n));
-    }
-    let tolerance = error_fraction.max(0.0) * (max - min).max(1e-12);
+        _ => return Some((flat.segment(&flat.values(), error_fraction), n)),
+    };
+    let tolerance = tolerance_of(error_fraction, range);
     if tolerance.to_bits() != prev.tolerance.to_bits() {
         // The trim changed the value range: every origin segment was fitted
         // against a different tolerance and none can be reused.
         return None;
     }
-    let storage: std::borrow::Cow<'_, [f64]> = if missing == 0 {
-        series.contiguous()
-    } else {
-        let mut filled = series.copy_values();
-        miscela_model::interpolate_in_place(&mut filled);
-        std::borrow::Cow::Owned(filled)
-    };
-    let values: &[f64] = &storage;
-
-    let mut segments = Segmentation::empty(n, tolerance, Some((min, max)));
+    let values: &[f64] = &flat.values();
+    let first_present = (0..n).find(|&i| !series.raw(i).is_nan()).unwrap_or(n);
+    let mut segments = Segmentation::empty(n, tolerance, Some(range));
     let mut start = 0usize;
     let mut resync = n;
     while start + 1 < n {
@@ -1183,6 +1211,47 @@ mod tests {
                 let series = TimeSeries::from_options(&options);
                 let split = (series.len() as u64 * split_ppm as u64 / 1_000_000) as usize;
                 assert_tail_matches_full(&series, error_fraction, split);
+            }
+        }
+    }
+
+    mod reconstruction_proptest {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Reconstructing any window `[lo, hi)` from its own raw values
+            /// gives that window of the whole-series reconstruction, bit for
+            /// bit, for random gappy series across storage blocks and
+            /// sealed segment runs: the ranges the tail resume and the trim
+            /// derivation ask for. Every `lo` is tried, at a random width.
+            #[test]
+            fn window_reconstruction_matches_whole(
+                values in proptest::collection::vec(-40.0f64..40.0, 0..700),
+                gap_seed in 0usize..13,
+                error_fraction in 0.001f64..0.25,
+                width in 0usize..200,
+            ) {
+                let options: Vec<Option<f64>> = values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| ((i * 7 + gap_seed) % 13 != 0).then_some(v))
+                    .collect();
+                let series = TimeSeries::from_options(&options);
+                let seg = segment_series(&series, error_fraction);
+                let raw = series.copy_values();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let whole = bits(&seg.reconstruct(&series).copy_values());
+                for lo in 0..=raw.len() {
+                    let hi = (lo + width).min(raw.len());
+                    prop_assert_eq!(
+                        bits(&seg.reconstruct_from(lo, &raw[lo..hi])),
+                        whole[lo..hi].to_vec(),
+                        "window [{}, {})", lo, hi
+                    );
+                }
             }
         }
     }

@@ -503,7 +503,7 @@ impl MiscelaService {
     /// since last snapshot), never O(full append history).
     fn recover(&self, scope: &Scope, mut log: DatasetLog) -> Result<(), ApiError> {
         let replay_err = |e: CsvError| ApiError::Internal(format!("durability replay: {e}"));
-        let Some(snapshot) = log.load_snapshot().map_err(wal_err)? else {
+        let Some(snapshot) = log.take_snapshot() else {
             // A WAL with no snapshot means the very first registration
             // crashed before its snapshot rename: nothing was ever
             // acknowledged for this dataset, so there is nothing to recover.

@@ -100,7 +100,9 @@ impl RecoveryStore {
 
     /// Opens the log for `name`, scanning its WAL: valid records become the
     /// replay tail, and a torn final record (crash mid-append) is truncated
-    /// away so subsequent appends keep the log cleanly framed.
+    /// away so subsequent appends keep the log cleanly framed. The snapshot,
+    /// if any, is parsed here once: the log reads its generation from it and
+    /// hands it over with [`DatasetLog::take_snapshot`].
     ///
     /// The log lives in its own directory under the root. A non-empty name
     /// made only of ASCII letters, digits, `_` and `-` is its directory's
@@ -121,11 +123,13 @@ impl RecoveryStore {
         }
         let sink = self.opener.open_append(&wal_path)?;
         let replayed = scanned.records.len() as u64;
-        let generation = load_snapshot_at(&dir)?.map(|s| s.generation).unwrap_or(0);
+        let snapshot = load_snapshot_at(&dir)?;
+        let generation = snapshot.as_ref().map_or(0, |s| s.generation);
         Ok(DatasetLog {
             dir,
             opener: Arc::clone(&self.opener),
             wal: Wal::resume(sink, replayed, scanned.valid_bytes),
+            snapshot,
             replay: scanned.records,
             torn: scanned.torn,
             replayed,
@@ -181,6 +185,7 @@ pub struct DatasetLog {
     dir: PathBuf,
     opener: Arc<dyn SinkOpener>,
     wal: Wal,
+    snapshot: Option<Snapshot>,
     replay: Vec<Json>,
     torn: Option<TornTail>,
     replayed: u64,
@@ -216,9 +221,12 @@ impl DatasetLog {
         self.wal.commit()
     }
 
-    /// Loads the current snapshot, if one has been installed.
-    pub fn load_snapshot(&self) -> Result<Option<Snapshot>, StoreError> {
-        load_snapshot_at(&self.dir)
+    /// Takes ownership of the snapshot parsed when the log was opened — the
+    /// base the caller replays the WAL tail on. Subsequent calls, and calls
+    /// after [`DatasetLog::install_snapshot`], see `None`: the log keeps no
+    /// copy.
+    pub fn take_snapshot(&mut self) -> Option<Snapshot> {
+        self.snapshot.take()
     }
 
     /// Generation of the current snapshot (0 = none installed yet).
@@ -251,6 +259,7 @@ impl DatasetLog {
         fs::rename(&tmp, &snapshot_path)?;
         let sink = self.opener.open_truncate(&self.dir.join(WAL_FILE))?;
         self.wal = Wal::fresh(sink);
+        self.snapshot = None;
         self.generation = generation;
         self.compactions += 1;
         Ok(())
@@ -402,7 +411,7 @@ mod tests {
         drop(log);
 
         let mut log = store.dataset("d").unwrap();
-        let snap = log.load_snapshot().unwrap().expect("snapshot installed");
+        let snap = log.take_snapshot().expect("snapshot installed");
         assert_eq!(snap.generation, 1);
         assert_eq!(snap.data, data);
         assert_eq!(log.generation(), 1);
@@ -410,6 +419,33 @@ mod tests {
         // A second install bumps the generation again.
         log.install_snapshot(&data).unwrap();
         assert_eq!(log.generation(), 2);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn reopen_parses_the_snapshot_once_and_hands_it_over() {
+        let root = temp_root("handover");
+        let store = RecoveryStore::open(&root);
+        let data = Json::from_pairs([("revision", Json::from(5i64))]);
+        {
+            let mut log = store.dataset("d").unwrap();
+            log.install_snapshot(&data).unwrap();
+            log.install_snapshot(&data).unwrap();
+        }
+        let mut log = store.dataset("d").unwrap();
+        // The snapshot was parsed at open: recovery no longer reads the file.
+        fs::remove_file(root.join("d").join(SNAPSHOT_FILE)).unwrap();
+        assert_eq!(log.generation(), 2);
+        assert_eq!(log.stats().snapshot_generation, 2);
+        assert_eq!(
+            log.take_snapshot(),
+            Some(Snapshot {
+                generation: 2,
+                data
+            })
+        );
+        // It is handed over once; the log keeps no copy.
+        assert_eq!(log.take_snapshot(), None);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -436,7 +472,9 @@ mod tests {
             let written = fs::read_to_string(root.join("d").join(SNAPSHOT_FILE)).unwrap();
             assert_eq!(written, doc.to_string_compact());
         }
-        assert_eq!(log.load_snapshot().unwrap().unwrap().data, data);
+        drop(log);
+        let mut log = store.dataset("d").unwrap();
+        assert_eq!(log.take_snapshot().unwrap().data, data);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -493,7 +531,7 @@ mod tests {
         drop(log);
 
         let mut log = store.dataset("d").unwrap();
-        let snap = log.load_snapshot().unwrap().unwrap();
+        let snap = log.take_snapshot().unwrap();
         assert_eq!(snap.data, old, "old snapshot must survive");
         assert_eq!(log.take_replay(), vec![record(0)], "WAL must survive");
         fs::remove_dir_all(&root).unwrap();
