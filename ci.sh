@@ -31,6 +31,9 @@ cargo test --release -q -p miscela-store
 step "cargo test --release properties (never-panic and identity properties in the optimized build the service and the benchmark use)"
 cargo test --release -q -p miscela-v --test properties
 
+step "cargo test --release integration (the pipeline and saved-store restart tests in the optimized build the service uses)"
+cargo test --release -q -p miscela-v --test integration
+
 step "cargo test --release server (durability, recovery and exactly-once protocol tests in the optimized build the service uses)"
 cargo test --release -q -p miscela-server
 

@@ -109,14 +109,15 @@ fn write_numbers(out: &mut String, numbers: impl Iterator<Item = f64>) {
     out.push(']');
 }
 
-/// Decodes one CAP from its JSON object. Returns `None` on malformed input.
+/// Decodes one CAP from its JSON object. Returns `None` on malformed input,
+/// a sensor, attribute or timestamp outside its type's range included.
 pub fn cap_from_json(json: &Json) -> Option<Cap> {
     let members: Vec<CapMember> = json
         .get("members")?
         .as_array()?
         .iter()
         .map(|m| {
-            let sensor = SensorIndex(m.get("sensor")?.as_i64()? as u32);
+            let sensor = SensorIndex(u32::try_from(m.get("sensor")?.as_i64()?).ok()?);
             let direction = match m.get("direction")?.as_str()? {
                 "+" => Direction::Up,
                 "-" => Direction::Down,
@@ -129,13 +130,13 @@ pub fn cap_from_json(json: &Json) -> Option<Cap> {
         .get("attributes")?
         .as_array()?
         .iter()
-        .map(|a| a.as_i64().map(|v| AttributeId(v as u16)))
+        .map(|a| Some(AttributeId(u16::try_from(a.as_i64()?).ok()?)))
         .collect::<Option<BTreeSet<_>>>()?;
     let timestamps: Vec<u32> = json
         .get("timestamps")?
         .as_array()?
         .iter()
-        .map(|t| t.as_i64().map(|v| v as u32))
+        .map(|t| u32::try_from(t.as_i64()?).ok())
         .collect::<Option<Vec<_>>>()?;
     Some(Cap::new(members, attributes, timestamps))
 }
@@ -219,5 +220,27 @@ mod tests {
         let missing_field =
             Json::parse(r#"[{"attributes":[0],"support":1,"timestamps":[1]}]"#).unwrap();
         assert!(capset_from_json(&missing_field).is_none());
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_not_wrapped() {
+        let cap = |sensor: i64, attribute: i64, timestamp: i64| {
+            Json::parse(&format!(
+                r#"[{{"members":[{{"sensor":{sensor},"direction":"+"}}],"attributes":[{attribute}],"support":1,"timestamps":[{timestamp}]}}]"#
+            ))
+            .unwrap()
+        };
+        assert!(capset_from_json(&cap(4_294_967_295, 65_535, 4_294_967_295)).is_some());
+        for (sensor, attribute, timestamp) in [
+            (-1, 0, 0),
+            (4_294_967_297, 0, 0),
+            (0, 65_536, 0),
+            (0, 0, -1),
+        ] {
+            assert!(
+                capset_from_json(&cap(sensor, attribute, timestamp)).is_none(),
+                "sensor {sensor}, attribute {attribute}, timestamp {timestamp}"
+            );
+        }
     }
 }

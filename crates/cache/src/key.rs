@@ -45,6 +45,10 @@ impl CacheKey {
     }
 }
 
+/// `{dataset}@r{revision}~{trimmed}::{signature}`: the key text a result
+/// is stored under ([`crate::PersistentCache`]). It is one-to-one: the
+/// signature holds no `:`, and the revision and trim offset are digits, so
+/// reading from the right splits every text one way only.
 impl fmt::Display for CacheKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -12,15 +12,15 @@
 //!
 //! [`CacheKey`] is (dataset name, revision, trim offset, parameters),
 //! where [`miscela_core::MiningParams`]' `Eq` decides which parameter
-//! settings are the same;
-//! [`ResultCache`] is the in-memory cache with hit/miss statistics;
-//! [`PersistentCache`] stores entries as JSON documents in a
-//! [`miscela_store::Database`] collection (the MongoDB substitute), where
-//! the store's query interface can inspect them. Cached results survive a
-//! restart when a durable service reopens over the saved store: recovery
-//! brings each dataset back at its revision, so its keys match again. Each
-//! entry is a [`CachedCaps`]: the CAPs plus their JSON text, encoded once
-//! and shared by both tiers and the responses.
+//! settings are the same. [`PersistentCache`] is the result cache: a
+//! memory tier with hit/miss statistics in front of JSON documents in a
+//! [`miscela_store::Database`] collection (the MongoDB substitute), each
+//! stored under one key text built from every field of its [`CacheKey`].
+//! Cached results survive a restart when a durable service reopens over
+//! the saved store: recovery brings each dataset back at its revision, so
+//! its keys match again. Each entry is a [`CachedCaps`]: the CAPs plus
+//! their JSON text, encoded once and shared by both tiers and the
+//! responses.
 //!
 //! [`EvolvingSetsCache`] is the front-end companion: a per-series cache of
 //! extraction results keyed by series content fingerprint and the
@@ -39,20 +39,24 @@
 //! # Example
 //!
 //! ```
-//! use miscela_cache::{CacheKey, CachedCaps, ResultCache};
+//! use miscela_cache::{CacheKey, PersistentCache};
 //! use miscela_core::{CapSet, MiningParams};
+//! use miscela_store::Database;
+//! use std::sync::Arc;
 //!
-//! let cache = ResultCache::new();
+//! let cache = PersistentCache::new(Arc::new(Database::new()));
 //! let params = MiningParams::new().with_psi(20);
 //! let key = CacheKey::for_state("santander", 0, 0, &params);
 //!
 //! assert!(cache.get(&key).is_none()); // miss: would trigger mining
-//! cache.put(key.clone(), CachedCaps::new(CapSet::new()));
+//! let text = cache.put(&key, &CapSet::new());
+//! assert_eq!(&*text, "[]"); // the CAPs' JSON, encoded once
 //! let hit = cache.get(&key).unwrap(); // hit: mining skipped
-//! assert_eq!(&*hit.text, "[]"); // the CAPs' JSON, encoded once
+//! assert!(Arc::ptr_eq(&hit.text, &text)); // both tiers share the text
 //!
 //! let stats = cache.stats();
 //! assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+//! assert_eq!(cache.stored_results(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,10 +71,8 @@
 pub mod codec;
 pub mod extraction;
 pub mod key;
-pub mod memory;
 pub mod persistent;
 
 pub use extraction::{EvolvingSetsCache, ExtractionCacheStats, DEFAULT_KEEP_GENERATIONS};
 pub use key::CacheKey;
-pub use memory::{CacheStats, CachedCaps, ResultCache};
-pub use persistent::PersistentCache;
+pub use persistent::{CacheStats, CachedCaps, PersistentCache};

@@ -1,22 +1,24 @@
-//! A database: a set of named collections behind a read/write lock.
+//! A database: named collections of JSON documents, each stored under a
+//! key its caller chooses.
 //!
-//! Miscela-V stores two kinds of things (Section 3.3): uploaded datasets and
-//! CAP mining results keyed by dataset name + parameters. Both live in
-//! collections of one [`Database`], which the API server and the cache share.
+//! Miscela-V stores each CAP mining result under the dataset name and the
+//! parameters, and looks up that exact pair before mining (Section 3.3).
+//! That is the whole access pattern, so a [`Database`] reads and replaces a
+//! document by its key and prunes a collection with a predicate over the
+//! document bodies.
 
-use crate::collection::Collection;
-use crate::document::{Document, DocumentId};
-use crate::error::StoreError;
-use crate::filter::Filter;
 use crate::json::Json;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
-/// A named set of collections. Cheap to share via `Arc<Database>`; all
-/// methods take `&self` and lock internally.
+/// One collection: document bodies by key, in key order.
+pub(crate) type Collection = BTreeMap<String, Json>;
+
+/// Named collections of keyed JSON documents. Cheap to share via
+/// `Arc<Database>`; all methods take `&self` and lock internally.
 #[derive(Debug, Default)]
 pub struct Database {
-    collections: RwLock<BTreeMap<String, Collection>>,
+    pub(crate) collections: RwLock<BTreeMap<String, Collection>>,
 }
 
 impl Database {
@@ -25,116 +27,39 @@ impl Database {
         Self::default()
     }
 
-    /// Ensures a collection exists (no-op when it already does).
-    pub fn create_collection(&self, name: &str) {
+    /// The document stored under `key` in `collection` (cloned out).
+    pub fn get(&self, collection: &str, key: &str) -> Option<Json> {
+        self.collections.read().get(collection)?.get(key).cloned()
+    }
+
+    /// Stores `body` under `key` in `collection`, replacing the document
+    /// already there. Creates the collection if needed.
+    pub fn put(&self, collection: &str, key: impl Into<String>, body: Json) {
         self.collections
             .write()
-            .entry(name.to_string())
-            .or_default();
-    }
-
-    /// Drops a collection and all its documents. Returns whether it existed.
-    pub fn drop_collection(&self, name: &str) -> bool {
-        self.collections.write().remove(name).is_some()
-    }
-
-    /// Names of all collections, sorted.
-    pub fn collection_names(&self) -> Vec<String> {
-        self.collections.read().keys().cloned().collect()
-    }
-
-    /// Whether a collection exists.
-    pub fn has_collection(&self, name: &str) -> bool {
-        self.collections.read().contains_key(name)
-    }
-
-    /// Declares an index on a collection (creating the collection if
-    /// needed).
-    pub fn create_index(&self, collection: &str, path: &str) {
-        let mut cols = self.collections.write();
-        cols.entry(collection.to_string())
+            .entry(collection.to_string())
             .or_default()
-            .create_index(path);
+            .insert(key.into(), body);
     }
 
-    /// Inserts a document, creating the collection if needed.
-    pub fn insert(&self, collection: &str, body: Json) -> DocumentId {
-        let mut cols = self.collections.write();
-        cols.entry(collection.to_string()).or_default().insert(body)
+    /// Keeps only the documents of `collection` whose body passes `keep`.
+    /// Returns how many were removed.
+    pub fn retain(&self, collection: &str, mut keep: impl FnMut(&Json) -> bool) -> usize {
+        let mut collections = self.collections.write();
+        let Some(docs) = collections.get_mut(collection) else {
+            return 0;
+        };
+        let before = docs.len();
+        docs.retain(|_, body| keep(body));
+        before - docs.len()
     }
 
-    /// Fetches a document by id (cloned out of the store).
-    pub fn get(&self, collection: &str, id: DocumentId) -> Result<Option<Document>, StoreError> {
-        let cols = self.collections.read();
-        let col = cols
+    /// Number of documents in `collection` (0 when it does not exist).
+    pub fn len(&self, collection: &str) -> usize {
+        self.collections
+            .read()
             .get(collection)
-            .ok_or_else(|| StoreError::UnknownCollection(collection.to_string()))?;
-        Ok(col.get(id).cloned())
-    }
-
-    /// Finds documents matching a filter (cloned).
-    pub fn find(&self, collection: &str, filter: &Filter) -> Vec<Document> {
-        let cols = self.collections.read();
-        match cols.get(collection) {
-            Some(col) => col.find(filter).into_iter().cloned().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// First document matching a filter (cloned).
-    pub fn find_one(&self, collection: &str, filter: &Filter) -> Option<Document> {
-        let cols = self.collections.read();
-        cols.get(collection)?.find_one(filter).cloned()
-    }
-
-    /// Number of documents matching a filter.
-    pub fn count(&self, collection: &str, filter: &Filter) -> usize {
-        let cols = self.collections.read();
-        cols.get(collection).map(|c| c.count(filter)).unwrap_or(0)
-    }
-
-    /// Deletes a document by id.
-    pub fn delete(&self, collection: &str, id: DocumentId) -> bool {
-        let mut cols = self.collections.write();
-        cols.get_mut(collection)
-            .map(|c| c.delete(id))
-            .unwrap_or(false)
-    }
-
-    /// Deletes every document matching a filter, returning the count.
-    pub fn delete_where(&self, collection: &str, filter: &Filter) -> usize {
-        let mut cols = self.collections.write();
-        cols.get_mut(collection)
-            .map(|c| c.delete_where(filter))
-            .unwrap_or(0)
-    }
-
-    /// Replaces the body of a document.
-    pub fn update(&self, collection: &str, id: DocumentId, body: Json) -> Result<(), StoreError> {
-        let mut cols = self.collections.write();
-        let col = cols
-            .get_mut(collection)
-            .ok_or_else(|| StoreError::UnknownCollection(collection.to_string()))?;
-        col.update(id, body)
-    }
-
-    /// Total number of documents across all collections.
-    pub fn total_documents(&self) -> usize {
-        self.collections.read().values().map(|c| c.len()).sum()
-    }
-
-    /// Runs a closure with read access to a collection, avoiding the clone
-    /// that `find` performs. Returns `None` when the collection is missing.
-    pub fn with_collection<R>(&self, name: &str, f: impl FnOnce(&Collection) -> R) -> Option<R> {
-        let cols = self.collections.read();
-        cols.get(name).map(f)
-    }
-
-    /// Runs a closure with write access to a collection, creating it when
-    /// missing.
-    pub fn with_collection_mut<R>(&self, name: &str, f: impl FnOnce(&mut Collection) -> R) -> R {
-        let mut cols = self.collections.write();
-        f(cols.entry(name.to_string()).or_default())
+            .map_or(0, |docs| docs.len())
     }
 }
 
@@ -143,97 +68,60 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[test]
-    fn collection_lifecycle() {
-        let db = Database::new();
-        assert!(db.collection_names().is_empty());
-        db.create_collection("datasets");
-        db.create_collection("caps");
-        assert_eq!(db.collection_names(), vec!["caps", "datasets"]);
-        assert!(db.has_collection("caps"));
-        assert!(db.drop_collection("caps"));
-        assert!(!db.drop_collection("caps"));
-        assert!(!db.has_collection("caps"));
+    fn doc(dataset: &str, n: i64) -> Json {
+        Json::from_pairs([("dataset", Json::from(dataset)), ("n", Json::from(n))])
     }
 
     #[test]
-    fn insert_find_update_delete() {
+    fn put_get_replace_retain() {
         let db = Database::new();
-        let id = db.insert(
-            "caps",
-            Json::parse(r#"{"dataset":"santander","n":3}"#).unwrap(),
+        db.put("caps", "a", doc("santander", 3));
+        assert_eq!(db.len("caps"), 1);
+        assert_eq!(db.get("caps", "a"), Some(doc("santander", 3)));
+        // A put under the same key replaces the document.
+        db.put("caps", "a", doc("santander", 5));
+        assert_eq!(db.len("caps"), 1);
+        assert_eq!(
+            db.get("caps", "a").unwrap().get("n").unwrap().as_i64(),
+            Some(5)
         );
-        assert_eq!(db.count("caps", &Filter::All), 1);
-        let doc = db.get("caps", id).unwrap().unwrap();
-        assert_eq!(doc.get("n").unwrap().as_i64(), Some(3));
-        db.update(
-            "caps",
-            id,
-            Json::parse(r#"{"dataset":"santander","n":5}"#).unwrap(),
-        )
-        .unwrap();
-        let doc = db
-            .find_one("caps", &Filter::eq("dataset", "santander"))
-            .unwrap();
-        assert_eq!(doc.get("n").unwrap().as_i64(), Some(5));
-        assert!(db.delete("caps", id));
-        assert_eq!(db.count("caps", &Filter::All), 0);
-        // Unknown collection behaviours.
-        assert!(db.get("missing", id).is_err());
-        assert!(db.find("missing", &Filter::All).is_empty());
-        assert_eq!(db.count("missing", &Filter::All), 0);
-        assert!(!db.delete("missing", id));
-        assert!(db.update("missing", id, Json::object()).is_err());
+        db.put("caps", "b", doc("china6", 1));
+        let removed = db.retain("caps", |body| {
+            body.get("dataset").and_then(Json::as_str) != Some("santander")
+        });
+        assert_eq!(removed, 1);
+        assert_eq!(db.get("caps", "a"), None);
+        assert_eq!(db.len("caps"), 1);
+        // Unknown collections and keys.
+        assert_eq!(db.get("caps", "missing"), None);
+        assert_eq!(db.get("missing", "a"), None);
+        assert_eq!(db.len("missing"), 0);
+        assert_eq!(db.retain("missing", |_| false), 0);
     }
 
     #[test]
-    fn indexes_via_database() {
-        let db = Database::new();
-        db.create_index("caps", "dataset");
-        for i in 0..20 {
-            db.insert(
-                "caps",
-                Json::parse(&format!(r#"{{"dataset":"d{}"}}"#, i % 4)).unwrap(),
-            );
-        }
-        assert_eq!(db.find("caps", &Filter::eq("dataset", "d1")).len(), 5);
-        assert_eq!(db.total_documents(), 20);
-    }
-
-    #[test]
-    fn concurrent_inserts_from_threads() {
+    fn concurrent_puts_from_threads() {
         let db = Arc::new(Database::new());
         let mut handles = Vec::new();
         for t in 0..4 {
             let db = Arc::clone(&db);
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
-                    db.insert(
-                        "conc",
-                        Json::parse(&format!(r#"{{"thread":{t},"i":{i}}}"#)).unwrap(),
-                    );
+                    db.put("conc", format!("{t}/{i}"), doc(&format!("t{t}"), i));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(db.count("conc", &Filter::All), 200);
+        assert_eq!(db.len("conc"), 200);
         for t in 0..4 {
-            assert_eq!(db.count("conc", &Filter::eq("thread", t as i64)), 50);
+            let dataset = format!("t{t}");
+            let removed = db.retain("conc", |body| {
+                body.get("dataset").and_then(Json::as_str) != Some(dataset.as_str())
+            });
+            assert_eq!(removed, 50);
         }
-    }
-
-    #[test]
-    fn with_collection_accessors() {
-        let db = Database::new();
-        db.insert("c", Json::object());
-        let len = db.with_collection("c", |c| c.len()).unwrap();
-        assert_eq!(len, 1);
-        assert!(db.with_collection("missing", |c| c.len()).is_none());
-        db.with_collection_mut("c2", |c| {
-            c.insert(Json::object());
-        });
-        assert_eq!(db.count("c2", &Filter::All), 1);
+        assert_eq!(db.len("conc"), 0);
     }
 }

@@ -6,29 +6,20 @@ use std::fmt;
 /// Errors raised by the document store.
 #[derive(Debug)]
 pub enum StoreError {
-    /// A collection was requested that does not exist.
-    UnknownCollection(String),
-    /// A document id was not found.
-    UnknownDocument(u64),
     /// A document failed JSON (de)serialization.
     Json(JsonError),
     /// Persistence I/O failed.
     Io(std::io::Error),
     /// A persisted file had an unexpected structure.
     Corrupt(String),
-    /// An index was requested on a collection that does not have it.
-    UnknownIndex(String),
 }
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::UnknownCollection(name) => write!(f, "unknown collection: {name}"),
-            StoreError::UnknownDocument(id) => write!(f, "unknown document id: {id}"),
             StoreError::Json(e) => write!(f, "JSON error: {e}"),
             StoreError::Io(e) => write!(f, "I/O error: {e}"),
             StoreError::Corrupt(msg) => write!(f, "corrupt store file: {msg}"),
-            StoreError::UnknownIndex(field) => write!(f, "no index on field: {field}"),
         }
     }
 }
@@ -53,10 +44,6 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(StoreError::UnknownCollection("caps".into())
-            .to_string()
-            .contains("caps"));
-        assert!(StoreError::UnknownDocument(7).to_string().contains('7'));
         assert!(StoreError::Corrupt("bad line".into())
             .to_string()
             .contains("bad line"));

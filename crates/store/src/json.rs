@@ -146,15 +146,6 @@ impl Json {
         self.as_object().and_then(|o| o.get(key))
     }
 
-    /// Nested access along a dotted path: `json.get_path("params.epsilon")`.
-    pub fn get_path(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for part in path.split('.') {
-            cur = cur.get(part)?;
-        }
-        Some(cur)
-    }
-
     /// Inserts a field (only meaningful on objects; other variants are
     /// converted to an object containing just the new field).
     pub fn set(&mut self, key: impl Into<String>, value: Json) {
@@ -878,14 +869,15 @@ mod tests {
         let doc = r#"{"dataset":"santander","params":{"epsilon":0.5,"psi":10},"caps":[[0,1],[2,3,4]],"ok":true,"note":null}"#;
         let v = Json::parse(doc).unwrap();
         assert_eq!(v.get("dataset").unwrap().as_str(), Some("santander"));
-        assert_eq!(v.get_path("params.epsilon").unwrap().as_f64(), Some(0.5));
-        assert_eq!(v.get_path("params.psi").unwrap().as_i64(), Some(10));
+        let params = v.get("params").unwrap();
+        assert_eq!(params.get("epsilon").unwrap().as_f64(), Some(0.5));
+        assert_eq!(params.get("psi").unwrap().as_i64(), Some(10));
         let caps = v.get("caps").unwrap().as_array().unwrap();
         assert_eq!(caps.len(), 2);
         assert_eq!(caps[1].as_array().unwrap().len(), 3);
         assert!(v.get("note").unwrap().is_null());
         assert_eq!(v.get("missing"), None);
-        assert_eq!(v.get_path("params.missing"), None);
+        assert_eq!(params.get("missing"), None);
     }
 
     #[test]

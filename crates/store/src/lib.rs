@@ -7,14 +7,15 @@
 //! "returns a set of sets of sensors as CAPs that might include many sensors
 //! (or empty), and its format is JSON. Since RDBMS is not suitable for
 //! Miscela outputs, we select MongoDB to store datasets and CAP results."
-//! The same workload drives this crate's design:
+//! The cache stores each result under the dataset name and parameters and
+//! looks up that exact pair before mining (Section 3.3). This crate serves
+//! that access pattern and no more:
 //!
-//! * named [`Collection`]s of schemaless JSON [`Document`]s,
-//! * filter queries over (nested) document fields,
-//! * optional secondary indexes for the fields the cache looks up
-//!   (dataset name, parameter signature),
+//! * a [`Database`] of named collections of JSON documents, each under a
+//!   key the caller chooses: read by key, replaced by key, pruned by a
+//!   predicate over the bodies;
 //! * durable persistence of a whole [`Database`] to a directory of
-//!   JSON-lines files,
+//!   JSON-lines files ([`persist`]);
 //! * a durability substrate for streaming appends: a checksummed
 //!   write-ahead log ([`wal`]) plus snapshot/replay management
 //!   ([`recovery`]) with a deterministic fault-injection hook
@@ -26,16 +27,21 @@
 //! # Example
 //!
 //! ```
-//! use miscela_store::{Database, Filter, Json};
+//! use miscela_store::{Database, Json};
 //!
 //! let db = Database::new();
-//! db.create_collection("caps");
-//! db.insert("caps", Json::parse(r#"{"dataset":"santander","cap_count":3}"#).unwrap());
-//! db.insert("caps", Json::parse(r#"{"dataset":"china6","cap_count":9}"#).unwrap());
+//! db.put("caps", "santander", Json::parse(r#"{"cap_count":3}"#).unwrap());
+//! db.put("caps", "china6", Json::parse(r#"{"cap_count":9}"#).unwrap());
 //!
-//! let hits = db.find("caps", &Filter::eq("dataset", "santander"));
-//! assert_eq!(hits.len(), 1);
-//! assert_eq!(db.count("caps", &Filter::eq("cap_count", 9i64)), 1);
+//! let doc = db.get("caps", "santander").unwrap();
+//! assert_eq!(doc.get("cap_count").unwrap().as_i64(), Some(3));
+//! // A put under a key replaces its document.
+//! db.put("caps", "china6", Json::parse(r#"{"cap_count":0}"#).unwrap());
+//! assert_eq!(db.len("caps"), 2);
+//! // Retain prunes by body: drop the empty results.
+//! let empty = Json::from(0i64);
+//! assert_eq!(db.retain("caps", |doc| doc.get("cap_count") != Some(&empty)), 1);
+//! assert_eq!(db.len("caps"), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,23 +53,15 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod collection;
 pub mod database;
-pub mod document;
 pub mod error;
-pub mod filter;
-pub mod index;
 pub mod json;
 pub mod persist;
 pub mod recovery;
 pub mod wal;
 
-pub use collection::Collection;
 pub use database::Database;
-pub use document::{Document, DocumentId};
 pub use error::StoreError;
-pub use filter::Filter;
 pub use json::Json;
-pub use persist::{load_with_report, LoadReport, SkippedRange};
 pub use recovery::{DatasetLog, DurabilityStats, RecoveryStore};
 pub use wal::{DiskOpener, FailPoint, FailingOpener, SinkOpener, Wal};

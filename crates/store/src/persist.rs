@@ -1,215 +1,132 @@
 //! Persistence: saving and loading a [`Database`] as a directory of
 //! JSON-lines files.
 //!
-//! Miscela-V keeps uploaded datasets and cached CAP results in MongoDB so
-//! that "we can use the dataset without re-uploading by specifying the
-//! dataset name" across sessions. The file format here serves the same
-//! purpose: one `<collection>.jsonl` file per collection, one document per
-//! line, plus a `_manifest.json` describing collections and their indexes.
-//! Writes go to a temporary file first and are renamed into place, so a
-//! crash mid-save never corrupts the previous snapshot.
+//! Miscela-V keeps cached CAP results in MongoDB so that they serve later
+//! sessions (Section 3.3). The file format here serves the same purpose:
+//! one `<collection>.jsonl` file per collection, one `{"body":…,"key":…}`
+//! line per document in key order, plus a `_manifest.json` naming the
+//! collections. A collection's file stem is its name when the name is
+//! plain (ASCII letters, digits, `_`, `-`), and an escaped spelling of
+//! every byte otherwise, so no two collections share a file. Writes go to a
+//! temporary file first and are renamed into place, so a crash mid-save
+//! never corrupts the previous snapshot.
 
-use crate::database::Database;
-use crate::document::Document;
+use crate::database::{Collection, Database};
 use crate::error::StoreError;
 use crate::json::Json;
+use crate::recovery::dir_of_name;
+use parking_lot::RwLock;
+use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Name of the manifest file inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "_manifest.json";
 
+/// The layout version [`save`] writes and [`load`] reads. Version 1 stored
+/// documents under store-assigned ids, with index declarations.
+const VERSION: i64 = 2;
+
 /// Saves every collection of `db` under `dir`.
 pub fn save(db: &Database, dir: &Path) -> Result<(), StoreError> {
+    // Encode under the read lock, write after releasing it.
+    let files: Vec<(String, String)> = db
+        .collections
+        .read()
+        .iter()
+        .map(|(name, docs)| {
+            let lines = docs.iter().map(|(key, body)| {
+                let line =
+                    Json::from_pairs([("body", body.clone()), ("key", Json::from(key.as_str()))]);
+                line.to_string_compact() + "\n"
+            });
+            (name.clone(), lines.collect())
+        })
+        .collect();
     fs::create_dir_all(dir)?;
-    let names = db.collection_names();
-    let mut manifest = Json::object();
-    let mut collections = Vec::new();
-    for name in &names {
-        let mut entry = Json::object();
-        entry.set("name", Json::from(name.as_str()));
-        let indexes: Vec<Json> = db
-            .with_collection(name, |c| {
-                c.index_paths().iter().map(|p| Json::from(*p)).collect()
-            })
-            .unwrap_or_default();
-        entry.set("indexes", Json::Array(indexes));
-        entry.set(
-            "documents",
-            Json::from(db.with_collection(name, |c| c.len()).unwrap_or(0)),
-        );
-        collections.push(entry);
-
-        let path = collection_path(dir, name);
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            db.with_collection(name, |c| -> Result<(), StoreError> {
-                for doc in c.iter() {
-                    writeln!(f, "{}", doc.to_line())?;
-                }
-                Ok(())
-            })
-            .transpose()?;
-            f.flush()?;
-        }
-        fs::rename(&tmp, &path)?;
+    for (name, text) in &files {
+        write_atomically(&collection_path(dir, name), text)?;
     }
-    manifest.set("collections", Json::Array(collections));
-    manifest.set("version", Json::from(1i64));
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    fs::write(&tmp, manifest.to_string_pretty())?;
-    fs::rename(&tmp, &manifest_path)?;
+    let names = files.iter().map(|(name, _)| Json::from(name.as_str()));
+    let manifest = Json::from_pairs([
+        ("collections", Json::Array(names.collect())),
+        ("version", Json::from(VERSION)),
+    ]);
+    write_atomically(&dir.join(MANIFEST_FILE), &manifest.to_string_pretty())
+}
+
+/// Loads a database previously written by [`save`]. Any damage is a typed
+/// error and nothing is dropped silently: a manifest of another version, a
+/// collection file that is missing, and a line that is not a `body` and a
+/// string `key` (a truncated tail or mid-file corruption, reported with
+/// its record index) are each [`StoreError::Corrupt`] or
+/// [`StoreError::Io`].
+pub fn load(dir: &Path) -> Result<Database, StoreError> {
+    let manifest = Json::parse(&fs::read_to_string(dir.join(MANIFEST_FILE))?)?;
+    if manifest.get("version").and_then(Json::as_f64) != Some(VERSION as f64) {
+        return Err(StoreError::Corrupt(format!(
+            "manifest is not version {VERSION}"
+        )));
+    }
+    let names = manifest
+        .get("collections")
+        .and_then(Json::as_array)
+        .ok_or_else(|| StoreError::Corrupt("manifest missing collections".to_string()))?;
+    let mut collections = BTreeMap::new();
+    for name in names {
+        let name = name.as_str().ok_or_else(|| {
+            StoreError::Corrupt(format!("collection name {name} is not a string"))
+        })?;
+        let text = fs::read_to_string(collection_path(dir, name))?;
+        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+        let mut docs = Collection::new();
+        for (i, line) in lines.iter().enumerate() {
+            let (key, body) = parse_line(line).ok_or_else(|| {
+                let place = if i + 1 == lines.len() {
+                    "a truncated tail"
+                } else {
+                    "mid-file"
+                };
+                StoreError::Corrupt(format!(
+                    "collection {name:?} is corrupt at record index {i} ({place})"
+                ))
+            })?;
+            docs.insert(key, body);
+        }
+        collections.insert(name.to_string(), docs);
+    }
+    Ok(Database {
+        collections: RwLock::new(collections),
+    })
+}
+
+/// One saved document: its key and body, `None` unless the line is an
+/// object holding both.
+fn parse_line(line: &str) -> Option<(String, Json)> {
+    let Ok(Json::Object(mut fields)) = Json::parse(line) else {
+        return None;
+    };
+    match (fields.remove("key")?, fields.remove("body")?) {
+        (Json::String(key), body) => Some((key, body)),
+        _ => None,
+    }
+}
+
+fn write_atomically(path: &Path, text: &str) -> Result<(), StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, text)?;
+    fs::rename(&tmp, path)?;
     Ok(())
 }
 
-/// A contiguous run of malformed mid-file records skipped by
-/// [`load_with_report`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkippedRange {
-    /// Collection whose file held the malformed records.
-    pub collection: String,
-    /// Zero-based index of the first malformed record in the run.
-    pub first_record: usize,
-    /// Zero-based index of the last malformed record in the run.
-    pub last_record: usize,
-}
-
-/// What [`load_with_report`] recovered from, beyond a clean snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Documents dropped because a collection file ended in a truncated
-    /// (unparseable) final line — the signature of a crash mid-write.
-    pub dropped_documents: usize,
-    /// Runs of malformed records *before* the final line — mid-file
-    /// corruption, not truncation — skipped in report mode.
-    pub skipped: Vec<SkippedRange>,
-}
-
-/// Loads a database previously written by [`save`], refusing any data loss:
-/// a snapshot whose JSON-lines tail was truncated by a crash is reported as
-/// [`StoreError::Corrupt`] rather than silently shortened, and mid-file
-/// corruption is refused with the precise record index of the first
-/// malformed record. Use [`load_with_report`] to recover explicitly and
-/// learn exactly what was dropped or skipped.
-pub fn load(dir: &Path) -> Result<Database, StoreError> {
-    let (db, report) = load_with_report(dir)?;
-    if let Some(range) = report.skipped.first() {
-        return Err(StoreError::Corrupt(format!(
-            "collection {:?} is corrupt mid-file at record index {} (not a truncated tail); \
-             recover explicitly with load_with_report",
-            range.collection, range.first_record
-        )));
-    }
-    if report.dropped_documents > 0 {
-        return Err(StoreError::Corrupt(format!(
-            "snapshot has a truncated JSON-lines tail ({} document(s) would be dropped); \
-             recover explicitly with load_with_report",
-            report.dropped_documents
-        )));
-    }
-    Ok(db)
-}
-
-/// Loads a database previously written by [`save`], recovering from
-/// damage: a final collection-file line that fails to parse (the typical
-/// result of a crash mid-append) is dropped and counted in the returned
-/// [`LoadReport`], and malformed lines *before* the final one — mid-file
-/// corruption — are skipped with their record ranges surfaced in
-/// [`LoadReport::skipped`]. The strict [`load`] refuses both shapes.
-pub fn load_with_report(dir: &Path) -> Result<(Database, LoadReport), StoreError> {
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let manifest_text = fs::read_to_string(&manifest_path)?;
-    let manifest = Json::parse(&manifest_text)?;
-    let db = Database::new();
-    let mut report = LoadReport::default();
-    let collections = manifest
-        .get("collections")
-        .and_then(|c| c.as_array())
-        .ok_or_else(|| StoreError::Corrupt("manifest missing collections".to_string()))?;
-    for entry in collections {
-        let name = entry
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or_else(|| StoreError::Corrupt("collection entry missing name".to_string()))?;
-        db.create_collection(name);
-        if let Some(indexes) = entry.get("indexes").and_then(|i| i.as_array()) {
-            for idx in indexes {
-                if let Some(path) = idx.as_str() {
-                    db.create_index(name, path);
-                }
-            }
-        }
-        let path = collection_path(dir, name);
-        if !path.exists() {
-            continue;
-        }
-        let content = fs::read_to_string(&path)?;
-        let lines: Vec<&str> = content
-            .lines()
-            .filter(|line| !line.trim().is_empty())
-            .collect();
-        db.with_collection_mut(name, |col| {
-            for (i, line) in lines.iter().enumerate() {
-                match Document::from_line(line) {
-                    Ok(doc) => {
-                        col.insert_with_id(doc);
-                    }
-                    Err(_) if i + 1 == lines.len() => {
-                        // Truncated tail: the previous documents are intact;
-                        // drop the torn line and report it.
-                        report.dropped_documents += 1;
-                    }
-                    Err(_) => {
-                        // Mid-file corruption: skip the record but remember
-                        // exactly which range was lost. Contiguous bad
-                        // records extend the current range.
-                        match report.skipped.last_mut() {
-                            Some(range)
-                                if range.collection == name && range.last_record + 1 == i =>
-                            {
-                                range.last_record = i;
-                            }
-                            _ => report.skipped.push(SkippedRange {
-                                collection: name.to_string(),
-                                first_record: i,
-                                last_record: i,
-                            }),
-                        }
-                    }
-                }
-            }
-        });
-    }
-    Ok((db, report))
-}
-
-/// Whether a directory contains a snapshot (i.e. a manifest).
-pub fn snapshot_exists(dir: &Path) -> bool {
-    dir.join(MANIFEST_FILE).exists()
-}
-
 fn collection_path(dir: &Path, name: &str) -> PathBuf {
-    // Sanitize the collection name into a file name.
-    let safe: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    dir.join(format!("{safe}.jsonl"))
+    dir.join(format!("{}.jsonl", dir_of_name(name)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::Filter;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -220,10 +137,10 @@ mod tests {
 
     fn populated_db() -> Database {
         let db = Database::new();
-        db.create_index("caps", "dataset");
         for i in 0..25 {
-            db.insert(
+            db.put(
                 "caps",
+                format!("k{i:02}"),
                 Json::parse(&format!(
                     r#"{{"dataset":"d{}","support":{},"sensors":[{},{}]}}"#,
                     i % 3,
@@ -234,11 +151,16 @@ mod tests {
                 .unwrap(),
             );
         }
-        db.insert(
+        db.put(
             "datasets",
+            "santander",
             Json::parse(r#"{"name":"santander","sensors":552}"#).unwrap(),
         );
         db
+    }
+
+    fn documents(db: &Database) -> BTreeMap<String, Collection> {
+        db.collections.read().clone()
     }
 
     #[test]
@@ -246,28 +168,10 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let db = populated_db();
         save(&db, &dir).unwrap();
-        assert!(snapshot_exists(&dir));
-
         let loaded = load(&dir).unwrap();
-        assert_eq!(loaded.collection_names(), db.collection_names());
-        assert_eq!(loaded.total_documents(), db.total_documents());
-        assert_eq!(
-            loaded.count("caps", &Filter::eq("dataset", "d1")),
-            db.count("caps", &Filter::eq("dataset", "d1"))
-        );
-        // Index declarations survive.
-        let paths = loaded
-            .with_collection("caps", |c| {
-                c.index_paths()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-            })
-            .unwrap();
-        assert_eq!(paths, vec!["dataset".to_string()]);
-        // Document ids keep increasing after a reload.
-        let new_id = loaded.insert("caps", Json::object());
-        assert!(new_id.0 >= 25);
+        assert_eq!(documents(&loaded), documents(&db));
+        assert_eq!(loaded.len("caps"), 25);
+        assert_eq!(loaded.get("caps", "k07"), db.get("caps", "k07"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -278,18 +182,21 @@ mod tests {
         save(&db, &dir).unwrap();
         // Add more documents and save again; the snapshot must reflect the
         // latest state, not append.
-        db.insert("datasets", Json::parse(r#"{"name":"china6"}"#).unwrap());
+        db.put(
+            "datasets",
+            "china6",
+            Json::parse(r#"{"name":"china6"}"#).unwrap(),
+        );
         save(&db, &dir).unwrap();
         let loaded = load(&dir).unwrap();
-        assert_eq!(loaded.count("datasets", &Filter::All), 2);
+        assert_eq!(loaded.len("datasets"), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn load_missing_directory_is_error() {
         let dir = temp_dir("missing");
-        assert!(load(&dir).is_err());
-        assert!(!snapshot_exists(&dir));
+        assert!(matches!(load(&dir), Err(StoreError::Io(_))));
     }
 
     #[test]
@@ -298,122 +205,130 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(MANIFEST_FILE), "{not json").unwrap();
         assert!(matches!(load(&dir), Err(StoreError::Json(_))));
-        fs::write(dir.join(MANIFEST_FILE), r#"{"version":1}"#).unwrap();
+        fs::write(dir.join(MANIFEST_FILE), r#"{"version":2}"#).unwrap();
         assert!(matches!(load(&dir), Err(StoreError::Corrupt(_))));
+        fs::write(
+            dir.join(MANIFEST_FILE),
+            r#"{"collections":[7],"version":2}"#,
+        )
+        .unwrap();
+        assert!(matches!(load(&dir), Err(StoreError::Corrupt(_))));
+        // A collection the manifest names must have its file.
+        fs::write(
+            dir.join(MANIFEST_FILE),
+            r#"{"collections":["caps"],"version":2}"#,
+        )
+        .unwrap();
+        assert!(matches!(load(&dir), Err(StoreError::Io(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn truncated_tail_recovers_with_report() {
+    fn version_1_stores_are_refused() {
+        // The id-addressed layout: documents under `_id`, index
+        // declarations in the manifest.
+        let dir = temp_dir("version1");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join(MANIFEST_FILE),
+            r#"{"collections":[{"documents":1,"indexes":["dataset"],"name":"caps"}],"version":1}"#,
+        )
+        .unwrap();
+        fs::write(
+            dir.join("caps.jsonl"),
+            "{\"_id\":0,\"body\":{\"dataset\":\"d\"}}\n",
+        )
+        .unwrap();
+        let err = load(&dir).unwrap_err();
+        assert!(err.to_string().contains("version 2"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_tail_is_refused() {
         // Simulate a crash mid-write: the last JSON line of a collection
         // file is cut off halfway through a document.
         let dir = temp_dir("truncated");
-        let db = populated_db();
-        save(&db, &dir).unwrap();
+        save(&populated_db(), &dir).unwrap();
         let caps_path = dir.join("caps.jsonl");
         let content = fs::read_to_string(&caps_path).unwrap();
-        let intact_lines = content.lines().count();
         let cut = content.len() - 17;
         fs::write(&caps_path, &content[..cut]).unwrap();
 
-        // The strict loader refuses rather than silently dropping data…
+        // The loader refuses rather than silently dropping data.
         let err = load(&dir).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
-        assert!(err.to_string().contains("truncated"));
-
-        // …and the recovering loader drops exactly the torn document and
-        // says so.
-        let (recovered, report) = load_with_report(&dir).unwrap();
-        assert_eq!(report.dropped_documents, 1);
-        assert_eq!(
-            recovered.count("caps", &Filter::All),
-            intact_lines - 1,
-            "all intact documents must survive"
-        );
-        // The untouched collection is unaffected.
-        assert_eq!(recovered.count("datasets", &Filter::All), 1);
-        // Inserting after recovery keeps ids monotone.
-        let new_id = recovered.insert("caps", Json::object());
-        assert!(new_id.0 >= intact_lines as u64 - 1);
+        let msg = err.to_string();
+        assert!(msg.contains("truncated"), "{msg}");
+        assert!(msg.contains("record index 24"), "{msg}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn mid_file_corruption_refuses_strictly_and_recovers_with_report() {
+    fn mid_file_corruption_is_refused_with_its_record_index() {
         let dir = temp_dir("midfile");
-        let db = populated_db();
-        save(&db, &dir).unwrap();
+        save(&populated_db(), &dir).unwrap();
         let caps_path = dir.join("caps.jsonl");
         let content = fs::read_to_string(&caps_path).unwrap();
-        let total = content.lines().count();
         let mut lines: Vec<&str> = content.lines().collect();
         lines[3] = "{torn in the middle";
         lines[4] = "also not json";
         fs::write(&caps_path, lines.join("\n")).unwrap();
 
         // A torn line with intact lines after it is corruption, not a
-        // partial write: the strict loader refuses with the precise record
-        // index of the first malformed record.
+        // partial write: the loader refuses with the precise record index
+        // of the first malformed record.
         let err = load(&dir).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
         let msg = err.to_string();
         assert!(msg.contains("record index 3"), "{msg}");
+        assert!(msg.contains("mid-file"), "{msg}");
         assert!(msg.contains("caps"), "{msg}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
-        // Report mode recovers the intact records and surfaces the skipped
-        // range exactly.
-        let (recovered, report) = load_with_report(&dir).unwrap();
-        assert_eq!(report.dropped_documents, 0);
+    #[test]
+    fn lines_without_a_string_key_and_a_body_are_corrupt() {
+        for line in [
+            "not json",
+            r#"[1,2]"#,
+            r#"{"body":{}}"#,
+            r#"{"key":"a"}"#,
+            r#"{"body":{},"key":7}"#,
+        ] {
+            assert_eq!(parse_line(line), None, "{line}");
+        }
         assert_eq!(
-            report.skipped,
-            vec![SkippedRange {
-                collection: "caps".to_string(),
-                first_record: 3,
-                last_record: 4,
-            }]
+            parse_line(r#"{"body":[1],"key":"a"}"#),
+            Some(("a".to_string(), Json::parse("[1]").unwrap()))
         );
-        assert_eq!(recovered.count("caps", &Filter::All), total - 2);
-        assert_eq!(recovered.count("datasets", &Filter::All), 1);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn disjoint_mid_file_corruption_reports_separate_ranges() {
-        let dir = temp_dir("midfile-ranges");
-        save(&populated_db(), &dir).unwrap();
-        let caps_path = dir.join("caps.jsonl");
-        let content = fs::read_to_string(&caps_path).unwrap();
-        let mut lines: Vec<&str> = content.lines().collect();
-        lines[1] = "{bad";
-        lines[7] = "{worse";
-        fs::write(&caps_path, lines.join("\n")).unwrap();
-        let (_recovered, report) = load_with_report(&dir).unwrap();
-        let ranges: Vec<(usize, usize)> = report
-            .skipped
-            .iter()
-            .map(|r| (r.first_record, r.last_record))
-            .collect();
-        assert_eq!(ranges, vec![(1, 1), (7, 7)]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn clean_snapshot_reports_nothing_dropped() {
-        let dir = temp_dir("clean-report");
-        save(&populated_db(), &dir).unwrap();
-        let (_db, report) = load_with_report(&dir).unwrap();
-        assert_eq!(report, LoadReport::default());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn collection_names_are_sanitized() {
-        let dir = temp_dir("sanitize");
+    fn collection_names_round_trip() {
+        let dir = temp_dir("names");
         let db = Database::new();
-        db.insert("caps/../weird name", Json::object());
+        db.put("caps/../weird name", "k", Json::object());
         save(&db, &dir).unwrap();
         let loaded = load(&dir).unwrap();
-        assert_eq!(loaded.count("caps/../weird name", &Filter::All), 1);
+        assert_eq!(loaded.len("caps/../weird name"), 1);
+        // Plain names keep their file name.
+        db.put("cap_results", "k", Json::object());
+        save(&db, &dir).unwrap();
+        assert!(dir.join("cap_results.jsonl").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn names_that_differ_only_in_punctuation_keep_their_own_files() {
+        let dir = temp_dir("punctuation");
+        let db = Database::new();
+        db.put("a.b", "1", Json::object());
+        db.put("a_b", "1", Json::object());
+        db.put("a_b", "2", Json::object());
+        save(&db, &dir).unwrap();
+        let loaded = load(&dir).unwrap();
+        assert_eq!((loaded.len("a.b"), loaded.len("a_b")), (1, 2));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -307,10 +307,11 @@ fn is_plain(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
 }
 
-/// The directory component holding `name`'s log (see
-/// [`RecoveryStore::dataset`]). Plain names never start with `%`, and the
+/// The path component holding `name`: a dataset log's directory (see
+/// [`RecoveryStore::dataset`]) and a saved collection's file stem (see
+/// [`crate::persist::save`]). Plain names never start with `%`, and the
 /// escaped form spells every byte, so the mapping is one-to-one.
-fn dir_of_name(name: &str) -> String {
+pub(crate) fn dir_of_name(name: &str) -> String {
     if !name.is_empty() && name.bytes().all(is_plain) {
         return name.to_string();
     }

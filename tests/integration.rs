@@ -199,6 +199,9 @@ fn cache_survives_store_persistence() {
     let service = durable_over(persist::load(&store_dir).unwrap(), &durable_dir);
     let outcome = mine_santander(&service).unwrap();
     assert!(outcome.cache_hit);
+    // The store tier answered the one lookup, and it counts as a hit.
+    let stats = service.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0));
     assert_eq!(outcome.result.caps, first.result.caps);
     // The reloaded document holds a parsed tree; it serves the same text.
     assert_eq!(outcome.caps_text, first.caps_text);

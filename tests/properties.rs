@@ -463,6 +463,138 @@ proptest! {
             prop_assert!(names.iter().all(|n| !n.is_empty() && n.trim() == n), "{:?}", names);
         }
     }
+
+    /// A saved store of any shape (arbitrary bytes, or the saved manifest
+    /// and `cap_results.jsonl` with fields replaced, removed or retyped)
+    /// loads or is a typed error, and the result cache over what loads
+    /// answers lookups of present and absent keys without panicking.
+    #[test]
+    fn saved_store_load_never_panics(
+        manifest in saved_file_strategy(&saved_store_fixture().manifest, MANIFEST_PATHS),
+        results in saved_file_strategy(&saved_store_fixture().results, RESULT_PATHS),
+    ) {
+        use miscela_v::miscela_cache::{CacheKey, PersistentCache};
+        use miscela_v::miscela_store::{persist, StoreError};
+        let dir = std::env::temp_dir()
+            .join(format!("miscela-props-saved-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(persist::MANIFEST_FILE), &manifest).unwrap();
+        std::fs::write(dir.join("cap_results.jsonl"), &results).unwrap();
+        let loaded = persist::load(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        match loaded {
+            Ok(db) => {
+                let fixture = saved_store_fixture();
+                let cache = PersistentCache::new(std::sync::Arc::new(db));
+                let hit = cache.get(&fixture.key);
+                let absent = CacheKey::for_state("absent", 0, 0, &MiningParams::default());
+                prop_assert!(cache.get(&absent).is_none());
+                if manifest == saved_line(&fixture.manifest) && results == saved_line(&fixture.results) {
+                    prop_assert_eq!(hit.map(|hit| hit.caps), Some(fixture.caps.clone()));
+                }
+            }
+            Err(e) => prop_assert!(
+                matches!(e, StoreError::Json(_) | StoreError::Io(_) | StoreError::Corrupt(_)),
+                "{:?}", e
+            ),
+        }
+    }
+}
+
+/// Fields of the saved manifest to replace or remove.
+const MANIFEST_PATHS: &[&str] = &["collections", "collections.0", "version"];
+
+/// Fields of a saved `cap_results.jsonl` line to replace or remove.
+const RESULT_PATHS: &[&str] = &[
+    "key",
+    "body",
+    "body.dataset",
+    "body.revision",
+    "body.trimmed",
+    "body.signature",
+    "body.cap_count",
+    "body.caps",
+    "body.caps.0",
+    "body.caps.0.members",
+    "body.caps.0.members.0.sensor",
+    "body.caps.0.members.0.direction",
+    "body.caps.0.attributes.0",
+    "body.caps.0.timestamps",
+    "body.caps.0.timestamps.1",
+];
+
+/// A store holding one cached result, as `persist::save` writes it.
+struct SavedStoreFixture {
+    manifest: Json,
+    results: Json,
+    key: miscela_v::miscela_cache::CacheKey,
+    caps: miscela_v::miscela_core::CapSet,
+}
+
+fn saved_store_fixture() -> &'static SavedStoreFixture {
+    use miscela_v::miscela_cache::{CacheKey, PersistentCache};
+    use miscela_v::miscela_core::{Cap, CapMember, CapSet, Direction};
+    use miscela_v::miscela_model::{AttributeId, SensorIndex};
+    use miscela_v::miscela_store::{persist, Database};
+    static FIXTURE: std::sync::OnceLock<SavedStoreFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let member = |sensor, direction| CapMember {
+            sensor: SensorIndex(sensor),
+            direction,
+        };
+        let caps = CapSet::from_caps(vec![Cap::new(
+            vec![member(3, Direction::Up), member(7, Direction::Down)],
+            [AttributeId(0), AttributeId(2)].into_iter().collect(),
+            vec![4, 9, 20],
+        )]);
+        let key = CacheKey::for_state("t/santander", 3, 256, &MiningParams::default());
+        let db = std::sync::Arc::new(Database::new());
+        PersistentCache::new(std::sync::Arc::clone(&db)).put(&key, &caps);
+        let dir = std::env::temp_dir().join(format!(
+            "miscela-props-saved-fixture-{}",
+            std::process::id()
+        ));
+        persist::save(&db, &dir).unwrap();
+        let read =
+            |file: &str| Json::parse(&std::fs::read_to_string(dir.join(file)).unwrap()).unwrap();
+        let fixture = SavedStoreFixture {
+            manifest: read(persist::MANIFEST_FILE),
+            results: read("cap_results.jsonl"),
+            key,
+            caps,
+        };
+        std::fs::remove_dir_all(&dir).ok();
+        fixture
+    })
+}
+
+/// A document as one saved line.
+fn saved_line(doc: &Json) -> Vec<u8> {
+    (doc.to_string_compact() + "\n").into_bytes()
+}
+
+/// One saved store file: `fixture` with up to three fields at `paths`
+/// replaced, removed or retyped; or arbitrary JSON-ish bytes.
+fn saved_file_strategy(
+    fixture: &'static Json,
+    paths: &'static [&'static str],
+) -> impl Strategy<Value = Vec<u8>> {
+    let edited = proptest::collection::vec(
+        (
+            0..paths.len(),
+            proptest::option::of(durable_value_strategy()),
+        ),
+        0..4,
+    )
+    .prop_map(move |edits| {
+        let mut doc = fixture.clone();
+        for (path, value) in edits {
+            set_path(&mut doc, paths[path], value);
+        }
+        saved_line(&doc)
+    });
+    let bytes = proptest::collection::vec(json_byte_strategy(), 0..64);
+    (0u8..4, edited, bytes).prop_map(|(pick, edited, bytes)| if pick == 0 { bytes } else { edited })
 }
 
 /// Every field a WAL record can carry.
